@@ -12,9 +12,9 @@ from pdrop import (
     RngState,
     TOY_CONFIG,
     build_schedule,
-    forward_full,
     forward_pruned,
     inject_at_boundary,
+    keep_all_schedule,
 )
 from pdrop.harness import FixtureSpec, make_marker_sequence
 from pdrop.toymodel import build_marker_model
@@ -37,11 +37,12 @@ for layer, kept in trace.kept_masks:
           + " ".join(f"{p}{t}" for p, t in zip(kept, tags)))
 print("(* = marked token; all marked tokens survive every stage)\n")
 
-# keep-all degenerates to the vanilla forward, bit for bit
+# four stages that keep every token degenerate to the one-stage forward, bit for bit
 keep_all = build_schedule(cfg.num_layers, 4, 1.0, fixture.image_tokens)
+one_stage = keep_all_schedule(cfg.num_layers, fixture.image_tokens)
 same = np.array_equal(forward_pruned(weights, seq, keep_all).logits,
-                      forward_full(weights, seq).logits)
-print(f"keep-all pruned forward identical to full forward: {same}")
+                      forward_pruned(weights, seq, one_stage).logits)
+print(f"four-stage keep-all forward identical to one-stage forward: {same}")
 
 # overwriting a token that is about to be dropped changes nothing downstream
 layer, kept = trace.kept_masks[0]

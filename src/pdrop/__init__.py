@@ -20,7 +20,7 @@ from .layout import (
     load_sequence,
     sequence_from_json,
 )
-from .numkernel import RngState, arg_topk, gaussian_init, matmul, rmsnorm, rope_rotate, softmax_rows
+from .numkernel import RngState, arg_topk, gaussian_init, softmax_rows
 from .pruner import (
     PruneDecision,
     PyramidDrop,
@@ -30,7 +30,6 @@ from .pruner import (
     StageSchedule,
     UniformCompression,
     Vanilla,
-    apply_strategy,
     build_schedule,
     decide,
     keep_all_schedule,
@@ -43,7 +42,6 @@ from .toymodel import (
     ForwardTrace,
     ModelConfig,
     build_marker_model,
-    forward_full,
     forward_pruned,
     init_model,
     inject_at_boundary,

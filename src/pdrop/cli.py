@@ -8,10 +8,11 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 from .costmodel import schedule_cost, strategy_cost
-from .errors import PdropError
+from .errors import ConfigError, PdropError
 from .harness import (
     emit_masks,
     load_spec,
@@ -29,15 +30,20 @@ EXIT_IO = 3
 
 def _parse_ratios(text: str) -> list[float]:
     """Either a comma list '0.1,0.5,1.0' or an inclusive range 'a:b:step'."""
-    if ":" in text:
+    try:
+        if ":" not in text:
+            return [float(x) for x in text.split(",")]
         start, stop, step = (float(x) for x in text.split(":"))
-        out = []
-        v = start
-        while v <= stop + 1e-12:
-            out.append(round(v, 12))
-            v += step
-        return out
-    return [float(x) for x in text.split(",")]
+    except ValueError as exc:
+        raise ConfigError(f"bad ratio list {text!r}") from exc
+    if step <= 0 or not all(map(math.isfinite, (start, stop, step))):
+        raise ConfigError(f"ratio range {text!r} needs finite bounds and a positive step")
+    out = []
+    v = start
+    while v <= stop + 1e-12:
+        out.append(round(v, 12))
+        v += step
+    return out
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -84,20 +90,20 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_cost(args) -> dict:
-    if args.strategy is not None:
-        strat = strategy_from_json({
-            "name": args.strategy,
-            "stages": args.stages,
-            "keep_ratio": args.keep_ratio,
-            "drop_layer": args.drop_layer,
-            "token_count": args.tokens,
-        })
-        return strategy_cost(strat, args.layers, args.n, args.d, args.m).to_json()
-    if args.keep_ratio is not None:
+    if args.strategy is None and args.keep_ratio is not None:
         schedule = build_schedule(args.layers, args.stages, args.keep_ratio, args.n)
         return schedule_cost(schedule, args.d, args.m).to_json()
-    schedule = build_schedule(args.layers, 1, 1.0, args.n)
-    return schedule_cost(schedule, args.d, args.m).to_json()
+    fields = {
+        "name": "vanilla" if args.strategy is None else args.strategy,
+        "stages": args.stages,
+        "keep_ratio": args.keep_ratio,
+        "drop_layer": args.drop_layer,
+        "token_count": args.tokens,
+    }
+    # --lambda and --keep-ratio share one dest whose default is None; an
+    # unset ratio takes the strategy's own default
+    strat = strategy_from_json({k: v for k, v in fields.items() if v is not None})
+    return strategy_cost(strat, args.layers, args.n, args.d, args.m).to_json()
 
 
 def main(argv=None) -> int:

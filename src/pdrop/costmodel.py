@@ -5,12 +5,10 @@ pruning. Text tokens contribute zero by convention.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-import numpy as np
+from dataclasses import dataclass, replace
 
 from .errors import ConfigError
-from .pruner import StageSchedule, Strategy, apply_strategy
+from .pruner import StageSchedule, Strategy
 
 
 def layer_flops(n: int, d: int, m: int) -> int:
@@ -90,8 +88,9 @@ def theoretical_saving(keep_ratio: float, num_stages: int) -> float:
 
 
 def strategy_cost(strategy: Strategy, num_layers: int, num_image_tokens: int, d: int, m: int) -> CostReport:
-    counts = apply_strategy(strategy, num_layers, num_image_tokens)
-    # group consecutive equal counts into stages for reporting
+    counts = strategy.schedule(num_layers, num_image_tokens).per_layer_counts()
+    # group consecutive equal counts into stages for reporting, so that a
+    # schedule whose stages repeat a count (S=4 at lambda=1) reports one stage
     stage_layers, stage_tokens = [], []
     for n in counts:
         if stage_tokens and stage_tokens[-1] == n:
@@ -103,10 +102,4 @@ def strategy_cost(strategy: Strategy, num_layers: int, num_image_tokens: int, d:
     # the vanilla reference is always the uncompressed count, even for
     # strategies (like uniform compression) that never run at full width
     vanilla = num_layers * layer_flops(num_image_tokens, d, m)
-    return CostReport(
-        per_stage=report.per_stage,
-        total=report.total,
-        vanilla=vanilla,
-        ratio=report.total / vanilla if vanilla else 1.0,
-        avg_tokens=float(np.mean(counts)),
-    )
+    return replace(report, vanilla=vanilla, ratio=report.total / vanilla if vanilla else 1.0)

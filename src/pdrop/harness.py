@@ -11,7 +11,7 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -20,26 +20,18 @@ from .errors import ConfigError, InputError
 from .layout import MultimodalSequence, build_sequence, load_sequence
 from .numkernel import RngState, derive_seed
 from .pruner import (
-    PruneDecision,
     PyramidDrop,
     RandomDrop,
-    SimilarityScores,
     SingleEarlyDrop,
     Strategy,
     UniformCompression,
     Vanilla,
     build_schedule,
     decide,
+    keep_all_schedule,
     random_ranker,
-    single_drop_schedule,
 )
-from .toymodel import (
-    DecoderWeights,
-    ModelConfig,
-    build_marker_model,
-    forward_full,
-    forward_pruned,
-)
+from .toymodel import DecoderWeights, ModelConfig, build_marker_model, forward_pruned
 
 
 @dataclass(frozen=True)
@@ -102,28 +94,36 @@ class RunReport:
 # --- spec / strategy parsing ----------------------------------------------
 
 
+# name -> strategy class; "pyramiddrop" and "qformer" are aliases
+STRATEGIES = {
+    cls.name: cls for cls in (Vanilla, PyramidDrop, SingleEarlyDrop, UniformCompression, RandomDrop)
+}
+STRATEGIES.update(pyramiddrop=PyramidDrop, qformer=UniformCompression)
+
+
+def _typed(kind, value, what: str):
+    try:
+        return kind(value)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ConfigError(f"{what}: expected {kind.__name__}, got {value!r}") from exc
+
+
 def strategy_from_json(obj) -> Strategy:
+    """Build a strategy from its name and the fields given; each field is
+    coerced to the type of its default."""
     if isinstance(obj, str):
         obj = {"name": obj}
     try:
         name = obj["name"]
     except (KeyError, TypeError) as exc:
         raise ConfigError(f"strategy needs a name: {obj!r}") from exc
-    if name == "vanilla":
-        return Vanilla()
-    if name in ("pdrop", "pyramiddrop"):
-        return PyramidDrop(stages=int(obj.get("stages", 4)),
-                           keep_ratio=float(obj.get("keep_ratio", 0.5)))
-    if name == "fastv":
-        return SingleEarlyDrop(drop_layer=int(obj.get("drop_layer", 2)),
-                               keep_ratio=float(obj.get("keep_ratio", 0.5)))
-    if name in ("uniform", "qformer"):
-        return UniformCompression(token_count=int(obj.get("token_count", 288)))
-    if name == "random":
-        return RandomDrop(stages=int(obj.get("stages", 4)),
-                          keep_ratio=float(obj.get("keep_ratio", 0.5)),
-                          seed=int(obj.get("seed", 0)))
-    raise ConfigError(f"unknown strategy {name!r}")
+    cls = STRATEGIES.get(name) if isinstance(name, str) else None
+    if cls is None:
+        raise ConfigError(f"unknown strategy {name!r}")
+    return cls(**{
+        f.name: _typed(type(f.default), obj[f.name], f"strategy {name!r} {f.name}")
+        for f in fields(cls) if f.name in obj
+    })
 
 
 def spec_from_json(obj: dict) -> ExperimentSpec:
@@ -149,14 +149,14 @@ def spec_from_json(obj: dict) -> ExperimentSpec:
     sweep = obj.get("sweep", {})
     return ExperimentSpec(
         model=model,
-        seed=int(obj.get("seed", 0)),
+        seed=_typed(int, obj.get("seed", 0), "seed"),
         fixture=fixture,
         fixture_path=fixture_path,
         strategy=strategy_from_json(obj["strategy"]) if "strategy" in obj else None,
         strategies=[strategy_from_json(s) for s in obj.get("strategies", [])],
-        sweep_layers=[int(x) for x in sweep.get("layers", [])],
-        sweep_ratios=[float(x) for x in sweep.get("ratios", [])],
-        margin_onset_layer=int(obj.get("margin_onset_layer", 1)),
+        sweep_layers=[_typed(int, x, "sweep layer") for x in sweep.get("layers", [])],
+        sweep_ratios=[_typed(float, x, "sweep ratio") for x in sweep.get("ratios", [])],
+        margin_onset_layer=_typed(int, obj.get("margin_onset_layer", 1), "margin_onset_layer"),
     )
 
 
@@ -239,24 +239,8 @@ def run_strategy(
 ) -> RunReport:
     cfg = weights.config
     v0 = seq.num_image_tokens
-    if isinstance(strategy, Vanilla):
-        trace = forward_full(weights, seq)
-    elif isinstance(strategy, PyramidDrop):
-        schedule = build_schedule(cfg.num_layers, strategy.stages, strategy.keep_ratio, v0)
-        trace = forward_pruned(weights, seq, schedule)
-    elif isinstance(strategy, SingleEarlyDrop):
-        keep = int(np.floor(strategy.keep_ratio * v0))
-        schedule = single_drop_schedule(cfg.num_layers, strategy.drop_layer, keep, v0)
-        trace = forward_pruned(weights, seq, schedule)
-    elif isinstance(strategy, RandomDrop):
-        schedule = build_schedule(cfg.num_layers, strategy.stages, strategy.keep_ratio, v0)
-        trace = forward_pruned(
-            weights, seq, schedule, ranker=random_ranker(derive_seed(seed, strategy.seed))
-        )
-    elif isinstance(strategy, UniformCompression):
-        raise ConfigError("uniform compression has no forward semantics; it is cost-only")
-    else:
-        raise ConfigError(f"unknown strategy {strategy!r}")
+    ranker = strategy.ranker(seed)  # a cost-only strategy stops here
+    trace = forward_pruned(weights, seq, strategy.schedule(cfg.num_layers, v0), ranker=ranker)
     digest = hashlib.sha256(
         np.ascontiguousarray(trace.hidden[-1]).tobytes()
         + np.ascontiguousarray(trace.positions).tobytes()
@@ -294,23 +278,18 @@ def run_layer_sweep(spec: ExperimentSpec) -> list[SweepRow]:
         if layer >= cfg.num_layers:
             raise ConfigError(f"sweep layer {layer} >= num_layers {cfg.num_layers}")
         for ratio in spec.sweep_ratios:
-            keep = int(np.floor(ratio * v0))
-            if keep >= v0:
-                trace = forward_full(weights, seq)
-                kept_count = v0
+            strategy = SingleEarlyDrop(drop_layer=layer, keep_ratio=ratio)
+            if int(np.floor(ratio * v0)) >= v0:
+                schedule = keep_all_schedule(cfg.num_layers, v0)
             else:
-                schedule = single_drop_schedule(cfg.num_layers, layer, keep, v0)
-                trace = forward_pruned(weights, seq, schedule)
-                kept_count = keep
-            cost = strategy_cost(
-                SingleEarlyDrop(drop_layer=layer, keep_ratio=ratio),
-                cfg.num_layers, v0, cfg.hidden_size, cfg.ffn_intermediate,
-            )
+                schedule = strategy.schedule(cfg.num_layers, v0)
+            trace = forward_pruned(weights, seq, schedule)
+            cost = strategy_cost(strategy, cfg.num_layers, v0, cfg.hidden_size, cfg.ffn_intermediate)
             rows.append(SweepRow(
                 layer=layer,
                 keep_ratio=ratio,
                 recall=marker_recall(trace.kept_masks, marked, v0),
-                kept_count=kept_count,
+                kept_count=schedule.stage_token_counts[-1],
                 flops=cost.total,
             ))
     return rows
@@ -322,15 +301,11 @@ def simulate_random_recall(
     """Recall of a random-drop selection walk without running the model;
     the selection path (random scores into decide) matches RandomDrop."""
     schedule = build_schedule(stages, stages, keep_ratio, v0)
+    rank = random_ranker(seed)
     surviving = np.arange(v0, dtype=np.int64)
     for stage in range(stages - 1):
-        rng = RngState(derive_seed(seed, stage))
-        scores = SimilarityScores(rng.uniforms(surviving.size), stage, surviving)
-        surviving = decide(scores, schedule, stage).kept
-    final = set(surviving.tolist())
-    if marked.size == 0:
-        return 1.0
-    return sum(1 for p in marked if int(p) in final) / marked.size
+        surviving = decide(rank(None, None, 0, stage, surviving, stage), schedule, stage).kept
+    return marker_recall([(stages - 1, surviving)], marked, v0)
 
 
 # --- output ----------------------------------------------------------------
@@ -350,12 +325,7 @@ def emit_masks(report: RunReport, path) -> None:
     """Per-stage kept-index masks for retention-map plotting."""
     if not report.kept_masks:
         raise ConfigError("report has no drop stages to emit")
-    obj = {
-        "stages": [
-            {"boundary": int(layer), "kept": [int(p) for p in kept]}
-            for layer, kept in report.kept_masks
-        ]
-    }
+    obj = {"stages": report.to_json()["stages"]}
     with open(path, "w") as fh:
         json.dump(obj, fh, indent=2)
         fh.write("\n")

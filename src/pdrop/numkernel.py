@@ -1,9 +1,10 @@
 """Deterministic dense numeric primitives for the toy decoder.
 
 Everything is float64 and pure: identical inputs give bit-identical
-outputs on any platform. The RNG is a counter-based splitmix-style
-generator feeding a Box-Muller normal sampler, so weight init is
-reproducible across numpy versions and operating systems.
+outputs on the same machine and BLAS. The RNG is a counter-based
+splitmix-style integer generator feeding a Box-Muller normal sampler, so
+weight init does not depend on numpy's own generators; its integer
+stream is the same on every platform.
 """
 
 from __future__ import annotations
@@ -65,30 +66,12 @@ class RngState:
         return stddev * out[:count]
 
 
-def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    if a.ndim != 2 or b.ndim != 2:
-        raise ShapeError(f"matmul expects 2-D operands, got {a.ndim}-D and {b.ndim}-D")
-    if a.shape[1] != b.shape[0]:
-        raise ShapeError(f"inner dimensions differ: {a.shape} x {b.shape}")
-    return a @ b
-
-
 def softmax_rows(a: np.ndarray) -> np.ndarray:
     """Row-wise softmax with max subtraction; -inf entries get weight 0."""
     a = np.asarray(a, dtype=np.float64)
     shifted = a - np.max(a, axis=-1, keepdims=True)
     e = np.exp(shifted)
     return e / np.sum(e, axis=-1, keepdims=True)
-
-
-def rmsnorm(v: np.ndarray, gain: np.ndarray, eps: float) -> np.ndarray:
-    v = np.asarray(v, dtype=np.float64)
-    gain = np.asarray(gain, dtype=np.float64)
-    if v.shape != gain.shape:
-        raise ShapeError(f"rmsnorm length mismatch: {v.shape} vs {gain.shape}")
-    return v * gain / np.sqrt(np.mean(v * v) + eps)
 
 
 def rmsnorm_rows(a: np.ndarray, gain: np.ndarray, eps: float) -> np.ndarray:
@@ -99,31 +82,16 @@ def rmsnorm_rows(a: np.ndarray, gain: np.ndarray, eps: float) -> np.ndarray:
     return a * gain / np.sqrt(np.mean(a * a, axis=-1, keepdims=True) + eps)
 
 
-def _pair_angles(positions: np.ndarray, head_dim: int, theta_base: float) -> np.ndarray:
+def rope_rotate_rows(x: np.ndarray, positions: np.ndarray, theta_base: float) -> np.ndarray:
+    """Rotate consecutive (even, odd) pairs of each row by angles scaled
+    by that row's position; x is (n, head_dim)."""
+    x = np.asarray(x, dtype=np.float64)
+    if x.shape[-1] % 2 != 0:
+        raise ConfigError(f"rope requires even head_dim, got {x.shape[-1]}")
+    head_dim = x.shape[-1]
     pair = np.arange(head_dim // 2, dtype=np.float64)
     inv_freq = theta_base ** (-2.0 * pair / head_dim)
-    return np.asarray(positions, dtype=np.float64)[..., None] * inv_freq
-
-
-def rope_rotate(x: np.ndarray, position: int, theta_base: float) -> np.ndarray:
-    """Rotate consecutive (even, odd) pairs by position-scaled angles."""
-    x = np.asarray(x, dtype=np.float64)
-    if x.shape[-1] % 2 != 0:
-        raise ConfigError(f"rope requires even head_dim, got {x.shape[-1]}")
-    ang = _pair_angles(np.asarray(position), x.shape[-1], theta_base)
-    cos, sin = np.cos(ang), np.sin(ang)
-    out = np.empty_like(x)
-    out[..., 0::2] = x[..., 0::2] * cos - x[..., 1::2] * sin
-    out[..., 1::2] = x[..., 0::2] * sin + x[..., 1::2] * cos
-    return out
-
-
-def rope_rotate_rows(x: np.ndarray, positions: np.ndarray, theta_base: float) -> np.ndarray:
-    """rope_rotate applied per row with per-row positions; x is (n, head_dim)."""
-    x = np.asarray(x, dtype=np.float64)
-    if x.shape[-1] % 2 != 0:
-        raise ConfigError(f"rope requires even head_dim, got {x.shape[-1]}")
-    ang = _pair_angles(positions, x.shape[-1], theta_base)
+    ang = np.asarray(positions, dtype=np.float64)[..., None] * inv_freq
     cos, sin = np.cos(ang), np.sin(ang)
     out = np.empty_like(x)
     out[..., 0::2] = x[..., 0::2] * cos - x[..., 1::2] * sin

@@ -95,7 +95,10 @@ def single_drop_schedule(num_layers: int, drop_layer: int, keep_count: int, num_
 
 
 def keep_all_schedule(num_layers: int, num_image_tokens: int) -> StageSchedule:
-    return build_schedule(num_layers, 1, 1.0, num_image_tokens)
+    """One stage at full width: the unpruned forward."""
+    if num_layers < 1 or num_image_tokens < 0:
+        raise ConfigError(f"need >= 1 layer and >= 0 tokens, got {num_layers} layers, {num_image_tokens} tokens")
+    return StageSchedule(num_layers, 1, 1.0, (), (num_layers,), (num_image_tokens,))
 
 
 @dataclass
@@ -168,71 +171,74 @@ def decide(scores: SimilarityScores, schedule: StageSchedule, stage: int) -> Pru
 # --- strategies ------------------------------------------------------------
 
 
+class Strategy:
+    """A strategy is its per-layer image-token schedule,
+    ``schedule(num_layers, num_image_tokens)``, plus ``ranker(seed)``, the
+    ranker that picks the kept set at each drop boundary of a run."""
+
+    def ranker(self, seed: int):
+        return attention_ranker
+
+
 @dataclass(frozen=True)
-class Vanilla:
+class Vanilla(Strategy):
     name = "vanilla"
 
+    def schedule(self, num_layers: int, num_image_tokens: int) -> StageSchedule:
+        return keep_all_schedule(num_layers, num_image_tokens)
+
 
 @dataclass(frozen=True)
-class PyramidDrop:
+class PyramidDrop(Strategy):
     stages: int = 4
     keep_ratio: float = 0.5
     name = "pdrop"
 
+    def schedule(self, num_layers: int, num_image_tokens: int) -> StageSchedule:
+        return build_schedule(num_layers, self.stages, self.keep_ratio, num_image_tokens)
+
 
 @dataclass(frozen=True)
-class SingleEarlyDrop:
-    """FastV-style cost schedule: full width for drop_layer layers, then a
+class SingleEarlyDrop(Strategy):
+    """FastV-style schedule: full width for drop_layer layers, then a
     single cut down to floor(keep_ratio * V0)."""
 
     drop_layer: int = 2
     keep_ratio: float = 0.5
     name = "fastv"
 
+    def schedule(self, num_layers: int, num_image_tokens: int) -> StageSchedule:
+        if not 0.0 <= self.keep_ratio <= 1.0:
+            raise ConfigError(f"keep_ratio must be in [0, 1], got {self.keep_ratio}")
+        keep = math.floor(self.keep_ratio * num_image_tokens)
+        return single_drop_schedule(num_layers, self.drop_layer, keep, num_image_tokens)
+
 
 @dataclass(frozen=True)
-class UniformCompression:
-    """Q-former-style cost schedule: a constant compressed token count."""
+class UniformCompression(Strategy):
+    """Q-former-style cost schedule: a constant compressed token count at
+    every layer. Cost-only: it has no ranker, so it cannot run a forward."""
 
     token_count: int = 288
     name = "uniform"
 
+    def schedule(self, num_layers: int, num_image_tokens: int) -> StageSchedule:
+        return keep_all_schedule(num_layers, self.token_count)
+
+    def ranker(self, seed: int):
+        raise ConfigError("uniform compression has no forward semantics; it is cost-only")
+
 
 @dataclass(frozen=True)
-class RandomDrop:
+class RandomDrop(PyramidDrop):
     """PyramidDrop counts with uniformly random kept-sets; isolates the
     value of attention ranking."""
 
-    stages: int = 4
-    keep_ratio: float = 0.5
     seed: int = 0
     name = "random"
 
-
-Strategy = Vanilla | PyramidDrop | SingleEarlyDrop | UniformCompression | RandomDrop
-
-
-def apply_strategy(strategy: Strategy, num_layers: int, num_image_tokens: int) -> np.ndarray:
-    """Effective per-layer image-token counts (length num_layers)."""
-    if isinstance(strategy, Vanilla):
-        return np.full(num_layers, num_image_tokens, dtype=np.int64)
-    if isinstance(strategy, (PyramidDrop, RandomDrop)):
-        return build_schedule(num_layers, strategy.stages, strategy.keep_ratio, num_image_tokens).per_layer_counts()
-    if isinstance(strategy, SingleEarlyDrop):
-        if not 0.0 <= strategy.keep_ratio <= 1.0:
-            raise ConfigError(f"keep_ratio must be in [0, 1], got {strategy.keep_ratio}")
-        if not 1 <= strategy.drop_layer < num_layers:
-            raise ConfigError(f"drop layer {strategy.drop_layer} must be in [1, {num_layers})")
-        after = math.floor(strategy.keep_ratio * num_image_tokens)
-        return np.asarray(
-            [num_image_tokens] * strategy.drop_layer + [after] * (num_layers - strategy.drop_layer),
-            dtype=np.int64,
-        )
-    if isinstance(strategy, UniformCompression):
-        if strategy.token_count < 0:
-            raise ConfigError(f"negative token count {strategy.token_count}")
-        return np.full(num_layers, strategy.token_count, dtype=np.int64)
-    raise ConfigError(f"unknown strategy {strategy!r}")
+    def ranker(self, seed: int):
+        return random_ranker(derive_seed(seed, self.seed))
 
 
 def random_ranker(seed: int):

@@ -162,18 +162,6 @@ def _layer_forward(lw: LayerWeights, cfg: ModelConfig, x: np.ndarray, positions:
     return x, q, k
 
 
-def forward_full(w: DecoderWeights, seq: MultimodalSequence) -> ForwardTrace:
-    x = _embed(w, seq)
-    positions = np.asarray(seq.positions, dtype=np.int64)
-    trace = ForwardTrace()
-    for lw in w.layers:
-        x, _, _ = _layer_forward(lw, w.config, x, positions)
-        trace.hidden.append(x)
-    trace.logits = x @ w.head
-    trace.positions = positions.copy()
-    return trace
-
-
 def forward_pruned(
     w: DecoderWeights,
     seq: MultimodalSequence,
@@ -181,6 +169,11 @@ def forward_pruned(
     ranker=attention_ranker,
     _inject=None,
 ) -> ForwardTrace:
+    """The forward: image tokens dropped at the schedule's boundaries are
+    physically removed for all later layers; ``keep_all_schedule`` gives
+    the unpruned forward. ``_inject=(layer, position, vector)`` overwrites
+    the hidden state of the token at that original position at that
+    boundary, immediately before the drop decision."""
     cfg = w.config
     if schedule.num_layers != cfg.num_layers:
         raise ConfigError(
@@ -196,7 +189,7 @@ def forward_pruned(
 
     x = _embed(w, seq)
     positions = np.asarray(seq.positions, dtype=np.int64)
-    roles = list(seq.roles)
+    is_image = np.array([r is TokenRole.IMAGE for r in seq.roles], dtype=bool)
     last_q_pos = positions[last_instruction_index(seq)] if schedule.num_stages > 1 else None
     boundaries = set(schedule.boundary_layers)
     trace = ForwardTrace()
@@ -206,30 +199,24 @@ def forward_pruned(
         trace.hidden.append(x)
         if layer_no not in boundaries:
             continue
-        img_storage = np.asarray(
-            [i for i, r in enumerate(roles) if r is TokenRole.IMAGE], dtype=np.int64
-        )
+        img_storage = np.nonzero(is_image)[0]
         q_storage = int(np.nonzero(positions == last_q_pos)[0][0])
         q_last = q[q_storage]  # (heads, head_dim), post-rotary
-        if img_storage.size:
-            k_img = np.transpose(k[img_storage], (1, 0, 2))  # (heads, n_img, head_dim)
-        else:
-            k_img = np.empty((cfg.num_heads, 0, cfg.head_dim))
+        k_img = np.transpose(k[img_storage], (1, 0, 2))  # (heads, n_img, head_dim)
         trace.boundary_qk[layer_no] = (q_last.copy(), k_img.copy())
         if _inject is not None and _inject[0] == layer_no:
+            slot = np.nonzero(positions == _inject[1])[0]
+            if not slot.size:
+                raise ConfigError(f"token {_inject[1]} no longer survives at layer {layer_no}")
             x = x.copy()
-            x[_inject[1]] = _inject[2]
-        scores = ranker(q_last, k_img, cfg.head_dim,
-                        layer_no, positions[img_storage] if img_storage.size else np.empty(0, dtype=np.int64),
-                        stage)
+            x[slot[0]] = _inject[2]
+        scores = ranker(q_last, k_img, cfg.head_dim, layer_no, positions[img_storage], stage)
         decision = decide(scores, schedule, stage)
         trace.kept_masks.append((layer_no, decision.kept.copy()))
-        keep_mask = np.ones(x.shape[0], dtype=bool)
-        if decision.dropped.size:
-            keep_mask[np.isin(positions, decision.dropped)] = False
+        keep_mask = ~np.isin(positions, decision.dropped)
         x = x[keep_mask]
         positions = positions[keep_mask]
-        roles = [r for r, keep in zip(roles, keep_mask) if keep]
+        is_image = is_image[keep_mask]
         stage += 1
     trace.logits = x @ w.head
     trace.positions = positions.copy()
@@ -245,8 +232,9 @@ def inject_at_boundary(
     replacement: np.ndarray,
     ranker=attention_ranker,
 ) -> ForwardTrace:
-    """Pruned forward with one hidden state overwritten at a boundary,
-    immediately before the drop decision is applied there."""
+    """Pruned forward with the hidden state of the token at original
+    position ``token_index`` overwritten at a boundary, immediately before
+    the drop decision is applied there."""
     if boundary_layer not in schedule.boundary_layers:
         raise ConfigError(f"layer {boundary_layer} is not a drop boundary of the schedule")
     if not 0 <= token_index < len(seq):
@@ -256,27 +244,8 @@ def inject_at_boundary(
         raise ConfigError(
             f"replacement must have shape ({w.config.hidden_size},), got {replacement.shape}"
         )
-
-    # resolve the token's storage slot at that boundary via a probe forward
-    probe = forward_pruned(w, seq, schedule, ranker=ranker)
-    image_pos = set(_image_positions(seq).tolist())
-    surviving = [int(p) for p in seq.positions]
-    for layer, kept in probe.kept_masks:
-        if layer >= boundary_layer:
-            break
-        kept_set = set(kept.tolist())
-        surviving = [p for p in surviving if p not in image_pos or p in kept_set]
-    if token_index not in surviving:
-        raise ConfigError(f"token {token_index} no longer survives at layer {boundary_layer}")
-    storage = surviving.index(token_index)
     return forward_pruned(w, seq, schedule, ranker=ranker,
-                          _inject=(boundary_layer, storage, replacement))
-
-
-def _image_positions(seq: MultimodalSequence) -> np.ndarray:
-    return np.asarray(
-        [p for p, r in zip(seq.positions, seq.roles) if r is TokenRole.IMAGE], dtype=np.int64
-    )
+                          _inject=(boundary_layer, token_index, replacement))
 
 
 # --- marker model ----------------------------------------------------------

@@ -32,14 +32,9 @@ from pdrop.pruner import (
     UniformCompression,
     build_schedule,
     decide,
+    keep_all_schedule,
 )
-from pdrop.toymodel import (
-    TOY_CONFIG,
-    forward_full,
-    forward_pruned,
-    init_model,
-    inject_at_boundary,
-)
+from pdrop.toymodel import TOY_CONFIG, forward_pruned, init_model, inject_at_boundary
 
 D7B, M7B, J7B = 4096, 11008, 32
 
@@ -111,32 +106,46 @@ def test_c6_theoretical_saving():
     report("criterion 6", f"saving fraction {value} -> {saving_pct}% (paper: nearly 53.2%)")
 
 
+def max_rel_error(hidden, ref):
+    return float((np.abs(hidden - ref) / np.maximum(np.abs(ref), 1e-12)).max())
+
+
 def test_c7_no_drop_equivalence():
     weights = init_model(TOY_CONFIG, 77)
+    keep_all = keep_all_schedule(8, 12)
     schedule = build_schedule(8, 4, 1.0, 12)
+    worst = 0.0
     for seed in range(20):
         seq = random_sequence(12, seed)
-        full = forward_full(weights, seq)
+        full = forward_pruned(weights, seq, keep_all)
         pruned = forward_pruned(weights, seq, schedule)
         assert np.array_equal(pruned.logits, full.logits)
         assert all(np.array_equal(a, b) for a, b in zip(pruned.hidden, full.hidden))
-    report("criterion 7", "keep-all pruned forward bit-identical to full forward, 20 seeds")
+        oracle_hidden, oracle_kept = masked_pruned_forward(weights, seq, keep_all)
+        assert oracle_kept == []
+        worst = max(worst, max_rel_error(full.hidden[-1], oracle_hidden[full.positions]))
+    assert worst < 1e-9
+    report("criterion 7", "S=4 keep-all forward bit-identical to the S=1 forward, which "
+           f"matches the masking oracle, 20 seeds (worst rel {worst:.2e})")
 
 
 def test_c8_mask_oracle_equivalence():
-    schedule = build_schedule(8, 4, 0.5, 16)
-    worst = 0.0
-    for seed in range(20):
-        weights = init_model(TOY_CONFIG, 1000 + seed)
-        seq = random_sequence(16, 2000 + seed)
-        pruned = forward_pruned(weights, seq, schedule)
-        oracle_hidden, oracle_kept = masked_pruned_forward(weights, seq, schedule)
-        assert [set(k.tolist()) for _, k in pruned.kept_masks] == [set(k) for k in oracle_kept]
-        ref = oracle_hidden[pruned.positions]
-        rel = np.abs(pruned.hidden[-1] - ref) / np.maximum(np.abs(ref), 1e-12)
-        worst = max(worst, float(rel.max()))
-        assert np.all(rel < 1e-9)
-    report("criterion 8", f"physical drop vs masking oracle agree, 20 seeds (worst rel {worst:.2e})")
+    # the last schedule's stages go (16, 1, 0, 0): boundaries that keep one
+    # image token, then none
+    schedules = [build_schedule(8, 4, 0.5, 16), build_schedule(8, 4, 0.5, 64),
+                 build_schedule(8, 4, 0.1, 16)]
+    for schedule in schedules:
+        worst = 0.0
+        for seed in range(20):
+            weights = init_model(TOY_CONFIG, 1000 + seed)
+            seq = random_sequence(schedule.stage_token_counts[0], 2000 + seed)
+            pruned = forward_pruned(weights, seq, schedule)
+            oracle_hidden, oracle_kept = masked_pruned_forward(weights, seq, schedule)
+            assert [set(k.tolist()) for _, k in pruned.kept_masks] == [set(k) for k in oracle_kept]
+            worst = max(worst, max_rel_error(pruned.hidden[-1], oracle_hidden[pruned.positions]))
+        assert worst < 1e-9
+        report("criterion 8", f"physical drop vs masking oracle agree, stages "
+               f"{schedule.stage_token_counts}, 20 seeds (worst rel {worst:.2e})")
 
 
 def test_c9_dropped_token_insensitivity():

@@ -56,6 +56,15 @@ def test_cost_vanilla_default(capsys):
     assert round(json.loads(out)["total"] / 1e12, 2) == 3.82
 
 
+def test_cost_strategy_default_keep_ratio(capsys):
+    # --lambda and --keep-ratio share a dest; leaving both unset must not
+    # hand the strategy a ratio of None
+    code, out = run_cli(capsys, "cost", "--n", "576", "--layers", "32",
+                        "--d", "4096", "--m", "11008", "--strategy", "pdrop")
+    assert code == 0
+    assert json.loads(out)["avg_tokens"] == 270.0
+
+
 def test_schedule(capsys):
     code, out = run_cli(capsys, "schedule", "--layers", "32", "--stages", "4",
                         "--lambda", "0.5", "--tokens", "576")
@@ -85,6 +94,27 @@ def test_run_with_masks(capsys, config_file, tmp_path):
 def test_run_missing_config_is_io_error(capsys, tmp_path):
     code, _ = run_cli(capsys, "run", "--config", str(tmp_path / "missing.json"))
     assert code == 3
+
+
+@pytest.mark.parametrize("override", [
+    {"strategy": {"name": "pdrop", "stages": "four"}},
+    {"seed": "x"},
+])
+def test_run_mistyped_config_value_is_config_error(capsys, tmp_path, override):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"model": TOY_MODEL, "fixture": {"image_tokens": 16}, **override}))
+    code = main(["run", "--config", str(path)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("ratios", ["0.1:0.9:0", "0.1:0.9:-0.2", "0.1:inf:0.2", "0.1:0.9", "a,b"])
+def test_sweep_bad_ratios_are_config_errors(capsys, config_file, tmp_path, ratios):
+    code = main(["sweep", "--config", config_file, "--layers", "2",
+                 "--ratios", ratios, "--out", str(tmp_path / "sweep.csv")])
+    assert code == 2
+    assert capsys.readouterr().err.startswith("error: ")
 
 
 def test_sweep_csv(capsys, config_file, tmp_path):

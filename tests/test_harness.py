@@ -167,8 +167,15 @@ class TestSpecParsing:
         assert strategy_from_json({"name": "pdrop", "stages": 3, "keep_ratio": 0.4}) == \
                PyramidDrop(3, 0.4)
         assert strategy_from_json({"name": "fastv"}) == SingleEarlyDrop(2, 0.5)
-        with pytest.raises(ConfigError):
-            strategy_from_json({"name": "tome"})
+        assert strategy_from_json({"name": "pyramiddrop", "stages": "3"}) == PyramidDrop(3, 0.5)
+        assert strategy_from_json({"name": "qformer", "token_count": 64}) == UniformCompression(64)
+        assert strategy_from_json({"name": "random", "seed": 2, "keep_ratio": 1}) == \
+               RandomDrop(4, 1.0, seed=2)
+        for bad in ({"name": "tome"}, {"name": ["pdrop"]}, {"stages": 4},
+                    {"name": "pdrop", "stages": "four"}, {"name": "fastv", "keep_ratio": None},
+                    {"name": "random", "seed": float("inf")}):
+            with pytest.raises(ConfigError):
+                strategy_from_json(bad)
 
     def test_spec_from_json(self):
         obj = {

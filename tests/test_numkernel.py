@@ -12,30 +12,10 @@ from pdrop.numkernel import (
     arg_topk,
     derive_seed,
     gaussian_init,
-    matmul,
-    rmsnorm,
-    rope_rotate,
+    rmsnorm_rows,
+    rope_rotate_rows,
     softmax_rows,
 )
-
-
-class TestMatmul:
-    def test_identity(self):
-        a = np.array([[1.0, 2.0], [3.0, 4.0]])
-        assert np.array_equal(matmul(a, np.eye(2)), a)
-
-    def test_hand_product(self):
-        a = np.array([[1.0, 2.0], [3.0, 4.0]])
-        b = np.array([[5.0, 6.0], [7.0, 8.0]])
-        assert np.array_equal(matmul(a, b), [[19.0, 22.0], [43.0, 50.0]])
-
-    def test_empty_inner_dim(self):
-        out = matmul(np.zeros((1, 0)), np.zeros((0, 1)))
-        assert out.shape == (1, 1) and out[0, 0] == 0.0
-
-    def test_shape_mismatch(self):
-        with pytest.raises(ShapeError):
-            matmul(np.zeros((2, 3)), np.zeros((2, 3)))
 
 
 class TestSoftmaxRows:
@@ -61,41 +41,45 @@ class TestSoftmaxRows:
 
 class TestRmsnorm:
     def test_unit_rms(self):
-        v = np.ones(8)
-        assert np.allclose(rmsnorm(v, np.ones(8), 1e-30), v, atol=1e-12)
+        v = np.ones((1, 8))
+        assert np.allclose(rmsnorm_rows(v, np.ones(8), 1e-30), v, atol=1e-12)
 
     def test_hand_case(self):
-        out = rmsnorm(np.array([3.0, 4.0]), np.ones(2), 0.0)
-        assert np.allclose(out, np.array([3.0, 4.0]) / math.sqrt(12.5), atol=1e-15)
+        out = rmsnorm_rows(np.array([[3.0, 4.0], [0.0, 2.0]]), np.ones(2), 0.0)
+        expected = [np.array([3.0, 4.0]) / math.sqrt(12.5), [0.0, math.sqrt(2.0)]]
+        assert np.allclose(out, expected, atol=1e-15)
 
     def test_zero_input(self):
-        assert np.array_equal(rmsnorm(np.zeros(4), np.ones(4), 1e-6), np.zeros(4))
+        assert np.array_equal(rmsnorm_rows(np.zeros((2, 4)), np.ones(4), 1e-6), np.zeros((2, 4)))
 
     def test_length_mismatch(self):
         with pytest.raises(ShapeError):
-            rmsnorm(np.zeros(4), np.ones(3), 1e-6)
+            rmsnorm_rows(np.zeros((1, 4)), np.ones(3), 1e-6)
+        with pytest.raises(ShapeError):
+            rmsnorm_rows(np.zeros(4), np.ones(4), 1e-6)
 
 
 class TestRopeRotate:
     def test_zero_position_is_identity(self):
-        x = np.array([1.0, 2.0, 3.0, 4.0])
-        assert np.allclose(rope_rotate(x, 0, 10000.0), x, atol=1e-15)
+        x = np.array([[1.0, 2.0, 3.0, 4.0]])
+        assert np.allclose(rope_rotate_rows(x, np.array([0]), 10000.0), x, atol=1e-15)
 
     def test_single_pair_is_plain_rotation(self):
-        p = 3
-        out = rope_rotate(np.array([1.0, 0.0]), p, 123.0)
-        assert np.allclose(out, [math.cos(p), math.sin(p)], atol=1e-12)
+        # each row turns by its own position
+        out = rope_rotate_rows(np.array([[1.0, 0.0], [1.0, 0.0]]), np.array([3, 5]), 123.0)
+        assert np.allclose(out, [[math.cos(3), math.sin(3)], [math.cos(5), math.sin(5)]],
+                           atol=1e-12)
 
     def test_odd_dim_rejected(self):
         with pytest.raises(ConfigError):
-            rope_rotate(np.zeros(3), 1, 10000.0)
+            rope_rotate_rows(np.zeros((1, 3)), np.array([1]), 10000.0)
 
     @given(st.lists(st.floats(-10, 10), min_size=2, max_size=16).filter(lambda v: len(v) % 2 == 0),
            st.integers(0, 5000))
     def test_norm_preserved(self, vec, position):
-        x = np.array(vec)
-        out = rope_rotate(x, position, 10000.0)
-        assert np.linalg.norm(out) == pytest.approx(np.linalg.norm(x), abs=1e-12)
+        x = np.array([vec, vec[::-1]])
+        out = rope_rotate_rows(x, np.array([position, 2 * position]), 10000.0)
+        assert np.allclose(np.linalg.norm(out, axis=1), np.linalg.norm(x, axis=1), atol=1e-12)
 
 
 class TestArgTopk:

@@ -16,7 +16,6 @@ from pdrop.pruner import (
     SingleEarlyDrop,
     UniformCompression,
     Vanilla,
-    apply_strategy,
     build_schedule,
     decide,
     rank_image_tokens,
@@ -155,36 +154,44 @@ class TestDecide:
             assert np.array_equal(mapped.kept, base.kept)
 
 
+def layer_counts(strategy, num_layers=32, num_image_tokens=576):
+    return strategy.schedule(num_layers, num_image_tokens).per_layer_counts()
+
+
 class TestApplyStrategy:
+    """Per-layer image-token counts that each strategy's schedule applies."""
+
     def test_single_early_drop_counts(self):
-        counts = apply_strategy(SingleEarlyDrop(drop_layer=2, keep_ratio=0.5), 32, 576)
+        counts = layer_counts(SingleEarlyDrop(drop_layer=2, keep_ratio=0.5))
         assert list(counts[:2]) == [576, 576]
         assert set(counts[2:]) == {288}
         assert counts.mean() == pytest.approx(306.0)
 
     def test_pyramid_average_tokens(self):
-        counts = apply_strategy(PyramidDrop(stages=4, keep_ratio=0.5), 32, 576)
+        counts = layer_counts(PyramidDrop(stages=4, keep_ratio=0.5))
         assert counts.mean() == pytest.approx(270.0)
 
     def test_vanilla_constant(self):
-        counts = apply_strategy(Vanilla(), 32, 576)
+        counts = layer_counts(Vanilla())
         assert set(counts) == {576} and counts.mean() == 576
+        assert Vanilla().schedule(32, 576) == build_schedule(32, 1, 1.0, 576)
 
     def test_uniform_constant(self):
-        assert set(apply_strategy(UniformCompression(288), 32, 576)) == {288}
+        assert set(layer_counts(UniformCompression(288))) == {288}
+        with pytest.raises(ConfigError, match="cost-only"):
+            UniformCompression(288).ranker(0)
 
     def test_random_matches_pyramid_counts(self):
-        a = apply_strategy(RandomDrop(stages=4, keep_ratio=0.5, seed=9), 32, 576)
-        b = apply_strategy(PyramidDrop(stages=4, keep_ratio=0.5), 32, 576)
-        assert np.array_equal(a, b)
+        a = RandomDrop(stages=4, keep_ratio=0.5, seed=9).schedule(32, 576)
+        assert a == PyramidDrop(stages=4, keep_ratio=0.5).schedule(32, 576)
 
     def test_invalid_params(self):
         with pytest.raises(ConfigError):
-            apply_strategy(SingleEarlyDrop(drop_layer=32, keep_ratio=0.5), 32, 576)
+            layer_counts(SingleEarlyDrop(drop_layer=32, keep_ratio=0.5))
         with pytest.raises(ConfigError):
-            apply_strategy(SingleEarlyDrop(drop_layer=2, keep_ratio=1.5), 32, 576)
+            layer_counts(SingleEarlyDrop(drop_layer=2, keep_ratio=1.5))
         with pytest.raises(ConfigError):
-            apply_strategy(UniformCompression(-1), 32, 576)
+            layer_counts(UniformCompression(-1))
 
 
 def test_single_drop_schedule_validation():

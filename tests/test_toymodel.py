@@ -6,12 +6,11 @@ from maskoracle import masked_pruned_forward
 from pdrop.errors import ConfigError, InputError
 from pdrop.layout import MultimodalSequence, build_sequence
 from pdrop.numkernel import RngState, derive_seed, rmsnorm_rows, rope_rotate_rows, softmax_rows
-from pdrop.pruner import build_schedule, keep_all_schedule, rank_image_tokens
+from pdrop.pruner import attention_ranker, build_schedule, keep_all_schedule, rank_image_tokens
 from pdrop.toymodel import (
     TOY_CONFIG,
     ModelConfig,
     build_marker_model,
-    forward_full,
     forward_pruned,
     init_model,
     inject_at_boundary,
@@ -26,6 +25,11 @@ def random_sequence(cfg, v0, seed, instr=3, answer=2):
     instruction = 1 + (np.arange(instr) % (cfg.vocab_size - 1))
     ans = 1 + (np.arange(answer) % (cfg.vocab_size - 1))
     return build_sequence(emb, instruction, ans)
+
+
+def keep_all_forward(weights, seq):
+    schedule = keep_all_schedule(weights.config.num_layers, seq.num_image_tokens)
+    return forward_pruned(weights, seq, schedule)
 
 
 @pytest.fixture(scope="module")
@@ -57,10 +61,12 @@ class TestInit:
 
 
 class TestForwardFull:
+    """The unpruned forward: forward_pruned under keep_all_schedule."""
+
     def test_single_token_matches_hand_forward(self, toy_weights):
         cfg = toy_weights.config
         seq = build_sequence(np.zeros((0, 0)), [7])
-        trace = forward_full(toy_weights, seq)
+        trace = keep_all_forward(toy_weights, seq)
         # length-1 causal attention averages only the token itself
         x = toy_weights.embedding[7][None, :]
         for lw in toy_weights.layers:
@@ -76,15 +82,15 @@ class TestForwardFull:
         empty = MultimodalSequence((), np.empty(0, dtype=np.int64),
                                    np.zeros((0, 0)), np.empty(0, dtype=np.int64))
         with pytest.raises(InputError):
-            forward_full(toy_weights, empty)
+            keep_all_forward(toy_weights, empty)
 
     def test_causality(self, toy_weights):
         # changing the final answer token leaves all earlier logits unchanged
         seq_a = random_sequence(TOY_CONFIG, 6, seed=2)
         seq_b = build_sequence(seq_a.image_embeddings,
                                seq_a.text_ids[:3], [seq_a.text_ids[3], 100])
-        ta = forward_full(toy_weights, seq_a)
-        tb = forward_full(toy_weights, seq_b)
+        ta = keep_all_forward(toy_weights, seq_a)
+        tb = keep_all_forward(toy_weights, seq_b)
         assert np.array_equal(ta.logits[:-1], tb.logits[:-1])
         assert not np.array_equal(ta.logits[-1], tb.logits[-1])
 
@@ -96,31 +102,33 @@ class TestForwardFull:
         pos = seq.positions.copy()
         pos[[i, j]] = pos[[j, i]]
         swapped = MultimodalSequence(seq.roles, pos, emb, seq.text_ids)
-        base = forward_full(toy_weights, seq)
-        both = forward_full(toy_weights, swapped)
+        base = keep_all_forward(toy_weights, seq)
+        both = keep_all_forward(toy_weights, swapped)
         assert np.allclose(base.logits[-1], both.logits[-1], atol=1e-9)
         # swapping embeddings without their positions changes the readout
         emb_only = MultimodalSequence(seq.roles, seq.positions, emb, seq.text_ids)
         assert not np.allclose(base.logits[-1],
-                               forward_full(toy_weights, emb_only).logits[-1], atol=1e-9)
+                               keep_all_forward(toy_weights, emb_only).logits[-1], atol=1e-9)
 
     def test_deterministic(self, toy_weights):
         seq = random_sequence(TOY_CONFIG, 8, seed=4)
-        a = forward_full(toy_weights, seq)
-        b = forward_full(toy_weights, seq)
+        a = keep_all_forward(toy_weights, seq)
+        b = keep_all_forward(toy_weights, seq)
         assert np.array_equal(a.logits, b.logits)
         assert all(np.array_equal(x, y) for x, y in zip(a.hidden, b.hidden))
 
 
 class TestForwardPruned:
     def test_keep_all_bit_identical_to_full(self, toy_weights):
+        # four boundaries that rank and keep every token change nothing
         for seed in range(20):
             seq = random_sequence(TOY_CONFIG, 12, seed=seed)
-            full = forward_full(toy_weights, seq)
-            for schedule in (keep_all_schedule(8, 12), build_schedule(8, 4, 1.0, 12)):
-                pruned = forward_pruned(toy_weights, seq, schedule)
-                assert np.array_equal(pruned.logits, full.logits)
-                assert all(np.array_equal(a, b) for a, b in zip(pruned.hidden, full.hidden))
+            full = keep_all_forward(toy_weights, seq)
+            assert full.kept_masks == []
+            pruned = forward_pruned(toy_weights, seq, build_schedule(8, 4, 1.0, 12))
+            assert [kept.size for _, kept in pruned.kept_masks] == [12, 12, 12]
+            assert np.array_equal(pruned.logits, full.logits)
+            assert all(np.array_equal(a, b) for a, b in zip(pruned.hidden, full.hidden))
 
     def test_stage_counts_and_nesting(self, toy_weights):
         seq = random_sequence(TOY_CONFIG, 16, seed=5)
@@ -220,6 +228,23 @@ class TestInjection:
             inject_at_boundary(toy_weights, seq, schedule, 3, 0, vec)  # not a boundary
         with pytest.raises(ConfigError):
             inject_at_boundary(toy_weights, seq, schedule, 2, 99, vec)
+        dropped_first = sorted(set(range(16)) - set(forward_pruned(
+            toy_weights, seq, schedule).kept_masks[0][1].tolist()))[0]
+        with pytest.raises(ConfigError, match="no longer survives"):
+            inject_at_boundary(toy_weights, seq, schedule, 4, dropped_first, vec)
+
+    def test_one_forward_per_injection(self, toy_weights):
+        seq = random_sequence(TOY_CONFIG, 16, seed=14)
+        schedule = build_schedule(8, 4, 0.5, 16)
+        calls = []
+
+        def counting_ranker(*args):
+            calls.append(args[3])
+            return attention_ranker(*args)
+
+        inject_at_boundary(toy_weights, seq, schedule, 4, 20, np.zeros(TOY_CONFIG.hidden_size),
+                           ranker=counting_ranker)
+        assert calls == list(schedule.boundary_layers)
 
 
 class TestMarkerModel:
@@ -278,8 +303,8 @@ class TestSerialization:
                 assert np.array_equal(ma.ravel(), mb.ravel())
         assert np.array_equal(loaded.embedding, toy_weights.embedding)
         seq = random_sequence(TOY_CONFIG, 8, seed=13)
-        assert np.array_equal(forward_full(loaded, seq).logits,
-                              forward_full(toy_weights, seq).logits)
+        assert np.array_equal(keep_all_forward(loaded, seq).logits,
+                              keep_all_forward(toy_weights, seq).logits)
 
     def test_header_layout(self, toy_weights, tmp_path):
         path = tmp_path / "weights.pdrw"
