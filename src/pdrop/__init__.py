@@ -13,19 +13,14 @@ from .costmodel import (
 from .errors import BoundsError, ConfigError, InputError, PdropError, ShapeError
 from .layout import (
     MultimodalSequence,
-    TokenRole,
     build_sequence,
-    image_indices,
-    last_instruction_index,
     load_sequence,
     sequence_from_json,
 )
 from .numkernel import RngState, arg_topk, gaussian_init, softmax_rows
 from .pruner import (
-    PruneDecision,
     PyramidDrop,
     RandomDrop,
-    SimilarityScores,
     SingleEarlyDrop,
     StageSchedule,
     UniformCompression,

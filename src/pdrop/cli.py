@@ -26,6 +26,16 @@ from .pruner import build_schedule
 
 EXIT_CONFIG = 2
 EXIT_IO = 3
+# a ratio range may span at most this many steps; a tiny step would
+# otherwise build an unbounded list before any forward runs
+MAX_RANGE_STEPS = 1000
+
+
+def _parse_layers(text: str) -> list[int]:
+    try:
+        return [int(x) for x in text.split(",")]
+    except ValueError as exc:
+        raise ConfigError(f"bad layer list {text!r}") from exc
 
 
 def _parse_ratios(text: str) -> list[float]:
@@ -38,6 +48,8 @@ def _parse_ratios(text: str) -> list[float]:
         raise ConfigError(f"bad ratio list {text!r}") from exc
     if step <= 0 or not all(map(math.isfinite, (start, stop, step))):
         raise ConfigError(f"ratio range {text!r} needs finite bounds and a positive step")
+    if (stop - start) / step > MAX_RANGE_STEPS:
+        raise ConfigError(f"ratio range {text!r} has more than {MAX_RANGE_STEPS} steps")
     out = []
     v = start
     while v <= stop + 1e-12:
@@ -128,7 +140,7 @@ def main(argv=None) -> int:
         elif args.command == "sweep":
             spec = load_spec(args.config)
             if args.layers:
-                spec.sweep_layers = [int(x) for x in args.layers.split(",")]
+                spec.sweep_layers = _parse_layers(args.layers)
             if args.ratios:
                 spec.sweep_ratios = _parse_ratios(args.ratios)
             write_sweep_csv(run_layer_sweep(spec), args.out)

@@ -28,7 +28,6 @@ from .pruner import (
     Vanilla,
     build_schedule,
     decide,
-    keep_all_schedule,
     random_ranker,
 )
 from .toymodel import DecoderWeights, ModelConfig, build_marker_model, forward_pruned
@@ -101,16 +100,40 @@ STRATEGIES = {
 STRATEGIES.update(pyramiddrop=PyramidDrop, qformer=UniformCompression)
 
 
-def _typed(kind, value, what: str):
+# field annotation -> coercion of a JSON value to that type
+_COERCE = {"int": int, "float": float, "str": str, "tuple[int, ...]": lambda v: tuple(map(int, v))}
+
+
+def _typed(kind: str, value, what: str):
     try:
-        return kind(value)
+        return _COERCE[kind](value)
     except (TypeError, ValueError, OverflowError) as exc:
-        raise ConfigError(f"{what}: expected {kind.__name__}, got {value!r}") from exc
+        raise ConfigError(f"{what}: expected {kind}, got {value!r}") from exc
+
+
+def _expect(value, kind: type, what: str):
+    if not isinstance(value, kind):
+        raise ConfigError(f"{what}: expected {kind.__name__}, got {value!r}")
+    return value
+
+
+def _from_fields(cls, obj, what: str):
+    """``cls`` built from a JSON object whose keys name its fields; each
+    value is coerced to the type its field is annotated with."""
+    _expect(obj, dict, what)
+    kinds = {f.name: f.type for f in fields(cls)}
+    unknown = sorted(set(obj) - set(kinds))
+    if unknown:
+        raise ConfigError(f"{what}: unknown fields {unknown}")
+    try:
+        return cls(**{k: _typed(kinds[k], v, f"{what} {k}") for k, v in obj.items()})
+    except TypeError as exc:  # a field without a default is missing
+        raise ConfigError(f"{what}: {exc}") from exc
 
 
 def strategy_from_json(obj) -> Strategy:
     """Build a strategy from its name and the fields given; each field is
-    coerced to the type of its default."""
+    coerced to its annotated type."""
     if isinstance(obj, str):
         obj = {"name": obj}
     try:
@@ -120,43 +143,38 @@ def strategy_from_json(obj) -> Strategy:
     cls = STRATEGIES.get(name) if isinstance(name, str) else None
     if cls is None:
         raise ConfigError(f"unknown strategy {name!r}")
-    return cls(**{
-        f.name: _typed(type(f.default), obj[f.name], f"strategy {name!r} {f.name}")
-        for f in fields(cls) if f.name in obj
-    })
+    # fields of other strategies are ignored, so one set of fields (as
+    # `pdrop cost` passes) can describe any strategy
+    own = {f.name for f in fields(cls)}
+    return _from_fields(cls, {k: v for k, v in obj.items() if k in own}, f"strategy {name!r}")
 
 
 def spec_from_json(obj: dict) -> ExperimentSpec:
     try:
-        model = ModelConfig(**obj["model"]).validate()
+        model = _from_fields(ModelConfig, obj["model"], "model").validate()
     except (KeyError, TypeError) as exc:
         raise ConfigError(f"bad model config: {exc}") from exc
     fixture = None
     fixture_path = None
-    fx = obj.get("fixture", {})
+    fx = obj.get("fixture") or {}
     if isinstance(fx, dict) and "path" in fx:
-        fixture_path = fx["path"]
-    elif fx:
-        try:
-            fx = dict(fx)
-            if "marker_dims" in fx:
-                fx["marker_dims"] = tuple(fx["marker_dims"])
-            fixture = FixtureSpec(**fx)
-        except TypeError as exc:
-            raise ConfigError(f"bad fixture spec: {exc}") from exc
+        fixture_path = _expect(fx["path"], str, "fixture path")
     else:
-        fixture = FixtureSpec()
-    sweep = obj.get("sweep", {})
+        fixture = _from_fields(FixtureSpec, fx, "fixture")
+    sweep = _expect(obj.get("sweep") or {}, dict, "sweep")
     return ExperimentSpec(
         model=model,
-        seed=_typed(int, obj.get("seed", 0), "seed"),
+        seed=_typed("int", obj.get("seed", 0), "seed"),
         fixture=fixture,
         fixture_path=fixture_path,
         strategy=strategy_from_json(obj["strategy"]) if "strategy" in obj else None,
-        strategies=[strategy_from_json(s) for s in obj.get("strategies", [])],
-        sweep_layers=[_typed(int, x, "sweep layer") for x in sweep.get("layers", [])],
-        sweep_ratios=[_typed(float, x, "sweep ratio") for x in sweep.get("ratios", [])],
-        margin_onset_layer=_typed(int, obj.get("margin_onset_layer", 1), "margin_onset_layer"),
+        strategies=[strategy_from_json(s)
+                    for s in _expect(obj.get("strategies", []), list, "strategies")],
+        sweep_layers=[_typed("int", x, "sweep layer")
+                      for x in _expect(sweep.get("layers", []), list, "sweep layers")],
+        sweep_ratios=[_typed("float", x, "sweep ratio")
+                      for x in _expect(sweep.get("ratios", []), list, "sweep ratios")],
+        margin_onset_layer=_typed("int", obj.get("margin_onset_layer", 1), "margin_onset_layer"),
     )
 
 
@@ -279,10 +297,7 @@ def run_layer_sweep(spec: ExperimentSpec) -> list[SweepRow]:
             raise ConfigError(f"sweep layer {layer} >= num_layers {cfg.num_layers}")
         for ratio in spec.sweep_ratios:
             strategy = SingleEarlyDrop(drop_layer=layer, keep_ratio=ratio)
-            if int(np.floor(ratio * v0)) >= v0:
-                schedule = keep_all_schedule(cfg.num_layers, v0)
-            else:
-                schedule = strategy.schedule(cfg.num_layers, v0)
+            schedule = strategy.schedule(cfg.num_layers, v0)
             trace = forward_pruned(weights, seq, schedule)
             cost = strategy_cost(strategy, cfg.num_layers, v0, cfg.hidden_size, cfg.ffn_intermediate)
             rows.append(SweepRow(
@@ -304,7 +319,9 @@ def simulate_random_recall(
     rank = random_ranker(seed)
     surviving = np.arange(v0, dtype=np.int64)
     for stage in range(stages - 1):
-        surviving = decide(rank(None, None, 0, stage, surviving, stage), schedule, stage).kept
+        # the random ranker reads only the number of image keys
+        scores = rank(None, np.empty((0, surviving.size, 0)), stage)
+        surviving = surviving[decide(scores, schedule, stage)]
     return marker_recall([(stages - 1, surviving)], marked, v0)
 
 

@@ -1,48 +1,48 @@
-"""Multimodal sequence construction: roles, positions, and index helpers.
+"""Multimodal sequences in image-first layout.
 
 Layout is LLaVA-style: all image tokens first, then instruction tokens,
-then answer tokens. Under causal masking this lets the last instruction
-token attend to every image token, which the ranking rule requires;
-interleaved layouts are rejected at construction time.
+then answer tokens, and token i has original position i. Under causal
+masking the last instruction token therefore attends to every image
+token, which the ranking rule requires.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from enum import Enum
 
 import numpy as np
 
 from .errors import InputError
 
 
-class TokenRole(Enum):
-    IMAGE = "image"
-    INSTRUCTION = "instruction"
-    ANSWER = "answer"
-
-
 @dataclass
 class MultimodalSequence:
-    """One prefill sequence.
+    """One prefill sequence: ``image_embeddings`` rows (positions
+    ``0..V0-1``), then ``instruction_ids``, then ``answer_ids``. The
+    instruction must hold at least one token, whose last one is the
+    ranking query, and image embeddings must be finite."""
 
-    ``image_embeddings`` rows follow image-token storage order; ``text_ids``
-    follow text-token storage order. ``positions`` are the original indices
-    and stay attached to tokens through any drop.
-    """
-
-    roles: tuple[TokenRole, ...]
-    positions: np.ndarray
     image_embeddings: np.ndarray
-    text_ids: np.ndarray
+    instruction_ids: np.ndarray
+    answer_ids: np.ndarray
+
+    def __post_init__(self):
+        if self.instruction_ids.size == 0:
+            raise InputError("instruction must contain at least one token")
+        if not np.isfinite(self.image_embeddings).all():
+            raise InputError("image embeddings must be finite")
 
     def __len__(self) -> int:
-        return len(self.roles)
+        return self.num_image_tokens + self.instruction_ids.size + self.answer_ids.size
 
     @property
     def num_image_tokens(self) -> int:
         return int(self.image_embeddings.shape[0])
+
+    @property
+    def text_ids(self) -> np.ndarray:
+        return np.concatenate([self.instruction_ids, self.answer_ids])
 
 
 def build_sequence(
@@ -53,31 +53,10 @@ def build_sequence(
     image_embeddings = np.atleast_2d(np.asarray(image_embeddings, dtype=np.float64))
     if image_embeddings.size == 0:
         image_embeddings = image_embeddings.reshape(0, image_embeddings.shape[-1] if image_embeddings.ndim == 2 else 0)
-    instruction_ids = np.asarray(instruction_ids, dtype=np.int64)
-    answer_ids = np.asarray(answer_ids, dtype=np.int64)
-    if instruction_ids.size == 0:
-        raise InputError("instruction must contain at least one token")
-    n_img = image_embeddings.shape[0]
-    roles = (
-        (TokenRole.IMAGE,) * n_img
-        + (TokenRole.INSTRUCTION,) * instruction_ids.size
-        + (TokenRole.ANSWER,) * answer_ids.size
-    )
-    positions = np.arange(len(roles), dtype=np.int64)
-    text_ids = np.concatenate([instruction_ids, answer_ids])
-    return MultimodalSequence(roles, positions, image_embeddings, text_ids)
-
-
-def last_instruction_index(seq: MultimodalSequence) -> int:
-    idx = [i for i, r in enumerate(seq.roles) if r is TokenRole.INSTRUCTION]
-    if not idx:
-        raise InputError("sequence has no instruction token")
-    return idx[-1]
-
-
-def image_indices(seq: MultimodalSequence) -> np.ndarray:
-    return np.asarray(
-        [i for i, r in enumerate(seq.roles) if r is TokenRole.IMAGE], dtype=np.int64
+    return MultimodalSequence(
+        image_embeddings,
+        np.asarray(instruction_ids, dtype=np.int64),
+        np.asarray(answer_ids, dtype=np.int64),
     )
 
 

@@ -14,7 +14,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import ConfigError, ShapeError
+from .errors import ConfigError, InputError, ShapeError
 from .numkernel import RngState, arg_topk, derive_seed
 
 
@@ -101,71 +101,35 @@ def keep_all_schedule(num_layers: int, num_image_tokens: int) -> StageSchedule:
     return StageSchedule(num_layers, 1, 1.0, (), (num_layers,), (num_image_tokens,))
 
 
-@dataclass
-class SimilarityScores:
-    """Per surviving image token, one ranking score at one boundary."""
-
-    values: np.ndarray
-    boundary_layer: int
-    positions: np.ndarray  # original positions of the surviving tokens
-
-    def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=np.float64)
-        self.positions = np.asarray(self.positions, dtype=np.int64)
-        if self.values.shape != self.positions.shape:
-            raise ShapeError(
-                f"{self.values.shape[0]} scores for {self.positions.shape[0]} positions"
-            )
-
-
-@dataclass(frozen=True)
-class PruneDecision:
-    boundary_layer: int
-    kept: np.ndarray  # ascending, original position space
-    dropped: np.ndarray
-
-
-def rank_image_tokens(
-    q_last: np.ndarray,
-    k_image: np.ndarray,
-    head_dim: int,
-    boundary_layer: int = 0,
-    positions=None,
-) -> SimilarityScores:
-    """Mean over heads of dot(q, k) / sqrt(head_dim); no softmax, the
-    ranking only needs a monotone score."""
+def rank_image_tokens(q_last: np.ndarray, k_image: np.ndarray) -> np.ndarray:
+    """Mean over heads of dot(q, k) / sqrt(head_dim) for the last-instruction
+    query ``q_last`` (heads, head_dim) against the image keys ``k_image``
+    (heads, V, head_dim); no softmax, the ranking only needs a monotone
+    score."""
     q_last = np.asarray(q_last, dtype=np.float64)
     k_image = np.asarray(k_image, dtype=np.float64)
-    if q_last.ndim != 2 or k_image.ndim != 3 or q_last.shape[0] != k_image.shape[0]:
+    if (q_last.ndim != 2 or k_image.ndim != 3 or q_last.shape[0] != k_image.shape[0]
+            or q_last.shape[1] != k_image.shape[2]):
         raise ShapeError(f"bad head shapes: q {q_last.shape}, k {k_image.shape}")
-    if q_last.shape[1] != head_dim or k_image.shape[2] != head_dim:
-        raise ShapeError(f"head_dim {head_dim} does not match q {q_last.shape} / k {k_image.shape}")
     if q_last.shape[0] == 0:
         raise ShapeError("need at least one attention head")
-    per_head = np.einsum("hd,hnd->hn", q_last, k_image) / math.sqrt(head_dim)
-    values = per_head.mean(axis=0)
-    if positions is None:
-        positions = np.arange(values.shape[0], dtype=np.int64)
-    return SimilarityScores(values, boundary_layer, positions)
+    per_head = np.einsum("hd,hnd->hn", q_last, k_image) / math.sqrt(q_last.shape[1])
+    return per_head.mean(axis=0)
 
 
-def decide(scores: SimilarityScores, schedule: StageSchedule, stage: int) -> PruneDecision:
+def decide(scores: np.ndarray, schedule: StageSchedule, stage: int) -> np.ndarray:
+    """Ascending indices of the scores kept at the drop boundary that ends
+    ``stage``: the schedule's next count of highest scores, ties to the
+    lower index."""
     if not 0 <= stage < schedule.num_stages - 1:
         raise ConfigError(f"stage {stage} has no drop boundary (S={schedule.num_stages})")
+    scores = np.asarray(scores, dtype=np.float64)
     expected = schedule.stage_token_counts[stage]
-    if scores.values.shape[0] != expected:
-        raise ConfigError(
-            f"{scores.values.shape[0]} scores at stage {stage}, schedule expects {expected}"
-        )
-    keep = schedule.stage_token_counts[stage + 1]
-    kept_local = arg_topk(scores.values, keep)
-    mask = np.zeros(expected, dtype=bool)
-    mask[kept_local] = True
-    return PruneDecision(
-        boundary_layer=scores.boundary_layer,
-        kept=scores.positions[mask],
-        dropped=scores.positions[~mask],
-    )
+    if scores.shape != (expected,):
+        raise ConfigError(f"{scores.shape} scores at stage {stage}, schedule expects {expected}")
+    if not np.isfinite(scores).all():
+        raise InputError(f"non-finite ranking scores at stage {stage}")
+    return arg_topk(scores, schedule.stage_token_counts[stage + 1])
 
 
 # --- strategies ------------------------------------------------------------
@@ -174,7 +138,10 @@ def decide(scores: SimilarityScores, schedule: StageSchedule, stage: int) -> Pru
 class Strategy:
     """A strategy is its per-layer image-token schedule,
     ``schedule(num_layers, num_image_tokens)``, plus ``ranker(seed)``, the
-    ranker that picks the kept set at each drop boundary of a run."""
+    ranker that picks the kept set at each drop boundary of a run. A ranker
+    is called as ``ranker(q_last, k_image, stage)`` with the post-rotary
+    last-instruction query (heads, head_dim) and the surviving image keys
+    (heads, V, head_dim), and returns one float64 score per image key."""
 
     def ranker(self, seed: int):
         return attention_ranker
@@ -245,14 +212,12 @@ def random_ranker(seed: int):
     """Ranker callable producing seeded uniform scores; the per-stage stream
     is derived from (seed, stage) so row order never matters."""
 
-    def rank(q_last, k_image, head_dim, boundary_layer, positions, stage):
-        rng = RngState(derive_seed(seed, stage))
-        values = rng.uniforms(len(positions))
-        return SimilarityScores(values, boundary_layer, np.asarray(positions))
+    def rank(q_last, k_image, stage):
+        return RngState(derive_seed(seed, stage)).uniforms(k_image.shape[1])
 
     return rank
 
 
-def attention_ranker(q_last, k_image, head_dim, boundary_layer, positions, stage):
+def attention_ranker(q_last, k_image, stage):
     """Default ranker: last-instruction query against surviving image keys."""
-    return rank_image_tokens(q_last, k_image, head_dim, boundary_layer, positions)
+    return rank_image_tokens(q_last, k_image)

@@ -1,9 +1,10 @@
 """A small causal decoder instrumented for staged image-token dropping.
 
 Pre-norm residual blocks with RMS normalization, rotary positions, and a
-gated three-linear FFN. The forward exposes per-head query/key states at
-stage boundaries; the pruned forward physically removes dropped image
-tokens while kept tokens keep their original position ids.
+gated three-linear FFN. At each stage boundary the forward hands the
+last instruction token's query and the surviving image keys to a ranker,
+then physically removes the dropped image rows; kept tokens keep their
+original position ids.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ import numpy as np
 from scipy.special import expit
 
 from .errors import ConfigError, InputError
-from .layout import MultimodalSequence, TokenRole, last_instruction_index
+from .layout import MultimodalSequence
 from .numkernel import RngState, gaussian_init, rmsnorm_rows, rope_rotate_rows, softmax_rows
 from .pruner import StageSchedule, attention_ranker, decide
 
@@ -85,7 +86,6 @@ class DecoderWeights:
 @dataclass
 class ForwardTrace:
     hidden: list[np.ndarray] = field(default_factory=list)
-    boundary_qk: dict[int, tuple[np.ndarray, np.ndarray]] = field(default_factory=dict)
     logits: np.ndarray | None = None
     kept_masks: list[tuple[int, np.ndarray]] = field(default_factory=list)
     positions: np.ndarray | None = None  # original positions of surviving tokens
@@ -114,25 +114,15 @@ def init_model(cfg: ModelConfig, seed: int) -> DecoderWeights:
 
 
 def _embed(w: DecoderWeights, seq: MultimodalSequence) -> np.ndarray:
-    n, d = len(seq), w.config.hidden_size
-    if n == 0:
-        raise InputError("empty sequence")
+    d = w.config.hidden_size
     if seq.num_image_tokens and seq.image_embeddings.shape[1] != d:
         raise InputError(
             f"image embeddings have dim {seq.image_embeddings.shape[1]}, model expects {d}"
         )
-    if seq.text_ids.size and (seq.text_ids.min() < 0 or seq.text_ids.max() >= w.config.vocab_size):
+    text_ids = seq.text_ids
+    if text_ids.min() < 0 or text_ids.max() >= w.config.vocab_size:
         raise InputError("text token id outside the vocabulary")
-    x = np.empty((n, d), dtype=np.float64)
-    img_i = txt_i = 0
-    for i, role in enumerate(seq.roles):
-        if role is TokenRole.IMAGE:
-            x[i] = seq.image_embeddings[img_i]
-            img_i += 1
-        else:
-            x[i] = w.embedding[seq.text_ids[txt_i]]
-            txt_i += 1
-    return x
+    return np.concatenate([seq.image_embeddings.reshape(-1, d), w.embedding[text_ids]])
 
 
 def _layer_forward(lw: LayerWeights, cfg: ModelConfig, x: np.ndarray, positions: np.ndarray):
@@ -171,9 +161,12 @@ def forward_pruned(
 ) -> ForwardTrace:
     """The forward: image tokens dropped at the schedule's boundaries are
     physically removed for all later layers; ``keep_all_schedule`` gives
-    the unpruned forward. ``_inject=(layer, position, vector)`` overwrites
-    the hidden state of the token at that original position at that
-    boundary, immediately before the drop decision."""
+    the unpruned forward. The surviving image tokens always occupy the
+    first rows and the instruction tokens follow them; at each boundary
+    ``ranker(q_last, k_image, stage)`` scores the image tokens with the last
+    instruction token's query. ``_inject=(layer, position, vector)``
+    overwrites the hidden state of the token at that original position at
+    that boundary, immediately before the drop decision."""
     cfg = w.config
     if schedule.num_layers != cfg.num_layers:
         raise ConfigError(
@@ -184,13 +177,11 @@ def forward_pruned(
             f"schedule expects {schedule.stage_token_counts[0]} image tokens, "
             f"sequence has {seq.num_image_tokens}"
         )
-    if schedule.num_stages > 1 and not any(r is TokenRole.INSTRUCTION for r in seq.roles):
-        raise ConfigError("pruning requires at least one instruction token")
 
     x = _embed(w, seq)
-    positions = np.asarray(seq.positions, dtype=np.int64)
-    is_image = np.array([r is TokenRole.IMAGE for r in seq.roles], dtype=bool)
-    last_q_pos = positions[last_instruction_index(seq)] if schedule.num_stages > 1 else None
+    positions = np.arange(len(seq), dtype=np.int64)
+    n_img = seq.num_image_tokens
+    num_instruction = seq.instruction_ids.size
     boundaries = set(schedule.boundary_layers)
     trace = ForwardTrace()
     stage = 0
@@ -199,24 +190,20 @@ def forward_pruned(
         trace.hidden.append(x)
         if layer_no not in boundaries:
             continue
-        img_storage = np.nonzero(is_image)[0]
-        q_storage = int(np.nonzero(positions == last_q_pos)[0][0])
-        q_last = q[q_storage]  # (heads, head_dim), post-rotary
-        k_img = np.transpose(k[img_storage], (1, 0, 2))  # (heads, n_img, head_dim)
-        trace.boundary_qk[layer_no] = (q_last.copy(), k_img.copy())
         if _inject is not None and _inject[0] == layer_no:
             slot = np.nonzero(positions == _inject[1])[0]
             if not slot.size:
                 raise ConfigError(f"token {_inject[1]} no longer survives at layer {layer_no}")
             x = x.copy()
             x[slot[0]] = _inject[2]
-        scores = ranker(q_last, k_img, cfg.head_dim, layer_no, positions[img_storage], stage)
-        decision = decide(scores, schedule, stage)
-        trace.kept_masks.append((layer_no, decision.kept.copy()))
-        keep_mask = ~np.isin(positions, decision.dropped)
-        x = x[keep_mask]
-        positions = positions[keep_mask]
-        is_image = is_image[keep_mask]
+        # post-rotary (heads, head_dim) query against (heads, n_img, head_dim) keys
+        scores = ranker(q[n_img + num_instruction - 1], np.transpose(k[:n_img], (1, 0, 2)), stage)
+        kept = decide(scores, schedule, stage)
+        trace.kept_masks.append((layer_no, positions[kept]))
+        rows = np.concatenate([kept, np.arange(n_img, len(positions))])
+        x = x[rows]
+        positions = positions[rows]
+        n_img = kept.size
         stage += 1
     trace.logits = x @ w.head
     trace.positions = positions.copy()

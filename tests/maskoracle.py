@@ -7,8 +7,6 @@ forward is a real two-route check.
 
 import numpy as np
 
-from pdrop.layout import TokenRole
-
 
 def _rms_rows(x, gain, eps):
     return x * gain / np.sqrt((x * x).mean(axis=1, keepdims=True) + eps)
@@ -39,20 +37,19 @@ def masked_pruned_forward(weights, seq, schedule):
     """
     cfg = weights.config
     n = len(seq)
-    positions = np.asarray(seq.positions, dtype=np.int64)
+    # segments in image | instruction | answer order; token i sits at position i
+    n_img, n_instr = seq.num_image_tokens, seq.instruction_ids.size
+    positions = np.arange(n, dtype=np.int64)
     x = np.empty((n, cfg.hidden_size))
-    img_i = txt_i = 0
-    for i, role in enumerate(seq.roles):
-        if role is TokenRole.IMAGE:
-            x[i] = seq.image_embeddings[img_i]
-            img_i += 1
+    for i in range(n):
+        if i < n_img:
+            x[i] = seq.image_embeddings[i]
         else:
-            x[i] = weights.embedding[seq.text_ids[txt_i]]
-            txt_i += 1
+            x[i] = weights.embedding[seq.text_ids[i - n_img]]
 
-    image_pos = [int(p) for p, r in zip(positions, seq.roles) if r is TokenRole.IMAGE]
-    instr_pos = [int(p) for p, r in zip(positions, seq.roles) if r is TokenRole.INSTRUCTION]
-    q_row = positions.tolist().index(instr_pos[-1]) if instr_pos else None
+    image_pos = list(range(n_img))
+    instr_pos = list(range(n_img, n_img + n_instr))
+    q_row = positions.tolist().index(instr_pos[-1])
 
     masked = np.zeros(n, dtype=bool)
     boundaries = set(schedule.boundary_layers)

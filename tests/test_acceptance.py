@@ -27,7 +27,6 @@ from pdrop.layout import build_sequence
 from pdrop.numkernel import RngState, derive_seed
 from pdrop.pruner import (
     PyramidDrop,
-    SimilarityScores,
     SingleEarlyDrop,
     UniformCompression,
     build_schedule,
@@ -192,16 +191,13 @@ def test_c11_decide_invariances():
     for v0 in range(2, 7):
         schedule = schedule_cache.setdefault(v0, build_schedule(4, 2, 0.5, v0))
         scores = rng.uniforms(v0)
-        base = set(decide(SimilarityScores(scores, 2, np.arange(v0)), schedule, 0).kept.tolist())
+        base = set(decide(scores, schedule, 0).tolist())
         for perm in itertools.permutations(range(v0)):
             perm = np.array(perm)
-            permuted = decide(SimilarityScores(scores[perm], 2, np.arange(v0)[perm]), schedule, 0)
-            assert set(permuted.kept.tolist()) == base
-            relabeled = decide(SimilarityScores(scores, 2, perm), schedule, 0)
-            assert set(relabeled.kept.tolist()) == {int(perm[i]) for i in base}
+            permuted = decide(scores[perm], schedule, 0)
+            assert {int(perm[i]) for i in permuted} == base
         for f in (np.exp, lambda x: 5 * x + 3, np.tanh):
-            mapped = decide(SimilarityScores(f(scores), 2, np.arange(v0)), schedule, 0)
-            assert set(mapped.kept.tolist()) == base
+            assert set(decide(f(scores), schedule, 0).tolist()) == base
     report("criterion 11", "decide is permutation-equivariant and monotone-invariant, V0 <= 6")
 
 

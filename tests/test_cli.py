@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 
@@ -99,6 +100,9 @@ def test_run_missing_config_is_io_error(capsys, tmp_path):
 @pytest.mark.parametrize("override", [
     {"strategy": {"name": "pdrop", "stages": "four"}},
     {"seed": "x"},
+    {"fixture": {"image_tokens": "many"}},
+    {"fixture": {"image_tokens": 16, "noise": float("nan")}},
+    {"fixture": {"path": 0}},
 ])
 def test_run_mistyped_config_value_is_config_error(capsys, tmp_path, override):
     path = tmp_path / "config.json"
@@ -115,6 +119,32 @@ def test_sweep_bad_ratios_are_config_errors(capsys, config_file, tmp_path, ratio
                  "--ratios", ratios, "--out", str(tmp_path / "sweep.csv")])
     assert code == 2
     assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_run_coerces_fixture_fields(capsys, tmp_path):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"model": TOY_MODEL, "fixture": {"image_tokens": "16"}}))
+    code, out = run_cli(capsys, "run", "--config", str(path))
+    assert code == 0
+    assert [len(s["kept"]) for s in json.loads(out)["stages"]] == [8, 4, 2]
+
+
+def test_sweep_bad_layers_is_config_error(capsys, config_file, tmp_path):
+    code = main(["sweep", "--config", config_file, "--layers", "a",
+                 "--ratios", "0.5", "--out", str(tmp_path / "sweep.csv")])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_sweep_tiny_ratio_step_is_rejected_at_once(capsys, config_file, tmp_path):
+    start = time.perf_counter()
+    code = main(["sweep", "--config", config_file, "--layers", "2",
+                 "--ratios", "0:1:1e-9", "--out", str(tmp_path / "sweep.csv")])
+    assert time.perf_counter() - start < 5.0
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error: ") and err.count("\n") == 1
 
 
 def test_sweep_csv(capsys, config_file, tmp_path):

@@ -1,10 +1,14 @@
+import dataclasses
 import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from pdrop.errors import ConfigError
+from pdrop.errors import ConfigError, PdropError
 from pdrop.harness import (
+    STRATEGIES,
     ExperimentSpec,
     FixtureSpec,
     emit_masks,
@@ -192,3 +196,62 @@ class TestSpecParsing:
         assert spec.fixture.image_tokens == 32
         assert spec.strategies == [Vanilla(), RandomDrop(4, 0.5, seed=5)]
         assert spec.sweep_layers == [2, 4]
+
+    def test_fixture_fields_coerced(self):
+        model = dataclasses.asdict(TOY_CONFIG)
+        spec = spec_from_json({"model": model, "fixture": {
+            "image_tokens": "32", "noise": 0, "marker_dims": ["0", 1.0]}})
+        assert spec.fixture == FixtureSpec(image_tokens=32, noise=0.0, marker_dims=(0, 1))
+        for bad in ({"image_tokens": "many"}, {"marker_dims": 3}, {"typo": 1}, "high", [1]):
+            with pytest.raises(ConfigError):
+                spec_from_json({"model": model, "fixture": bad})
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_spec_from_json_total(self, data):
+        # any JSON object parses to a typed spec or fails with a PdropError
+        obj = data.draw(config_objects())
+        try:
+            spec = spec_from_json(obj)
+        except PdropError:
+            return
+        assert isinstance(spec, ExperimentSpec)
+        for section in (spec.model, spec.fixture, spec.strategy, *spec.strategies):
+            if section is not None:
+                for f in dataclasses.fields(section):
+                    kind = {"int": int, "float": float, "str": str}.get(f.type, tuple)
+                    assert isinstance(getattr(section, f.name), kind)
+        assert all(isinstance(x, int) for x in spec.sweep_layers)
+        assert all(isinstance(x, float) for x in spec.sweep_ratios)
+
+
+JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=6), inner,
+                                                                max_size=4),
+    max_leaves=8,
+)
+
+
+def objects_with(keys, values=JSON):
+    """JSON objects whose keys are mostly the given field names."""
+    return st.dictionaries(st.sampled_from(keys) | st.text(max_size=6), values, max_size=len(keys))
+
+
+def config_objects():
+    model = dataclasses.asdict(TOY_CONFIG)
+    fixture_keys = [f.name for f in dataclasses.fields(FixtureSpec)] + ["path"]
+    strategy = st.sampled_from(sorted(STRATEGIES)) | objects_with(
+        ["name", "stages", "keep_ratio", "drop_layer", "token_count", "seed"],
+        st.sampled_from(sorted(STRATEGIES)) | JSON)
+    sections = {
+        "seed": JSON,
+        "fixture": objects_with(fixture_keys) | JSON,
+        "strategy": strategy | JSON,
+        "strategies": st.lists(strategy, max_size=3) | JSON,
+        "sweep": objects_with(["layers", "ratios"], st.lists(JSON, max_size=3) | JSON) | JSON,
+        "margin_onset_layer": JSON,
+    }
+    # a valid model half the time, so that the other sections get parsed
+    models = st.one_of(st.just(model), objects_with(list(model), st.integers(-1, 64) | JSON))
+    return st.fixed_dictionaries({"model": models}, optional=sections)

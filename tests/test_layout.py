@@ -2,22 +2,18 @@ import numpy as np
 import pytest
 
 from pdrop.errors import InputError
-from pdrop.layout import (
-    TokenRole,
-    build_sequence,
-    image_indices,
-    last_instruction_index,
-    sequence_from_json,
-)
+from pdrop.layout import MultimodalSequence, build_sequence, sequence_from_json
+from pdrop.pruner import attention_ranker, build_schedule
+from pdrop.toymodel import TOY_CONFIG, forward_pruned, init_model
 
 
-def test_build_roles_and_positions():
+def test_build_segments():
     seq = build_sequence(np.zeros((4, 8)), [1, 2], [3])
-    assert seq.roles == (
-        TokenRole.IMAGE, TokenRole.IMAGE, TokenRole.IMAGE, TokenRole.IMAGE,
-        TokenRole.INSTRUCTION, TokenRole.INSTRUCTION, TokenRole.ANSWER,
-    )
-    assert list(seq.positions) == list(range(7))
+    assert seq.image_embeddings.shape == (4, 8)
+    assert list(seq.instruction_ids) == [1, 2]
+    assert list(seq.answer_ids) == [3]
+    assert list(seq.text_ids) == [1, 2, 3]
+    assert len(seq) == 7
 
 
 def test_no_image_tokens_is_valid():
@@ -29,23 +25,45 @@ def test_no_image_tokens_is_valid():
 def test_empty_instruction_rejected():
     with pytest.raises(InputError):
         build_sequence(np.zeros((2, 8)), [], [1])
+    with pytest.raises(InputError):
+        MultimodalSequence(np.zeros((2, 8)), np.empty(0, dtype=np.int64), np.array([1]))
 
 
-def test_last_instruction_index():
-    assert last_instruction_index(build_sequence(np.zeros((2, 4)), [5, 6], [7])) == 3
-    assert last_instruction_index(build_sequence(np.zeros((1, 4)), [5])) == 1
-    assert last_instruction_index(build_sequence(np.zeros((0, 0)), [5], [6, 7])) == 0
-
-
-def test_image_indices():
-    seq = build_sequence(np.zeros((2, 4)), [9])
-    assert list(image_indices(seq)) == [0, 1]
-    assert list(image_indices(build_sequence(np.zeros((0, 0)), [9]))) == []
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_image_embedding_rejected(bad):
+    emb = np.zeros((3, 4))
+    emb[1, 2] = bad
+    with pytest.raises(InputError, match="finite"):
+        build_sequence(emb, [1])
 
 
 def test_query_sees_every_image_token():
-    seq = build_sequence(np.zeros((5, 4)), [1, 2, 3], [4])
-    assert last_instruction_index(seq) > max(image_indices(seq))
+    # the ranking query is the last instruction token, which comes after
+    # every image token: at the second layer's boundary it has attended
+    # to each of them, and to no answer token
+    cfg = TOY_CONFIG
+    weights = init_model(cfg, 3)
+    emb = 0.5 * np.ones((5, cfg.hidden_size))
+    schedule = build_schedule(cfg.num_layers, 4, 0.5, 5)
+
+    def first_query(image, answer):
+        seen = []
+
+        def recording_ranker(q_last, k_image, stage):
+            seen.append((q_last.copy(), k_image.shape[1]))
+            return attention_ranker(q_last, k_image, stage)
+
+        forward_pruned(weights, build_sequence(image, [1, 2, 3], answer), schedule,
+                       ranker=recording_ranker)
+        return seen[0]
+
+    base, keys = first_query(emb, [4])
+    assert keys == 5
+    for token in range(5):
+        changed = emb.copy()
+        changed[token] += 1.0
+        assert not np.array_equal(first_query(changed, [4])[0], base)
+    assert np.array_equal(first_query(emb, [9])[0], base)
 
 
 def test_fixture_roundtrip():

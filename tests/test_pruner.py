@@ -7,12 +7,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pdrop.errors import ConfigError, ShapeError
+from pdrop.errors import ConfigError, InputError, ShapeError
 from pdrop.numkernel import RngState
 from pdrop.pruner import (
     PyramidDrop,
     RandomDrop,
-    SimilarityScores,
     SingleEarlyDrop,
     UniformCompression,
     Vanilla,
@@ -78,80 +77,76 @@ class TestBuildSchedule:
 
 class TestRanking:
     def test_single_head_unit_dim(self):
-        scores = rank_image_tokens(np.array([[1.0]]), np.array([[[2.0], [0.0], [-1.0]]]), 1)
-        assert np.allclose(scores.values, [2.0, 0.0, -1.0])
+        scores = rank_image_tokens(np.array([[1.0]]), np.array([[[2.0], [0.0], [-1.0]]]))
+        assert scores.dtype == np.float64
+        assert np.allclose(scores, [2.0, 0.0, -1.0])
 
     def test_head_averaging(self):
         q = np.array([[1.0], [1.0]])
         k = np.array([[[1.0], [0.0]], [[0.0], [1.0]]])
-        assert np.allclose(rank_image_tokens(q, k, 1).values, [0.5, 0.5])
+        assert np.allclose(rank_image_tokens(q, k), [0.5, 0.5])
 
     def test_scale_by_sqrt_head_dim(self):
         q = np.array([[1.0, 1.0, 1.0, 1.0]])
         k = np.array([[[1.0, 1.0, 1.0, 1.0]]])
-        assert rank_image_tokens(q, k, 4).values[0] == pytest.approx(2.0)
+        assert rank_image_tokens(q, k)[0] == pytest.approx(2.0)
 
     def test_shape_errors(self):
         with pytest.raises(ShapeError):
-            rank_image_tokens(np.zeros((1, 4)), np.zeros((2, 3, 4)), 4)
+            rank_image_tokens(np.zeros((1, 4)), np.zeros((2, 3, 4)))
         with pytest.raises(ShapeError):
-            rank_image_tokens(np.zeros((1, 4)), np.zeros((1, 3, 2)), 4)
+            rank_image_tokens(np.zeros((1, 4)), np.zeros((1, 3, 2)))
+        with pytest.raises(ShapeError):
+            rank_image_tokens(np.zeros((0, 4)), np.zeros((0, 3, 4)))
 
 
 class TestDecide:
     def test_top2_of_four(self):
         s = build_schedule(4, 2, 0.5, 4)
-        d = decide(SimilarityScores(np.array([0.9, 0.1, 0.8, 0.2]), 2, np.arange(4)), s, 0)
-        assert list(d.kept) == [0, 2]
-        assert list(d.dropped) == [1, 3]
+        assert list(decide(np.array([0.9, 0.1, 0.8, 0.2]), s, 0)) == [0, 2]
 
     def test_keep_all_ratio(self):
         s = build_schedule(4, 2, 1.0, 4)
-        d = decide(SimilarityScores(np.zeros(4), 2, np.arange(4)), s, 0)
-        assert list(d.kept) == [0, 1, 2, 3]
-        assert d.dropped.size == 0
+        assert list(decide(np.zeros(4), s, 0)) == [0, 1, 2, 3]
 
     def test_all_equal_scores_keep_lowest_positions(self):
         s = build_schedule(32, 4, 0.5, 576)
-        d = decide(SimilarityScores(np.zeros(576), 8, np.arange(576)), s, 0)
-        assert list(d.kept) == list(range(288))
+        assert list(decide(np.zeros(576), s, 0)) == list(range(288))
 
     def test_stage_out_of_range(self):
         s = build_schedule(8, 2, 0.5, 4)
         with pytest.raises(ConfigError):
-            decide(SimilarityScores(np.zeros(4), 4, np.arange(4)), s, 1)
+            decide(np.zeros(4), s, 1)
 
     def test_score_count_mismatch(self):
         s = build_schedule(8, 2, 0.5, 4)
         with pytest.raises(ConfigError):
-            decide(SimilarityScores(np.zeros(3), 4, np.arange(3)), s, 0)
+            decide(np.zeros(3), s, 0)
 
     def test_permutation_equivariance_bruteforce(self):
         rng = RngState(17)
         for v0 in range(2, 7):
             schedule = build_schedule(4, 2, 0.5, v0)
             scores = rng.uniforms(v0)  # distinct with prob 1
-            base = set(decide(SimilarityScores(scores, 2, np.arange(v0)), schedule, 0).kept.tolist())
+            base = set(decide(scores, schedule, 0).tolist())
             for perm in itertools.permutations(range(v0)):
                 perm = np.array(perm)
-                permuted = decide(
-                    SimilarityScores(scores[perm], 2, np.arange(v0)[perm]), schedule, 0
-                )
-                assert set(permuted.kept.tolist()) == base
-                # relabeling positions by the permutation maps the kept set
-                relabeled = decide(
-                    SimilarityScores(scores, 2, perm), schedule, 0
-                )
-                assert set(relabeled.kept.tolist()) == {int(perm[i]) for i in base}
+                # permuting the rows permutes the kept rows the same way
+                permuted = decide(scores[perm], schedule, 0)
+                assert {int(perm[i]) for i in permuted} == base
 
     def test_monotone_ranking_invariance(self):
         rng = RngState(23)
         schedule = build_schedule(4, 2, 0.5, 6)
         scores = rng.normals(6)
-        base = decide(SimilarityScores(scores, 2, np.arange(6)), schedule, 0)
+        base = decide(scores, schedule, 0)
         for f in (np.exp, lambda x: 3 * x + 7, np.tanh, lambda x: x**3):
-            mapped = decide(SimilarityScores(f(scores), 2, np.arange(6)), schedule, 0)
-            assert np.array_equal(mapped.kept, base.kept)
+            assert np.array_equal(decide(f(scores), schedule, 0), base)
+
+    @pytest.mark.parametrize("scores", [[np.inf, 1.0, np.nan, 3.0], [np.nan] * 4, [0.0, -np.inf, 1.0, 2.0]])
+    def test_non_finite_scores_rejected(self, scores):
+        with pytest.raises(InputError, match="non-finite"):
+            decide(np.array(scores), build_schedule(4, 2, 0.5, 4), 0)
 
 
 def layer_counts(strategy, num_layers=32, num_image_tokens=576):
