@@ -5,7 +5,6 @@ from .costmodel import (
     CostReport,
     layer_flops,
     schedule_cost,
-    staged_flops,
     strategy_cost,
     tera,
     theoretical_saving,
@@ -29,7 +28,6 @@ from .pruner import (
     decide,
     keep_all_schedule,
     rank_image_tokens,
-    single_drop_schedule,
 )
 from .toymodel import (
     TOY_CONFIG,

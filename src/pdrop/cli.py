@@ -67,13 +67,12 @@ def _build_parser() -> argparse.ArgumentParser:
     cost.add_argument("--layers", type=int, required=True)
     cost.add_argument("--d", type=int, required=True, help="hidden size")
     cost.add_argument("--m", type=int, required=True, help="FFN intermediate size")
-    cost.add_argument("--lambda", dest="keep_ratio", type=float, default=None)
+    cost.add_argument("--lambda", "--keep-ratio", dest="keep_ratio", type=float, default=None,
+                      help="keep ratio; alone, costs the --stages schedule")
     cost.add_argument("--stages", type=int, default=4)
     cost.add_argument("--strategy", default=None,
                       help="vanilla | pdrop | fastv | uniform | random")
     cost.add_argument("--drop-layer", type=int, default=2, help="fastv drop layer")
-    cost.add_argument("--keep-ratio", type=float, default=0.5,
-                      help="fastv/pdrop keep ratio when --strategy is used")
     cost.add_argument("--tokens", type=int, default=288, help="uniform token count")
 
     sched = sub.add_parser("schedule", help="stage schedule as JSON")
@@ -112,8 +111,6 @@ def _cmd_cost(args) -> dict:
         "drop_layer": args.drop_layer,
         "token_count": args.tokens,
     }
-    # --lambda and --keep-ratio share one dest whose default is None; an
-    # unset ratio takes the strategy's own default
     strat = strategy_from_json({k: v for k, v in fields.items() if v is not None})
     return strategy_cost(strat, args.layers, args.n, args.d, args.m).to_json()
 
@@ -126,7 +123,13 @@ def main(argv=None) -> int:
             print()
         elif args.command == "schedule":
             schedule = build_schedule(args.layers, args.stages, args.keep_ratio, args.tokens)
-            json.dump(schedule.to_json(), sys.stdout, indent=2)
+            json.dump({
+                "boundaries": list(schedule.boundary_layers),
+                "stage_layers": list(schedule.stage_layer_counts),
+                "stage_tokens": list(schedule.stage_token_counts),
+                "lambda": args.keep_ratio,
+                "stages": args.stages,
+            }, sys.stdout, indent=2)
             print()
         elif args.command == "run":
             spec = load_spec(args.config)

@@ -46,33 +46,21 @@ def tera(flops: int, sig_figs: int = 3) -> float:
     return round(t, sig_figs - 1 - floor(log10(abs(t))))
 
 
-def staged_flops(stage_layer_counts, stage_token_counts, d: int, m: int) -> CostReport:
-    stage_layer_counts = [int(k) for k in stage_layer_counts]
-    stage_token_counts = [int(n) for n in stage_token_counts]
-    if len(stage_layer_counts) != len(stage_token_counts):
-        raise ConfigError(
-            f"{len(stage_layer_counts)} stage layer counts vs "
-            f"{len(stage_token_counts)} token counts"
-        )
-    num_layers = sum(stage_layer_counts)
-    if num_layers < 1:
-        raise ConfigError("schedule covers no layers")
-    per_stage = tuple(
-        k * layer_flops(n, d, m) for k, n in zip(stage_layer_counts, stage_token_counts)
-    )
+def schedule_cost(schedule: StageSchedule, d: int, m: int) -> CostReport:
+    """Per-stage and total cost of a schedule; the vanilla reference runs
+    every layer at the first stage's width."""
+    layers, tokens = schedule.stage_layer_counts, schedule.stage_token_counts
+    num_layers = sum(layers)
+    per_stage = tuple(k * layer_flops(n, d, m) for k, n in zip(layers, tokens))
     total = sum(per_stage)
-    vanilla = num_layers * layer_flops(stage_token_counts[0], d, m)
+    vanilla = num_layers * layer_flops(tokens[0], d, m)
     return CostReport(
         per_stage=per_stage,
         total=total,
         vanilla=vanilla,
         ratio=total / vanilla if vanilla else 1.0,
-        avg_tokens=sum(k * n for k, n in zip(stage_layer_counts, stage_token_counts)) / num_layers,
+        avg_tokens=sum(k * n for k, n in zip(layers, tokens)) / num_layers,
     )
-
-
-def schedule_cost(schedule: StageSchedule, d: int, m: int) -> CostReport:
-    return staged_flops(schedule.stage_layer_counts, schedule.stage_token_counts, d, m)
 
 
 def theoretical_saving(keep_ratio: float, num_stages: int) -> float:
@@ -88,17 +76,17 @@ def theoretical_saving(keep_ratio: float, num_stages: int) -> float:
 
 
 def strategy_cost(strategy: Strategy, num_layers: int, num_image_tokens: int, d: int, m: int) -> CostReport:
-    counts = strategy.schedule(num_layers, num_image_tokens).per_layer_counts()
-    # group consecutive equal counts into stages for reporting, so that a
+    schedule = strategy.schedule(num_layers, num_image_tokens)
+    # merge consecutive stages of equal width for reporting, so that a
     # schedule whose stages repeat a count (S=4 at lambda=1) reports one stage
-    stage_layers, stage_tokens = [], []
-    for n in counts:
-        if stage_tokens and stage_tokens[-1] == n:
-            stage_layers[-1] += 1
+    layers, tokens = [], []
+    for k, n in zip(schedule.stage_layer_counts, schedule.stage_token_counts):
+        if tokens and tokens[-1] == n:
+            layers[-1] += k
         else:
-            stage_layers.append(1)
-            stage_tokens.append(int(n))
-    report = staged_flops(stage_layers, stage_tokens, d, m)
+            layers.append(k)
+            tokens.append(n)
+    report = schedule_cost(StageSchedule(tuple(layers), tuple(tokens)), d, m)
     # the vanilla reference is always the uncompressed count, even for
     # strategies (like uniform compression) that never run at full width
     vanilla = num_layers * layer_flops(num_image_tokens, d, m)

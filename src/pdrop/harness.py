@@ -197,8 +197,10 @@ def make_marker_sequence(
     carry the marker subspace. Returns the sequence and the marked original
     positions."""
     v0, km = fixture.image_tokens, fixture.marked_count
-    if km > v0:
+    if not 0 <= km <= v0:
         raise ConfigError(f"cannot mark {km} of {v0} image tokens")
+    if fixture.answer_length < 0:
+        raise ConfigError(f"negative answer length {fixture.answer_length}")
     d = cfg.hidden_size
     rng = RngState(derive_seed(seed, 101))
     emb = fixture.noise * rng.normals(v0 * d).reshape(v0, d) if v0 else np.zeros((0, d))
@@ -231,10 +233,11 @@ def prepare(spec: ExperimentSpec) -> tuple[DecoderWeights, MultimodalSequence, n
         )
         return weights, seq, np.empty(0, dtype=np.int64)
     fixture = spec.fixture or FixtureSpec()
-    seq, marked = make_marker_sequence(spec.model, fixture, spec.seed)
+    # the model first, so that it rejects marker dims outside the hidden size
     weights = build_marker_model(
         spec.model, fixture.marker_dims, margin_onset_layer=spec.margin_onset_layer
     )
+    seq, marked = make_marker_sequence(spec.model, fixture, spec.seed)
     return weights, seq, marked
 
 

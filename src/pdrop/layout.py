@@ -28,6 +28,8 @@ class MultimodalSequence:
     answer_ids: np.ndarray
 
     def __post_init__(self):
+        if self.image_embeddings.ndim != 2:
+            raise InputError(f"image embeddings must be 2-D rows, got shape {self.image_embeddings.shape}")
         if self.instruction_ids.size == 0:
             raise InputError("instruction must contain at least one token")
         if not np.isfinite(self.image_embeddings).all():
@@ -52,7 +54,7 @@ def build_sequence(
 ) -> MultimodalSequence:
     image_embeddings = np.atleast_2d(np.asarray(image_embeddings, dtype=np.float64))
     if image_embeddings.size == 0:
-        image_embeddings = image_embeddings.reshape(0, image_embeddings.shape[-1] if image_embeddings.ndim == 2 else 0)
+        image_embeddings = image_embeddings.reshape(0, image_embeddings.shape[-1])
     return MultimodalSequence(
         image_embeddings,
         np.asarray(instruction_ids, dtype=np.int64),
@@ -68,8 +70,6 @@ def sequence_from_json(obj: dict) -> MultimodalSequence:
         answer = obj.get("answer", [])
     except (KeyError, TypeError, ValueError) as exc:
         raise InputError(f"malformed sequence fixture: {exc}") from exc
-    if image.size == 0:
-        image = image.reshape(0, 0)
     return build_sequence(image, instruction, answer)
 
 

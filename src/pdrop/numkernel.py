@@ -83,8 +83,10 @@ def rmsnorm_rows(a: np.ndarray, gain: np.ndarray, eps: float) -> np.ndarray:
 
 
 def rope_rotate_rows(x: np.ndarray, positions: np.ndarray, theta_base: float) -> np.ndarray:
-    """Rotate consecutive (even, odd) pairs of each row by angles scaled
-    by that row's position; x is (n, head_dim)."""
+    """Rotate consecutive (even, odd) pairs of the last axis of ``x`` by
+    angles scaled by ``positions``, which broadcasts against the leading
+    axes: (n, head_dim) rows with (n,) positions, or (n, heads, head_dim)
+    with (n, 1) positions to rotate every head of a row alike."""
     x = np.asarray(x, dtype=np.float64)
     if x.shape[-1] % 2 != 0:
         raise ConfigError(f"rope requires even head_dim, got {x.shape[-1]}")

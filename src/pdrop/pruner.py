@@ -8,6 +8,7 @@ roughly exponentially stage by stage.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -27,29 +28,25 @@ def _drop_count(count: int, keep_ratio: float) -> int:
 
 @dataclass(frozen=True)
 class StageSchedule:
-    """Drop boundaries and per-stage image-token counts for one forward."""
+    """Layers and image tokens in each stage of one forward; each stage
+    but the last ends in a drop boundary."""
 
-    num_layers: int
-    num_stages: int
-    keep_ratio: float
-    boundary_layers: tuple[int, ...]  # 1-based; drop applied after that layer
     stage_layer_counts: tuple[int, ...]
     stage_token_counts: tuple[int, ...]
 
-    def per_layer_counts(self) -> np.ndarray:
-        out = []
-        for layers, tokens in zip(self.stage_layer_counts, self.stage_token_counts):
-            out.extend([tokens] * layers)
-        return np.asarray(out, dtype=np.int64)
+    def __post_init__(self):
+        layers, tokens = self.stage_layer_counts, self.stage_token_counts
+        if not layers or len(layers) != len(tokens):
+            raise ConfigError(f"{len(layers)} stage layer counts vs {len(tokens)} token counts")
+        if min(layers) < 1 or min(tokens) < 0:
+            raise ConfigError(f"need >= 1 layer and >= 0 tokens per stage, got {layers}, {tokens}")
+        if any(b > a for a, b in zip(tokens, tokens[1:])):
+            raise ConfigError(f"image-token counts grow across stages: {tokens}")
 
-    def to_json(self) -> dict:
-        return {
-            "boundaries": list(self.boundary_layers),
-            "stage_layers": list(self.stage_layer_counts),
-            "stage_tokens": list(self.stage_token_counts),
-            "lambda": self.keep_ratio,
-            "stages": self.num_stages,
-        }
+    @property
+    def boundary_layers(self) -> tuple[int, ...]:
+        """1-based layers after which a drop is applied."""
+        return tuple(itertools.accumulate(self.stage_layer_counts[:-1]))
 
 
 def build_schedule(num_layers: int, num_stages: int, keep_ratio: float, num_image_tokens: int) -> StageSchedule:
@@ -59,46 +56,17 @@ def build_schedule(num_layers: int, num_stages: int, keep_ratio: float, num_imag
         raise ConfigError(f"need 1 <= stages <= layers, got S={num_stages}, J={num_layers}")
     if not 0.0 < keep_ratio <= 1.0:
         raise ConfigError(f"keep_ratio must be in (0, 1], got {keep_ratio}")
-    if num_image_tokens < 0:
-        raise ConfigError(f"negative image-token count {num_image_tokens}")
     base = num_layers // num_stages
     layer_counts = [base] * (num_stages - 1) + [num_layers - base * (num_stages - 1)]
-    boundaries = tuple(int(b) for b in np.cumsum(layer_counts[:-1]))
     tokens = [num_image_tokens]
     for _ in range(num_stages - 1):
         tokens.append(tokens[-1] - _drop_count(tokens[-1], keep_ratio))
-    return StageSchedule(
-        num_layers=num_layers,
-        num_stages=num_stages,
-        keep_ratio=keep_ratio,
-        boundary_layers=boundaries,
-        stage_layer_counts=tuple(layer_counts),
-        stage_token_counts=tuple(tokens),
-    )
-
-
-def single_drop_schedule(num_layers: int, drop_layer: int, keep_count: int, num_image_tokens: int) -> StageSchedule:
-    """Two-stage schedule: full width through drop_layer, keep_count after."""
-    if not 1 <= drop_layer < num_layers:
-        raise ConfigError(f"drop layer {drop_layer} must be in [1, {num_layers})")
-    if not 0 <= keep_count <= num_image_tokens:
-        raise ConfigError(f"keep count {keep_count} out of range for {num_image_tokens} tokens")
-    ratio = keep_count / num_image_tokens if num_image_tokens else 1.0
-    return StageSchedule(
-        num_layers=num_layers,
-        num_stages=2,
-        keep_ratio=ratio,
-        boundary_layers=(drop_layer,),
-        stage_layer_counts=(drop_layer, num_layers - drop_layer),
-        stage_token_counts=(num_image_tokens, keep_count),
-    )
+    return StageSchedule(tuple(layer_counts), tuple(tokens))
 
 
 def keep_all_schedule(num_layers: int, num_image_tokens: int) -> StageSchedule:
     """One stage at full width: the unpruned forward."""
-    if num_layers < 1 or num_image_tokens < 0:
-        raise ConfigError(f"need >= 1 layer and >= 0 tokens, got {num_layers} layers, {num_image_tokens} tokens")
-    return StageSchedule(num_layers, 1, 1.0, (), (num_layers,), (num_image_tokens,))
+    return StageSchedule((num_layers,), (num_image_tokens,))
 
 
 def rank_image_tokens(q_last: np.ndarray, k_image: np.ndarray) -> np.ndarray:
@@ -121,8 +89,9 @@ def decide(scores: np.ndarray, schedule: StageSchedule, stage: int) -> np.ndarra
     """Ascending indices of the scores kept at the drop boundary that ends
     ``stage``: the schedule's next count of highest scores, ties to the
     lower index."""
-    if not 0 <= stage < schedule.num_stages - 1:
-        raise ConfigError(f"stage {stage} has no drop boundary (S={schedule.num_stages})")
+    num_stages = len(schedule.stage_token_counts)
+    if not 0 <= stage < num_stages - 1:
+        raise ConfigError(f"stage {stage} has no drop boundary (S={num_stages})")
     scores = np.asarray(scores, dtype=np.float64)
     expected = schedule.stage_token_counts[stage]
     if scores.shape != (expected,):
@@ -136,7 +105,7 @@ def decide(scores: np.ndarray, schedule: StageSchedule, stage: int) -> np.ndarra
 
 
 class Strategy:
-    """A strategy is its per-layer image-token schedule,
+    """A strategy is its stage schedule,
     ``schedule(num_layers, num_image_tokens)``, plus ``ranker(seed)``, the
     ranker that picks the kept set at each drop boundary of a run. A ranker
     is called as ``ranker(q_last, k_image, stage)`` with the post-rotary
@@ -177,8 +146,10 @@ class SingleEarlyDrop(Strategy):
     def schedule(self, num_layers: int, num_image_tokens: int) -> StageSchedule:
         if not 0.0 <= self.keep_ratio <= 1.0:
             raise ConfigError(f"keep_ratio must be in [0, 1], got {self.keep_ratio}")
+        if not 1 <= self.drop_layer < num_layers:
+            raise ConfigError(f"drop layer {self.drop_layer} must be in [1, {num_layers})")
         keep = math.floor(self.keep_ratio * num_image_tokens)
-        return single_drop_schedule(num_layers, self.drop_layer, keep, num_image_tokens)
+        return StageSchedule((self.drop_layer, num_layers - self.drop_layer), (num_image_tokens, keep))
 
 
 @dataclass(frozen=True)

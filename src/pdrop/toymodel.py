@@ -115,14 +115,14 @@ def init_model(cfg: ModelConfig, seed: int) -> DecoderWeights:
 
 def _embed(w: DecoderWeights, seq: MultimodalSequence) -> np.ndarray:
     d = w.config.hidden_size
-    if seq.num_image_tokens and seq.image_embeddings.shape[1] != d:
-        raise InputError(
-            f"image embeddings have dim {seq.image_embeddings.shape[1]}, model expects {d}"
-        )
+    # an empty image segment may have any width
+    image = seq.image_embeddings if seq.num_image_tokens else np.empty((0, d))
+    if image.shape[1] != d:
+        raise InputError(f"image embeddings have dim {image.shape[1]}, model expects {d}")
     text_ids = seq.text_ids
     if text_ids.min() < 0 or text_ids.max() >= w.config.vocab_size:
         raise InputError("text token id outside the vocabulary")
-    return np.concatenate([seq.image_embeddings.reshape(-1, d), w.embedding[text_ids]])
+    return np.concatenate([image, w.embedding[text_ids]])
 
 
 def _layer_forward(lw: LayerWeights, cfg: ModelConfig, x: np.ndarray, positions: np.ndarray):
@@ -131,12 +131,10 @@ def _layer_forward(lw: LayerWeights, cfg: ModelConfig, x: np.ndarray, positions:
     n = x.shape[0]
     nh, hd = cfg.num_heads, cfg.head_dim
     h = rmsnorm_rows(x, lw.attn_gain, cfg.rmsnorm_eps)
-    q = (h @ lw.w_q).reshape(n, nh, hd)
-    k = (h @ lw.w_k).reshape(n, nh, hd)
+    # one rotation per projection: each row's position broadcasts over heads
+    q = rope_rotate_rows((h @ lw.w_q).reshape(n, nh, hd), positions[:, None], cfg.rope_theta)
+    k = rope_rotate_rows((h @ lw.w_k).reshape(n, nh, hd), positions[:, None], cfg.rope_theta)
     v = (h @ lw.w_v).reshape(n, nh, hd)
-    for hh in range(nh):
-        q[:, hh, :] = rope_rotate_rows(q[:, hh, :], positions, cfg.rope_theta)
-        k[:, hh, :] = rope_rotate_rows(k[:, hh, :], positions, cfg.rope_theta)
     # causal mask by position id, not storage order
     allowed = positions[None, :] <= positions[:, None]
     scale = 1.0 / np.sqrt(hd)
@@ -168,9 +166,9 @@ def forward_pruned(
     overwrites the hidden state of the token at that original position at
     that boundary, immediately before the drop decision."""
     cfg = w.config
-    if schedule.num_layers != cfg.num_layers:
+    if sum(schedule.stage_layer_counts) != cfg.num_layers:
         raise ConfigError(
-            f"schedule built for {schedule.num_layers} layers, model has {cfg.num_layers}"
+            f"schedule built for {sum(schedule.stage_layer_counts)} layers, model has {cfg.num_layers}"
         )
     if schedule.stage_token_counts[0] != seq.num_image_tokens:
         raise ConfigError(

@@ -58,8 +58,8 @@ def test_cost_vanilla_default(capsys):
 
 
 def test_cost_strategy_default_keep_ratio(capsys):
-    # --lambda and --keep-ratio share a dest; leaving both unset must not
-    # hand the strategy a ratio of None
+    # --lambda (alias --keep-ratio) defaults to None; leaving it unset must
+    # not hand the strategy a ratio of None
     code, out = run_cli(capsys, "cost", "--n", "576", "--layers", "32",
                         "--d", "4096", "--m", "11008", "--strategy", "pdrop")
     assert code == 0
@@ -103,6 +103,10 @@ def test_run_missing_config_is_io_error(capsys, tmp_path):
     {"fixture": {"image_tokens": "many"}},
     {"fixture": {"image_tokens": 16, "noise": float("nan")}},
     {"fixture": {"path": 0}},
+    {"fixture": {"image_tokens": -5, "marked_count": -10}},
+    {"fixture": {"image_tokens": 16, "marker_dims": [99]}},
+    {"fixture": {"image_tokens": 64, "marked_count": -1, "marked_placement": "random"}},
+    {"fixture": {"image_tokens": 16, "answer_length": -1}},
 ])
 def test_run_mistyped_config_value_is_config_error(capsys, tmp_path, override):
     path = tmp_path / "config.json"
@@ -119,6 +123,17 @@ def test_sweep_bad_ratios_are_config_errors(capsys, config_file, tmp_path, ratio
                  "--ratios", ratios, "--out", str(tmp_path / "sweep.csv")])
     assert code == 2
     assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_run_non_2d_image_fixture_is_input_error(capsys, tmp_path):
+    fixture = tmp_path / "fixture.json"
+    fixture.write_text(json.dumps({"image": [[[0.0] * 2] * 64] * 2, "instruction": [1, 2]}))
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"model": TOY_MODEL, "fixture": {"path": str(fixture)}}))
+    code = main(["run", "--config", str(path)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error: ") and "2-D" in err and err.count("\n") == 1
 
 
 def test_run_coerces_fixture_fields(capsys, tmp_path):

@@ -4,7 +4,6 @@ import pytest
 from pdrop.costmodel import (
     layer_flops,
     schedule_cost,
-    staged_flops,
     strategy_cost,
     tera,
     theoretical_saving,
@@ -13,6 +12,7 @@ from pdrop.errors import ConfigError
 from pdrop.pruner import (
     PyramidDrop,
     SingleEarlyDrop,
+    StageSchedule,
     UniformCompression,
     Vanilla,
     build_schedule,
@@ -34,31 +34,35 @@ class TestLayerFlops:
         assert tera(32 * layer_flops(576, D7B, M7B)) == 3.82
 
 
+def staged(layers, tokens):
+    return schedule_cost(StageSchedule(layers, tokens), D7B, M7B)
+
+
 class TestStagedFlops:
     def test_default_staging(self):
-        report = staged_flops([8, 8, 8, 8], [576, 288, 144, 72], D7B, M7B)
+        report = staged((8, 8, 8, 8), (576, 288, 144, 72))
         assert tera(report.total) == 1.78
         assert report.avg_tokens == 270.0
         assert report.total == sum(report.per_stage)
 
     def test_high_resolution_staging(self):
-        report = staged_flops([8, 8, 8, 8], [2880, 1440, 720, 360], D7B, M7B)
+        report = staged((8, 8, 8, 8), (2880, 1440, 720, 360))
         assert tera(report.total) == 9.46
 
     def test_single_stage_degenerates(self):
-        report = staged_flops([32], [576], D7B, M7B)
+        report = staged((32,), (576,))
         assert report.total == 32 * layer_flops(576, D7B, M7B)
         assert report.ratio == 1.0
 
     def test_length_mismatch(self):
         with pytest.raises(ConfigError):
-            staged_flops([8, 8], [576], D7B, M7B)
+            StageSchedule((8, 8), (576,))
 
     def test_monotone_in_each_stage_count(self):
-        base = staged_flops([8, 8, 8, 8], [576, 288, 144, 72], D7B, M7B).total
-        for i, bumped in enumerate([[577, 288, 144, 72], [576, 289, 144, 72],
-                                    [576, 288, 145, 72], [576, 288, 144, 73]]):
-            assert staged_flops([8, 8, 8, 8], bumped, D7B, M7B).total > base, i
+        base = staged((8, 8, 8, 8), (576, 288, 144, 72)).total
+        for i, bumped in enumerate([(577, 288, 144, 72), (576, 289, 144, 72),
+                                    (576, 288, 145, 72), (576, 288, 144, 73)]):
+            assert staged((8, 8, 8, 8), bumped).total > base, i
 
 
 class TestTheoreticalSaving:
@@ -109,6 +113,13 @@ class TestStrategyCost:
         via_strategy = strategy_cost(PyramidDrop(4, 0.5), J7B, 576, D7B, M7B)
         via_schedule = schedule_cost(build_schedule(J7B, 4, 0.5, 576), D7B, M7B)
         assert via_strategy.total == via_schedule.total
+
+    def test_equal_consecutive_stages_merge(self):
+        schedule = build_schedule(J7B, 4, 1.0, 576)
+        assert len(schedule_cost(schedule, D7B, M7B).per_stage) == 4
+        merged = strategy_cost(PyramidDrop(4, 1.0), J7B, 576, D7B, M7B)
+        assert merged.per_stage == (32 * layer_flops(576, D7B, M7B),)
+        assert merged.total == schedule_cost(schedule, D7B, M7B).total
 
     def test_dominance(self):
         for ratio in (0.3, 0.5, 0.9):

@@ -37,6 +37,18 @@ def test_non_finite_image_embedding_rejected(bad):
         build_sequence(emb, [1])
 
 
+@pytest.mark.parametrize("shape", [(2, 4, 2), (4,), (0, 4, 2)])
+def test_non_2d_image_embeddings_rejected(shape):
+    with pytest.raises(InputError, match="2-D"):
+        MultimodalSequence(np.zeros(shape), np.array([1]), np.empty(0, dtype=np.int64))
+
+
+def test_build_sequence_rejects_3d_image():
+    # 1-D input is read as one row; 3-D rows are not flattened
+    with pytest.raises(InputError, match="2-D"):
+        build_sequence(np.zeros((2, 64, 2)), [1])
+
+
 def test_query_sees_every_image_token():
     # the ranking query is the last instruction token, which comes after
     # every image token: at the second layer's boundary it has attended

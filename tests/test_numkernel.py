@@ -74,6 +74,14 @@ class TestRopeRotate:
         with pytest.raises(ConfigError):
             rope_rotate_rows(np.zeros((1, 3)), np.array([1]), 10000.0)
 
+    def test_heads_broadcast_bit_identical_to_per_head(self):
+        rng = RngState(31)
+        x = rng.normals(7 * 4 * 16).reshape(7, 4, 16)
+        positions = np.array([0, 1, 2, 5, 9, 40, 1000])
+        out = rope_rotate_rows(x, positions[:, None], 10000.0)
+        for head in range(4):
+            assert np.array_equal(out[:, head], rope_rotate_rows(x[:, head], positions, 10000.0))
+
     @given(st.lists(st.floats(-10, 10), min_size=2, max_size=16).filter(lambda v: len(v) % 2 == 0),
            st.integers(0, 5000))
     def test_norm_preserved(self, vec, position):

@@ -1,4 +1,5 @@
 import itertools
+import json
 import math
 from fractions import Fraction
 
@@ -7,18 +8,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from pdrop.cli import main
 from pdrop.errors import ConfigError, InputError, ShapeError
 from pdrop.numkernel import RngState
 from pdrop.pruner import (
     PyramidDrop,
     RandomDrop,
     SingleEarlyDrop,
+    StageSchedule,
     UniformCompression,
     Vanilla,
     build_schedule,
     decide,
+    keep_all_schedule,
     rank_image_tokens,
-    single_drop_schedule,
 )
 
 
@@ -52,6 +55,22 @@ class TestBuildSchedule:
             build_schedule(8, 2, 1.5, 10)
         with pytest.raises(ConfigError):
             build_schedule(8, 2, 0.5, -1)
+
+    @pytest.mark.parametrize("layers, tokens", [
+        ((), ()), ((8, 8), (16,)), ((8,), (-1,)), ((8, 0), (16, 8)), ((0,), (16,)),
+        ((4, 4), (8, 9)),
+    ])
+    def test_invalid_schedule_rejected(self, layers, tokens):
+        with pytest.raises(ConfigError):
+            StageSchedule(layers, tokens)
+
+    def test_boundaries_derived_from_layer_counts(self):
+        assert StageSchedule((2, 3, 3), (16, 8, 0)).boundary_layers == (2, 5)
+        assert keep_all_schedule(8, 16) == StageSchedule((8,), (16,))
+        with pytest.raises(ConfigError):
+            keep_all_schedule(0, 16)
+        with pytest.raises(ConfigError):
+            keep_all_schedule(8, -1)
 
     def test_ratio_robust_to_float_noise(self):
         # 0.4 * 345 must not ceil to 139 through binary representation
@@ -150,7 +169,8 @@ class TestDecide:
 
 
 def layer_counts(strategy, num_layers=32, num_image_tokens=576):
-    return strategy.schedule(num_layers, num_image_tokens).per_layer_counts()
+    s = strategy.schedule(num_layers, num_image_tokens)
+    return np.repeat(s.stage_token_counts, s.stage_layer_counts)
 
 
 class TestApplyStrategy:
@@ -190,18 +210,22 @@ class TestApplyStrategy:
 
 
 def test_single_drop_schedule_validation():
-    s = single_drop_schedule(8, 2, 8, 16)
+    s = SingleEarlyDrop(drop_layer=2, keep_ratio=0.5).schedule(8, 16)
+    assert s == StageSchedule((2, 6), (16, 8))
     assert s.boundary_layers == (2,)
-    assert s.stage_token_counts == (16, 8)
+    assert SingleEarlyDrop(drop_layer=7, keep_ratio=0.0).schedule(8, 16) == StageSchedule((7, 1), (16, 0))
+    for drop_layer in (0, 8):
+        with pytest.raises(ConfigError):
+            SingleEarlyDrop(drop_layer=drop_layer, keep_ratio=0.5).schedule(8, 16)
     with pytest.raises(ConfigError):
-        single_drop_schedule(8, 8, 4, 16)
-    with pytest.raises(ConfigError):
-        single_drop_schedule(8, 2, 17, 16)
+        SingleEarlyDrop(drop_layer=2, keep_ratio=-0.1).schedule(8, 16)
 
 
-def test_schedule_json_dump():
-    s = build_schedule(32, 4, 0.5, 576)
-    obj = s.to_json()
+def test_schedule_json_dump(capsys):
+    # The schedule's JSON form is built by `pdrop schedule`; key order is part of it.
+    assert main(["schedule", "--layers", "32", "--stages", "4",
+                 "--lambda", "0.5", "--tokens", "576"]) == 0
+    obj = json.loads(capsys.readouterr().out)
     assert obj == {
         "boundaries": [8, 16, 24],
         "stage_layers": [8, 8, 8, 8],
@@ -209,3 +233,4 @@ def test_schedule_json_dump():
         "lambda": 0.5,
         "stages": 4,
     }
+    assert list(obj) == ["boundaries", "stage_layers", "stage_tokens", "lambda", "stages"]

@@ -170,6 +170,24 @@ class TestForwardPruned:
         rel = np.abs(pruned.hidden[-1] - ref) / np.maximum(np.abs(ref), 1e-12)
         assert rel.max() < 1e-9
 
+    @pytest.mark.parametrize("cfg, v0", [
+        (TOY_CONFIG, 1152),
+        (ModelConfig(num_layers=16, hidden_size=256, num_heads=8, head_dim=32,
+                     ffn_intermediate=688, vocab_size=256), 576),
+    ], ids=["toy1152", "mid576"])
+    def test_mask_oracle_at_benchmark_geometries(self, cfg, v0):
+        # C8's check at the geometries the benchmark times, S=4 lambda=0.5
+        weights = init_model(cfg, 11)
+        schedule = build_schedule(cfg.num_layers, 4, 0.5, v0)
+        seq = random_sequence(cfg, v0, seed=12, instr=4, answer=1)
+        pruned = forward_pruned(weights, seq, schedule)
+        oracle_hidden, oracle_kept = masked_pruned_forward(weights, seq, schedule)
+        assert [k.tolist() for _, k in pruned.kept_masks] == oracle_kept
+        assert [len(k) for k in oracle_kept] == list(schedule.stage_token_counts[1:])
+        ref = oracle_hidden[pruned.positions]
+        rel = np.abs(pruned.hidden[-1] - ref) / np.maximum(np.abs(ref), 1e-12)
+        assert rel.max() < 1e-9
+
     def test_boundary_qk_feeds_ranking(self, toy_weights):
         seq = random_sequence(TOY_CONFIG, 16, seed=8)
         schedule = build_schedule(8, 4, 0.5, 16)
