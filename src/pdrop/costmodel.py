@@ -49,6 +49,8 @@ def tera(flops: int, sig_figs: int = 3) -> float:
 def schedule_cost(schedule: StageSchedule, d: int, m: int) -> CostReport:
     """Per-stage and total cost of a schedule; the vanilla reference runs
     every layer at the first stage's width."""
+    if d < 1 or m < 1:
+        raise ConfigError(f"hidden size d and FFN size m must be positive, got d={d}, m={m}")
     layers, tokens = schedule.stage_layer_counts, schedule.stage_token_counts
     num_layers = sum(layers)
     per_stage = tuple(k * layer_flops(n, d, m) for k, n in zip(layers, tokens))

@@ -66,12 +66,14 @@ class RngState:
         return stddev * out[:count]
 
 
-def softmax_rows(a: np.ndarray) -> np.ndarray:
-    """Row-wise softmax with max subtraction; -inf entries get weight 0."""
+def softmax_rows(a: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Softmax over the last axis with max subtraction; -inf entries get
+    weight 0. ``out`` may be ``a`` itself to normalise in place."""
     a = np.asarray(a, dtype=np.float64)
-    shifted = a - np.max(a, axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    return e / np.sum(e, axis=-1, keepdims=True)
+    out = np.subtract(a, np.max(a, axis=-1, keepdims=True), out=out)
+    np.exp(out, out=out)
+    out /= np.sum(out, axis=-1, keepdims=True)
+    return out
 
 
 def rmsnorm_rows(a: np.ndarray, gain: np.ndarray, eps: float) -> np.ndarray:

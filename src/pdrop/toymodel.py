@@ -21,6 +21,10 @@ from .numkernel import RngState, gaussian_init, rmsnorm_rows, rope_rotate_rows, 
 from .pruner import StageSchedule, attention_ranker, decide
 
 INIT_STDDEV = 0.02
+# query rows per attention block: on 2 vCPUs with one BLAS thread, 32 is the
+# fastest on both benchmark prefills (16 ties at toy V0=1152) and 64 to 256
+# are progressively slower
+ATTENTION_BLOCK_ROWS = 32
 
 
 @dataclass(frozen=True)
@@ -125,6 +129,25 @@ def _embed(w: DecoderWeights, seq: MultimodalSequence) -> np.ndarray:
     return np.concatenate([image, w.embedding[text_ids]])
 
 
+def _causal_attention(q, k, v, positions):
+    """Causal attention of every head at once, ATTENTION_BLOCK_ROWS query
+    rows at a time, on (n, heads, head_dim) inputs; returns (n, heads *
+    head_dim). Rows ascend by position id (kept rows stay in order, image
+    rows precede text rows), so query rows [r0, r1) see only keys [0, r1)
+    and only the diagonal block needs the mask by position id."""
+    n, nh, hd = q.shape
+    qh = np.ascontiguousarray(q.transpose(1, 0, 2)) * (1.0 / np.sqrt(hd))
+    kt = np.ascontiguousarray(k.transpose(1, 2, 0))
+    vh = np.ascontiguousarray(v.transpose(1, 0, 2))
+    out = np.empty((nh, n, hd))
+    for r0 in range(0, n, ATTENTION_BLOCK_ROWS):
+        r1 = min(r0 + ATTENTION_BLOCK_ROWS, n)
+        scores = qh[:, r0:r1] @ kt[:, :, :r1]
+        scores[:, :, r0:][:, positions[None, r0:r1] > positions[r0:r1, None]] = -np.inf
+        np.matmul(softmax_rows(scores, out=scores), vh[:, :r1], out=out[:, r0:r1])
+    return out.transpose(1, 0, 2).reshape(n, nh * hd)
+
+
 def _layer_forward(lw: LayerWeights, cfg: ModelConfig, x: np.ndarray, positions: np.ndarray):
     """One pre-norm block. Returns the new residual stream and the
     post-rotary per-head (q, k) used by the attention itself."""
@@ -135,15 +158,7 @@ def _layer_forward(lw: LayerWeights, cfg: ModelConfig, x: np.ndarray, positions:
     q = rope_rotate_rows((h @ lw.w_q).reshape(n, nh, hd), positions[:, None], cfg.rope_theta)
     k = rope_rotate_rows((h @ lw.w_k).reshape(n, nh, hd), positions[:, None], cfg.rope_theta)
     v = (h @ lw.w_v).reshape(n, nh, hd)
-    # causal mask by position id, not storage order
-    allowed = positions[None, :] <= positions[:, None]
-    scale = 1.0 / np.sqrt(hd)
-    attn_out = np.empty((n, nh, hd), dtype=np.float64)
-    for hh in range(nh):
-        scores = (q[:, hh, :] @ k[:, hh, :].T) * scale
-        scores = np.where(allowed, scores, -np.inf)
-        attn_out[:, hh, :] = softmax_rows(scores) @ v[:, hh, :]
-    x = x + attn_out.reshape(n, nh * hd) @ lw.w_o
+    x = x + _causal_attention(q, k, v, positions) @ lw.w_o
     hf = rmsnorm_rows(x, lw.ffn_gain, cfg.rmsnorm_eps)
     gate = hf @ lw.w_gate
     x = x + ((gate * expit(gate)) * (hf @ lw.w_up)) @ lw.w_down
@@ -261,9 +276,12 @@ def build_marker_model(
     if dims[0] < 0 or dims[-1] >= cfg.hidden_size:
         raise ConfigError(f"marker dims {dims} outside hidden size {cfg.hidden_size}")
     if flag_dim is None:
-        flag_dim = max(i for i in range(cfg.hidden_size) if i not in dims)
-    if flag_dim in dims:
-        raise ConfigError(f"flag dim {flag_dim} collides with the marker subspace")
+        # the highest dimension outside the marker subspace, -1 if none is left
+        flag_dim = max(set(range(cfg.hidden_size)).difference(dims), default=-1)
+    if not 0 <= flag_dim < cfg.hidden_size or flag_dim in dims:
+        raise ConfigError(
+            f"flag dim {flag_dim} must be a hidden dimension outside the marker subspace {dims}"
+        )
     if not 1 <= margin_onset_layer <= cfg.num_layers:
         raise ConfigError(f"margin onset layer {margin_onset_layer} outside [1, {cfg.num_layers}]")
 

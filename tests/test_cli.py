@@ -81,6 +81,16 @@ def test_schedule_config_error_exit_code(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("geometry", [["--d", "-4", "--m", "16"], ["--d", "0", "--m", "16"],
+                                      ["--d", "64", "--m", "-1"], ["--d", "64", "--m", "0"]])
+@pytest.mark.parametrize("strategy", [[], ["--strategy", "fastv"]])
+def test_cost_nonpositive_geometry_is_config_error(capsys, geometry, strategy):
+    code = main(["cost", "--n", "16", "--layers", "8", "--lambda", "0.5", *geometry, *strategy])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
 def test_run_with_masks(capsys, config_file, tmp_path):
     masks = tmp_path / "masks.json"
     code, out = run_cli(capsys, "run", "--config", config_file,
@@ -107,6 +117,7 @@ def test_run_missing_config_is_io_error(capsys, tmp_path):
     {"fixture": {"image_tokens": 16, "marker_dims": [99]}},
     {"fixture": {"image_tokens": 64, "marked_count": -1, "marked_placement": "random"}},
     {"fixture": {"image_tokens": 16, "answer_length": -1}},
+    {"fixture": {"image_tokens": 16, "marker_dims": list(range(TOY_MODEL["hidden_size"]))}},
 ])
 def test_run_mistyped_config_value_is_config_error(capsys, tmp_path, override):
     path = tmp_path / "config.json"

@@ -38,6 +38,20 @@ class TestSoftmaxRows:
         out = softmax_rows(np.array(rows))
         assert np.allclose(out.sum(axis=1), 1.0, atol=1e-12)
 
+    def test_last_axis_of_3d_input_in_place(self):
+        a = RngState(3).normals(2 * 3 * 5).reshape(2, 3, 5)
+        expected = np.stack([softmax_rows(plane) for plane in a])
+        out = softmax_rows(a, out=a)
+        assert out is a
+        assert np.array_equal(a, expected)
+        assert np.allclose(a.sum(axis=-1), 1.0, atol=1e-12)
+
+    def test_neg_inf_weighted_zero_in_place(self):
+        a = np.array([[[0.0, -np.inf, 0.0], [1.0, 2.0, -np.inf]]])
+        softmax_rows(a, out=a)
+        assert a[0, 0].tolist() == [0.5, 0.0, 0.5]
+        assert a[0, 1, 2] == 0.0 and a[0, 1, :2].sum() == pytest.approx(1.0)
+
 
 class TestRmsnorm:
     def test_unit_rms(self):

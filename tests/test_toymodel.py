@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -10,6 +12,7 @@ from pdrop.layout import MultimodalSequence, build_sequence
 from pdrop.numkernel import RngState, derive_seed, rmsnorm_rows, rope_rotate_rows, softmax_rows
 from pdrop.pruner import attention_ranker, build_schedule, keep_all_schedule, rank_image_tokens
 from pdrop.toymodel import (
+    ATTENTION_BLOCK_ROWS,
     TOY_CONFIG,
     ModelConfig,
     build_marker_model,
@@ -187,6 +190,43 @@ class TestForwardPruned:
         ref = oracle_hidden[pruned.positions]
         rel = np.abs(pruned.hidden[-1] - ref) / np.maximum(np.abs(ref), 1e-12)
         assert rel.max() < 1e-9
+
+    @pytest.mark.parametrize("rows", [ATTENTION_BLOCK_ROWS - 1, ATTENTION_BLOCK_ROWS,
+                                      ATTENTION_BLOCK_ROWS + 1, 2 * ATTENTION_BLOCK_ROWS + 1])
+    @pytest.mark.parametrize("case", ["keep_all", "s4_before_drop", "s4_after_drop"])
+    def test_mask_oracle_at_block_edges(self, toy_weights, rows, case):
+        # sequence lengths that land on the edges of the attention row blocks,
+        # before the first drop or right after it
+        text = 5  # three instruction tokens, two answer tokens
+        if case == "keep_all":
+            schedule = keep_all_schedule(8, rows - text)
+        elif case == "s4_before_drop":
+            schedule = build_schedule(8, 4, 0.5, rows - text)
+        else:  # the first drop halves an even count exactly
+            schedule = build_schedule(8, 4, 0.5, 2 * (rows - text))
+            assert schedule.stage_token_counts[1] + text == rows
+        seq = random_sequence(TOY_CONFIG, schedule.stage_token_counts[0], seed=rows)
+        pruned = forward_pruned(toy_weights, seq, schedule)
+        oracle_hidden, oracle_kept = masked_pruned_forward(toy_weights, seq, schedule)
+        assert [set(k.tolist()) for _, k in pruned.kept_masks] == [set(k) for k in oracle_kept]
+        ref = oracle_hidden[pruned.positions]
+        rel = np.abs(pruned.hidden[-1] - ref) / np.maximum(np.abs(ref), 1e-12)
+        assert rel.max() < 1e-9
+
+    def test_paper_9patch_geometry_in_bounded_memory(self):
+        # V0=5184 (criterion C4's geometry); one n x n float64 score matrix
+        # alone would take 215 MB here
+        weights = init_model(TOY_CONFIG, 5)
+        schedule = build_schedule(8, 4, 0.5, 5184)
+        seq = random_sequence(TOY_CONFIG, 5184, seed=5)
+        tracemalloc.start()
+        try:
+            trace = forward_pruned(weights, seq, schedule)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert [kept.size for _, kept in trace.kept_masks] == [2592, 1296, 648]
+        assert peak < 100e6
 
     def test_boundary_qk_feeds_ranking(self, toy_weights):
         seq = random_sequence(TOY_CONFIG, 16, seed=8)
