@@ -38,8 +38,6 @@ from .toymodel import (
     forward_pruned,
     init_model,
     inject_at_boundary,
-    load_weights,
-    save_weights,
 )
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -23,9 +23,11 @@ from .pruner import (
     PyramidDrop,
     RandomDrop,
     SingleEarlyDrop,
+    StageSchedule,
     Strategy,
     UniformCompression,
     Vanilla,
+    attention_ranker,
     build_schedule,
     decide,
     random_ranker,
@@ -289,27 +291,49 @@ def run_compare(spec: ExperimentSpec) -> list[RunReport]:
 
 
 def run_layer_sweep(spec: ExperimentSpec) -> list[SweepRow]:
+    """One row per (layer, ratio) cell in grid order, each the single
+    FastV-style cut ``SingleEarlyDrop(layer, ratio)``. A cell's row depends
+    only on the ranking scores at its drop layer, and the layers before
+    that drop run at full width in every cell. So every cell is validated
+    first, then one keep-all forward runs with a boundary at each distinct
+    sweep layer and records that boundary's scores; each cell's kept set
+    is the top ``floor(ratio * V0)`` of its layer's scores."""
     if not spec.sweep_layers or not spec.sweep_ratios:
         raise ConfigError("sweep needs nonempty layer and ratio grids")
     weights, seq, marked = prepare(spec)
     cfg = spec.model
     v0 = seq.num_image_tokens
-    rows = []
+    cells = []
     for layer in spec.sweep_layers:
         if layer >= cfg.num_layers:
             raise ConfigError(f"sweep layer {layer} >= num_layers {cfg.num_layers}")
         for ratio in spec.sweep_ratios:
             strategy = SingleEarlyDrop(drop_layer=layer, keep_ratio=ratio)
-            schedule = strategy.schedule(cfg.num_layers, v0)
-            trace = forward_pruned(weights, seq, schedule)
-            cost = strategy_cost(strategy, cfg.num_layers, v0, cfg.hidden_size, cfg.ffn_intermediate)
-            rows.append(SweepRow(
-                layer=layer,
-                keep_ratio=ratio,
-                recall=marker_recall(trace.kept_masks, marked, v0),
-                kept_count=schedule.stage_token_counts[-1],
-                flops=cost.total,
-            ))
+            cells.append((strategy, strategy.schedule(cfg.num_layers, v0)))
+
+    boundaries = sorted(set(spec.sweep_layers))
+    scores = {}
+
+    def record(q_last, k_image, stage):
+        scores[boundaries[stage]] = attention_ranker(q_last, k_image, stage)
+        return scores[boundaries[stage]]
+
+    layer_counts = tuple(np.diff([0, *boundaries, cfg.num_layers]).tolist())
+    keep_all = StageSchedule(layer_counts, (v0,) * len(layer_counts))
+    forward_pruned(weights, seq, keep_all, ranker=record)
+
+    rows = []
+    for strategy, schedule in cells:
+        # the decision the cell's own forward makes at its one boundary
+        kept = decide(scores[strategy.drop_layer], schedule, 0)
+        cost = strategy_cost(strategy, cfg.num_layers, v0, cfg.hidden_size, cfg.ffn_intermediate)
+        rows.append(SweepRow(
+            layer=strategy.drop_layer,
+            keep_ratio=strategy.keep_ratio,
+            recall=marker_recall([(strategy.drop_layer, kept)], marked, v0),
+            kept_count=schedule.stage_token_counts[-1],
+            flops=cost.total,
+        ))
     return rows
 
 

@@ -9,7 +9,6 @@ original position ids.
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -72,11 +71,6 @@ class LayerWeights:
     w_down: np.ndarray
     attn_gain: np.ndarray
     ffn_gain: np.ndarray
-
-    def matrices(self):
-        return [self.w_q, self.w_k, self.w_v, self.w_o,
-                self.w_gate, self.w_up, self.w_down,
-                self.attn_gain, self.ffn_gain]
 
 
 @dataclass
@@ -286,8 +280,11 @@ def build_marker_model(
         raise ConfigError(f"margin onset layer {margin_onset_layer} outside [1, {cfg.num_layers}]")
 
     d, m, v = cfg.hidden_size, cfg.ffn_intermediate, cfg.vocab_size
-    # signal lives in the highest-frequency-free rotary pair of head 0, where
-    # the rotation angle is tiny for toy position ranges
+    # the signal lives in rotary pair head_dim - 2 of head 0, the slowest
+    # pair, which turns by theta^(-(head_dim - 2) / head_dim) rad per position
+    # (3.2e-4 at the toy config); a marked key delta positions before the
+    # query scores with cos(delta * that angle), which stays positive only
+    # for delta < (pi / 2) / angle, about 4967 positions at the toy config
     signal_col = cfg.head_dim - 2
     layers = []
     for layer_no in range(1, cfg.num_layers + 1):
@@ -306,58 +303,3 @@ def build_marker_model(
     embedding = np.zeros((v, d))
     embedding[:, flag_dim] = MARKER_AMPLITUDE
     return DecoderWeights(cfg, layers, embedding, np.zeros((d, v)))
-
-
-# --- serialization ---------------------------------------------------------
-
-_MAGIC = b"PDRW"
-_VERSION = 1
-
-
-def save_weights(w: DecoderWeights, path) -> None:
-    cfg = w.config
-    with open(path, "wb") as fh:
-        fh.write(_MAGIC)
-        fh.write(struct.pack(
-            "<7i", _VERSION, cfg.num_layers, cfg.hidden_size, cfg.num_heads,
-            cfg.head_dim, cfg.ffn_intermediate, cfg.vocab_size,
-        ))
-        fh.write(struct.pack("<2d", cfg.rope_theta, cfg.rmsnorm_eps))
-        for lw in w.layers:
-            for mat in lw.matrices():
-                fh.write(np.ascontiguousarray(mat, dtype="<f8").tobytes())
-        fh.write(np.ascontiguousarray(w.embedding, dtype="<f8").tobytes())
-        fh.write(np.ascontiguousarray(w.head, dtype="<f8").tobytes())
-
-
-def load_weights(path) -> DecoderWeights:
-    with open(path, "rb") as fh:
-        if fh.read(4) != _MAGIC:
-            raise InputError(f"{path}: not a weight container (bad magic)")
-        version, nl, d, nh, hd, m, v = struct.unpack("<7i", fh.read(28))
-        if version != _VERSION:
-            raise InputError(f"{path}: unsupported container version {version}")
-        theta, eps = struct.unpack("<2d", fh.read(16))
-        cfg = ModelConfig(nl, d, nh, hd, m, v, theta, eps).validate()
-
-        def mat(rows, cols=None):
-            count = rows if cols is None else rows * cols
-            buf = fh.read(8 * count)
-            if len(buf) != 8 * count:
-                raise InputError(f"{path}: truncated weight container")
-            arr = np.frombuffer(buf, dtype="<f8").astype(np.float64)
-            return arr if cols is None else arr.reshape(rows, cols)
-
-        layers = [
-            LayerWeights(
-                w_q=mat(d, d), w_k=mat(d, d), w_v=mat(d, d), w_o=mat(d, d),
-                w_gate=mat(d, m), w_up=mat(d, m), w_down=mat(m, d),
-                attn_gain=mat(d), ffn_gain=mat(d),
-            )
-            for _ in range(nl)
-        ]
-        embedding = mat(v, d)
-        head = mat(d, v)
-        if fh.read(1):
-            raise InputError(f"{path}: trailing bytes after weights")
-    return DecoderWeights(cfg, layers, embedding, head)

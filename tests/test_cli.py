@@ -3,7 +3,9 @@ import time
 
 import pytest
 
+from pdrop import harness
 from pdrop.cli import main
+from pdrop.toymodel import forward_pruned
 
 TOY_MODEL = {
     "num_layers": 8, "hidden_size": 64, "num_heads": 4,
@@ -171,6 +173,39 @@ def test_sweep_tiny_ratio_step_is_rejected_at_once(capsys, config_file, tmp_path
     err = capsys.readouterr().err
     assert code == 2
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.fixture
+def forward_calls(monkeypatch):
+    """Counts the forwards a command runs."""
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return forward_pruned(*args, **kwargs)
+
+    monkeypatch.setattr(harness, "forward_pruned", counted)
+    return calls
+
+
+@pytest.mark.parametrize("layers, ratios, message", [
+    ("2,8", "0.1,0.3,0.5,0.7,0.9", "sweep layer 8 >= num_layers 8"),
+    ("1,2,4,6", "0.1,0.3,0.5,0.7,1.5", "keep_ratio must be in [0, 1], got 1.5"),
+], ids=["layer_past_last", "ratio_in_late_cell"])
+def test_sweep_bad_cell_rejected_before_any_forward(capsys, config_file, tmp_path,
+                                                    forward_calls, layers, ratios, message):
+    code = main(["sweep", "--config", config_file, "--layers", layers,
+                 "--ratios", ratios, "--out", str(tmp_path / "sweep.csv")])
+    assert code == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert forward_calls == []
+
+
+def test_sweep_runs_one_forward(capsys, config_file, tmp_path, forward_calls):
+    code = main(["sweep", "--config", config_file, "--layers", "6,1,2,4,2",
+                 "--ratios", "0.1,0.3,0.5,0.7,0.9", "--out", str(tmp_path / "sweep.csv")])
+    assert code == 0
+    assert len(forward_calls) == 1
 
 
 def test_sweep_csv(capsys, config_file, tmp_path):

@@ -3,17 +3,20 @@ import json
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from pdrop.costmodel import strategy_cost
 from pdrop.errors import ConfigError, PdropError
 from pdrop.harness import (
     STRATEGIES,
     ExperimentSpec,
     FixtureSpec,
+    SweepRow,
     emit_masks,
     make_marker_sequence,
     marker_recall,
+    prepare,
     run_compare,
     run_layer_sweep,
     run_single,
@@ -23,7 +26,7 @@ from pdrop.harness import (
     write_sweep_csv,
 )
 from pdrop.pruner import PyramidDrop, RandomDrop, SingleEarlyDrop, UniformCompression, Vanilla
-from pdrop.toymodel import TOY_CONFIG
+from pdrop.toymodel import TOY_CONFIG, forward_pruned
 
 
 def marker_spec(**overrides) -> ExperimentSpec:
@@ -127,6 +130,82 @@ class TestSweep:
         lines = out.read_text().strip().splitlines()
         assert lines[0] == "layer,keep_ratio,recall,kept_count,flops"
         assert len(lines) == 5
+
+
+def per_cell_sweep(spec: ExperimentSpec) -> list[SweepRow]:
+    """Reference route for ``run_layer_sweep``: one full forward per
+    (layer, ratio) cell with that cell's single-drop schedule."""
+    weights, seq, marked = prepare(spec)
+    cfg = spec.model
+    v0 = seq.num_image_tokens
+    rows = []
+    for layer in spec.sweep_layers:
+        for ratio in spec.sweep_ratios:
+            strategy = SingleEarlyDrop(drop_layer=layer, keep_ratio=ratio)
+            schedule = strategy.schedule(cfg.num_layers, v0)
+            trace = forward_pruned(weights, seq, schedule)
+            cost = strategy_cost(strategy, cfg.num_layers, v0, cfg.hidden_size, cfg.ffn_intermediate)
+            rows.append(SweepRow(
+                layer=layer,
+                keep_ratio=ratio,
+                recall=marker_recall(trace.kept_masks, marked, v0),
+                kept_count=schedule.stage_token_counts[-1],
+                flops=cost.total,
+            ))
+    return rows
+
+
+@st.composite
+def sweep_specs(draw):
+    v0 = draw(st.integers(0, 24))
+    fixture = FixtureSpec(
+        image_tokens=v0,
+        marked_count=draw(st.integers(0, min(4, v0))),
+        marked_placement=draw(st.sampled_from(["high", "low", "random"])),
+    )
+    last = TOY_CONFIG.num_layers - 1
+    return ExperimentSpec(
+        model=TOY_CONFIG,
+        seed=draw(st.integers(0, 2**31 - 1)),
+        fixture=fixture,
+        sweep_layers=draw(st.lists(st.integers(1, last), min_size=1, max_size=6)),
+        sweep_ratios=draw(st.lists(st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0),
+                                   min_size=1, max_size=4)),
+        margin_onset_layer=draw(st.integers(1, last)),
+    )
+
+
+@settings(max_examples=100, deadline=None)
+@given(sweep_specs())
+@example(marker_spec(
+    fixture=FixtureSpec(image_tokens=64, marked_placement="random"),
+    sweep_layers=[1, 2, 4, 6], sweep_ratios=[0.1, 0.3, 0.5, 0.7, 0.9],
+))
+@example(marker_spec(
+    fixture=FixtureSpec(image_tokens=24, marked_placement="low"),
+    sweep_layers=[6, 2, 2, 1, 4], sweep_ratios=[0.0, 1.0, 0.5], margin_onset_layer=4,
+))
+def test_one_forward_sweep_matches_per_cell_forwards(spec):
+    assert run_layer_sweep(spec) == per_cell_sweep(spec)
+
+
+def test_rope_distance_bias_pinned_at_9patch_geometry():
+    """The marker signal sits in rotary pair head_dim - 2, which turns by
+    theta^(-(head_dim - 2) / head_dim) rad per position (3.2e-4 at theta
+    1e4). Past about 4967 positions from the last instruction token the
+    marked keys score below the noise, so at V0=5184 recall depends on
+    where the markers sit; theta 1e6 slows the rotation and restores it."""
+    recalls = {}
+    for placement, theta in [("low", 1e4), ("random", 1e4), ("high", 1e4), ("low", 1e6)]:
+        spec = ExperimentSpec(
+            model=dataclasses.replace(TOY_CONFIG, rope_theta=theta),
+            seed=7,
+            fixture=FixtureSpec(image_tokens=5184, marked_count=4, marked_placement=placement),
+            strategy=PyramidDrop(4, 0.5),
+        )
+        recalls[placement, theta] = run_single(spec).recall
+    assert recalls == {("low", 1e4): 0.0, ("random", 1e4): 0.75,
+                       ("high", 1e4): 1.0, ("low", 1e6): 1.0}
 
 
 class TestRandomRecall:
