@@ -11,7 +11,7 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
@@ -295,9 +295,10 @@ def run_layer_sweep(spec: ExperimentSpec) -> list[SweepRow]:
     FastV-style cut ``SingleEarlyDrop(layer, ratio)``. A cell's row depends
     only on the ranking scores at its drop layer, and the layers before
     that drop run at full width in every cell. So every cell is validated
-    first, then one keep-all forward runs with a boundary at each distinct
-    sweep layer and records that boundary's scores; each cell's kept set
-    is the top ``floor(ratio * V0)`` of its layer's scores."""
+    first, then one keep-all forward through the last sweep layer runs with
+    a boundary at each distinct sweep layer and records that boundary's
+    scores; each cell's kept set is the top ``floor(ratio * V0)`` of its
+    layer's scores."""
     if not spec.sweep_layers or not spec.sweep_ratios:
         raise ConfigError("sweep needs nonempty layer and ratio grids")
     weights, seq, marked = prepare(spec)
@@ -318,7 +319,11 @@ def run_layer_sweep(spec: ExperimentSpec) -> list[SweepRow]:
         scores[boundaries[stage]] = attention_ranker(q_last, k_image, stage)
         return scores[boundaries[stage]]
 
-    layer_counts = tuple(np.diff([0, *boundaries, cfg.num_layers]).tolist())
+    # no row reads a layer past the last sweep layer, nor the logits: run
+    # the first last + 1 layers, since the final stage needs one
+    depth = boundaries[-1] + 1
+    weights = replace(weights, config=replace(cfg, num_layers=depth), layers=weights.layers[:depth])
+    layer_counts = tuple(np.diff([0, *boundaries, depth]).tolist())
     keep_all = StageSchedule(layer_counts, (v0,) * len(layer_counts))
     forward_pruned(weights, seq, keep_all, ranker=record)
 

@@ -83,6 +83,10 @@ class DecoderWeights:
 
 @dataclass
 class ForwardTrace:
+    """What one forward returns. ``hidden`` holds one array, the final
+    layer's hidden states of the surviving tokens; earlier layers' states
+    are not kept."""
+
     hidden: list[np.ndarray] = field(default_factory=list)
     logits: np.ndarray | None = None
     kept_masks: list[tuple[int, np.ndarray]] = field(default_factory=list)
@@ -144,7 +148,8 @@ def _causal_attention(q, k, v, positions):
 
 def _layer_forward(lw: LayerWeights, cfg: ModelConfig, x: np.ndarray, positions: np.ndarray):
     """One pre-norm block. Returns the new residual stream and the
-    post-rotary per-head (q, k) used by the attention itself."""
+    post-rotary per-head (q, k) used by the attention itself. The normed
+    input is freed before the attention and the values before the FFN."""
     n = x.shape[0]
     nh, hd = cfg.num_heads, cfg.head_dim
     h = rmsnorm_rows(x, lw.attn_gain, cfg.rmsnorm_eps)
@@ -152,11 +157,16 @@ def _layer_forward(lw: LayerWeights, cfg: ModelConfig, x: np.ndarray, positions:
     q = rope_rotate_rows((h @ lw.w_q).reshape(n, nh, hd), positions[:, None], cfg.rope_theta)
     k = rope_rotate_rows((h @ lw.w_k).reshape(n, nh, hd), positions[:, None], cfg.rope_theta)
     v = (h @ lw.w_v).reshape(n, nh, hd)
+    del h
     x = x + _causal_attention(q, k, v, positions) @ lw.w_o
+    del v
     hf = rmsnorm_rows(x, lw.ffn_gain, cfg.rmsnorm_eps)
+    # SiLU(gate) * up in place: two n x m buffers live, the same two
+    # elementwise products in the same order as (g * expit(g)) * up
     gate = hf @ lw.w_gate
-    x = x + ((gate * expit(gate)) * (hf @ lw.w_up)) @ lw.w_down
-    return x, q, k
+    gate *= expit(gate)
+    gate *= hf @ lw.w_up
+    return x + gate @ lw.w_down, q, k
 
 
 def forward_pruned(
@@ -193,8 +203,8 @@ def forward_pruned(
     trace = ForwardTrace()
     stage = 0
     for layer_no, lw in enumerate(w.layers, start=1):
+        q = k = None  # the previous layer's q and k are dead: free them before this block
         x, q, k = _layer_forward(lw, cfg, x, positions)
-        trace.hidden.append(x)
         if layer_no not in boundaries:
             continue
         if _inject is not None and _inject[0] == layer_no:
@@ -212,6 +222,7 @@ def forward_pruned(
         positions = positions[rows]
         n_img = kept.size
         stage += 1
+    trace.hidden.append(x)
     trace.logits = x @ w.head
     trace.positions = positions.copy()
     return trace

@@ -14,6 +14,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from layerstates import layer_states
 from maskoracle import masked_pruned_forward
 from pdrop.costmodel import layer_flops, schedule_cost, strategy_cost, tera, theoretical_saving
 from pdrop.harness import (
@@ -119,7 +120,10 @@ def test_c7_no_drop_equivalence():
         full = forward_pruned(weights, seq, keep_all)
         pruned = forward_pruned(weights, seq, schedule)
         assert np.array_equal(pruned.logits, full.logits)
-        assert all(np.array_equal(a, b) for a, b in zip(pruned.hidden, full.hidden))
+        layers = range(1, 9)
+        assert all(np.array_equal(a, b) for a, b in zip(
+            layer_states(weights, seq, schedule, layers),
+            layer_states(weights, seq, keep_all, layers)))
         oracle_hidden, oracle_kept = masked_pruned_forward(weights, seq, keep_all)
         assert oracle_kept == []
         worst = max(worst, max_rel_error(full.hidden[-1], oracle_hidden[full.positions]))
@@ -157,11 +161,14 @@ def test_c9_dropped_token_insensitivity():
         survivors = set(range(v0))
         checked = 0
         for layer, kept in base.kept_masks:
+            after = range(layer + 1, 9)
+            base_states = layer_states(weights, seq, schedule, after)
             for token in sorted(survivors - set(kept.tolist())):
                 injected = inject_at_boundary(weights, seq, schedule, layer, token, garbage)
                 assert np.array_equal(injected.logits, base.logits)
-                for a, b in zip(injected.hidden[layer:], base.hidden[layer:]):
-                    assert np.array_equal(a, b)
+                injected_states = layer_states(weights, seq, schedule, after,
+                                               inject=(layer, token, garbage))
+                assert all(np.array_equal(a, b) for a, b in zip(injected_states, base_states))
                 checked += 1
             survivors = set(kept.tolist())
         assert checked == v0 - schedule.stage_token_counts[-1]

@@ -177,12 +177,12 @@ def test_sweep_tiny_ratio_step_is_rejected_at_once(capsys, config_file, tmp_path
 
 @pytest.fixture
 def forward_calls(monkeypatch):
-    """Counts the forwards a command runs."""
+    """Records the number of layers of each forward a command runs."""
     calls = []
 
-    def counted(*args, **kwargs):
-        calls.append(1)
-        return forward_pruned(*args, **kwargs)
+    def counted(weights, *args, **kwargs):
+        calls.append(weights.config.num_layers)
+        return forward_pruned(weights, *args, **kwargs)
 
     monkeypatch.setattr(harness, "forward_pruned", counted)
     return calls
@@ -205,7 +205,9 @@ def test_sweep_runs_one_forward(capsys, config_file, tmp_path, forward_calls):
     code = main(["sweep", "--config", config_file, "--layers", "6,1,2,4,2",
                  "--ratios", "0.1,0.3,0.5,0.7,0.9", "--out", str(tmp_path / "sweep.csv")])
     assert code == 0
-    assert len(forward_calls) == 1
+    # one forward, stopped after the last sweep layer (6 of 8): the final
+    # stage needs one layer
+    assert forward_calls == [7]
 
 
 def test_sweep_csv(capsys, config_file, tmp_path):

@@ -6,6 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.special import expit
 
+from layerstates import layer_states
 from maskoracle import masked_pruned_forward
 from pdrop.errors import ConfigError, InputError
 from pdrop.layout import MultimodalSequence, build_sequence
@@ -15,6 +16,8 @@ from pdrop.toymodel import (
     ATTENTION_BLOCK_ROWS,
     TOY_CONFIG,
     ModelConfig,
+    _causal_attention,
+    _layer_forward,
     build_marker_model,
     forward_pruned,
     init_model,
@@ -112,7 +115,51 @@ class TestForwardFull:
         a = keep_all_forward(toy_weights, seq)
         b = keep_all_forward(toy_weights, seq)
         assert np.array_equal(a.logits, b.logits)
-        assert all(np.array_equal(x, y) for x, y in zip(a.hidden, b.hidden))
+        keep_all = keep_all_schedule(8, 8)
+        assert all(np.array_equal(x, y) for x, y in zip(
+            layer_states(toy_weights, seq, keep_all, range(1, 9)),
+            layer_states(toy_weights, seq, keep_all, range(1, 9))))
+
+    def test_layer_forward_bit_identical_to_inline_block(self, toy_weights):
+        # the block as one inline expression per half, the FFN written as
+        # (g * expit(g)) * up without in-place products: _layer_forward and
+        # the per-layer states of a forward must both equal it bit for bit
+        cfg = toy_weights.config
+        seq = random_sequence(cfg, 40, seed=15)
+        n, nh, hd = len(seq), cfg.num_heads, cfg.head_dim
+        positions = np.arange(n)
+        states = layer_states(toy_weights, seq, keep_all_schedule(8, 40), range(1, 9))
+        x = np.concatenate([seq.image_embeddings, toy_weights.embedding[seq.text_ids]])
+        for lw, state in zip(toy_weights.layers, states):
+            got, got_q, got_k = _layer_forward(lw, cfg, x, positions)
+            h = rmsnorm_rows(x, lw.attn_gain, cfg.rmsnorm_eps)
+            rows = positions[:, None]
+            q = rope_rotate_rows((h @ lw.w_q).reshape(n, nh, hd), rows, cfg.rope_theta)
+            k = rope_rotate_rows((h @ lw.w_k).reshape(n, nh, hd), rows, cfg.rope_theta)
+            v = (h @ lw.w_v).reshape(n, nh, hd)
+            x = x + _causal_attention(q, k, v, positions) @ lw.w_o
+            hf = rmsnorm_rows(x, lw.ffn_gain, cfg.rmsnorm_eps)
+            gate = hf @ lw.w_gate
+            x = x + ((gate * expit(gate)) * (hf @ lw.w_up)) @ lw.w_down
+            assert np.array_equal(got_q, q) and np.array_equal(got_k, k)
+            assert np.array_equal(got, x)
+            assert np.array_equal(state, x)
+
+    def test_trace_keeps_final_state_in_bounded_memory(self):
+        # toy V0=1152 keep-all: 13.7 MB when the trace held every layer's
+        # state, the FFN four n x m buffers and each layer the last one's
+        # q and k; 7.1 MB without them
+        weights = init_model(TOY_CONFIG, 3)
+        seq = random_sequence(TOY_CONFIG, 1152, seed=3, instr=4, answer=1)
+        tracemalloc.start()
+        try:
+            trace = keep_all_forward(weights, seq)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(trace.hidden) == 1
+        assert trace.hidden[0].shape == (1157, TOY_CONFIG.hidden_size)
+        assert peak < 10e6
 
 
 class TestForwardPruned:
@@ -125,7 +172,9 @@ class TestForwardPruned:
             pruned = forward_pruned(toy_weights, seq, build_schedule(8, 4, 1.0, 12))
             assert [kept.size for _, kept in pruned.kept_masks] == [12, 12, 12]
             assert np.array_equal(pruned.logits, full.logits)
-            assert all(np.array_equal(a, b) for a, b in zip(pruned.hidden, full.hidden))
+            assert all(np.array_equal(a, b) for a, b in zip(
+                layer_states(toy_weights, seq, build_schedule(8, 4, 1.0, 12), range(1, 9)),
+                layer_states(toy_weights, seq, keep_all_schedule(8, 12), range(1, 9))))
 
     def test_stage_counts_and_nesting(self, toy_weights):
         seq = random_sequence(TOY_CONFIG, 16, seed=5)
@@ -142,9 +191,11 @@ class TestForwardPruned:
         seq = random_sequence(TOY_CONFIG, 16, seed=6, instr=2, answer=1)
         schedule = build_schedule(8, 4, 0.5, 16)
         trace = forward_pruned(toy_weights, seq, schedule)
-        # hidden at a boundary layer is recorded before that boundary's drop
         text = 3
-        widths = [h.shape[0] for h in trace.hidden]
+        # the trace keeps the final state only
+        assert [h.shape[0] for h in trace.hidden] == [2 + text]
+        # a boundary layer's state is taken before that boundary's drop
+        widths = [h.shape[0] for h in layer_states(toy_weights, seq, schedule, range(1, 9))]
         assert widths == [e + text for e in [16, 16, 8, 8, 4, 4, 2, 2]]
 
     def test_schedule_mismatch_rejected(self, toy_weights):
@@ -247,14 +298,16 @@ class TestInjection:
         base = forward_pruned(toy_weights, seq, schedule)
         garbage = RngState(55).normals(TOY_CONFIG.hidden_size, 10.0)
         survivors = set(range(16))
-        for (layer, kept), b_idx in zip(base.kept_masks, range(3)):
+        for layer, kept in base.kept_masks:
+            after = range(layer + 1, 9)  # the layers past the boundary
+            base_states = layer_states(toy_weights, seq, schedule, after)
             dropped_here = survivors - set(kept.tolist())
             for token in sorted(dropped_here):
                 injected = inject_at_boundary(toy_weights, seq, schedule, layer, token, garbage)
                 assert np.array_equal(injected.logits, base.logits)
-                boundary_idx = layer  # hidden[layer:] are post-boundary layers
-                for a, b in zip(injected.hidden[boundary_idx:], base.hidden[boundary_idx:]):
-                    assert np.array_equal(a, b)
+                injected_states = layer_states(toy_weights, seq, schedule, after,
+                                               inject=(layer, token, garbage))
+                assert all(np.array_equal(a, b) for a, b in zip(injected_states, base_states))
             survivors = set(kept.tolist())
 
     def test_kept_token_injection_changes_logits(self, toy_weights):
@@ -273,10 +326,14 @@ class TestInjection:
         base = forward_pruned(toy_weights, seq, schedule)
         layer = schedule.boundary_layers[0]
         token = 3
-        original = base.hidden[layer - 1][token]  # positions == storage before first drop
+        # positions == storage before the first drop
+        original = layer_states(toy_weights, seq, schedule, [layer])[0][token]
         injected = inject_at_boundary(toy_weights, seq, schedule, layer, token, original)
         assert np.array_equal(injected.logits, base.logits)
-        assert all(np.array_equal(a, b) for a, b in zip(injected.hidden, base.hidden))
+        after = range(layer + 1, 9)
+        assert all(np.array_equal(a, b) for a, b in zip(
+            layer_states(toy_weights, seq, schedule, after, inject=(layer, token, original)),
+            layer_states(toy_weights, seq, schedule, after)))
 
     def test_invalid_targets_rejected(self, toy_weights):
         seq = random_sequence(TOY_CONFIG, 16, seed=12)
