@@ -17,7 +17,7 @@ import numpy as np
 
 from .costmodel import CostReport, strategy_cost
 from .errors import ConfigError, InputError
-from .layout import MultimodalSequence, build_sequence, load_sequence
+from .layout import MultimodalSequence, build_sequence, check_image_size, load_sequence
 from .numkernel import RngState, derive_seed
 from .pruner import (
     PyramidDrop,
@@ -204,6 +204,7 @@ def make_marker_sequence(
     if fixture.answer_length < 0:
         raise ConfigError(f"negative answer length {fixture.answer_length}")
     d = cfg.hidden_size
+    check_image_size(v0, d)
     rng = RngState(derive_seed(seed, 101))
     emb = fixture.noise * rng.normals(v0 * d).reshape(v0, d) if v0 else np.zeros((0, d))
     if fixture.marked_placement == "high":

@@ -16,6 +16,23 @@ import numpy as np
 from .errors import InputError
 
 
+# image tokens x hidden size past which no sequence is built or run: 2**22
+# float64 elements, 32 MiB of image embeddings (the paper's 9-patch count,
+# V0=5184, at the toy width of 64 is 331,776); a forward's own buffers are
+# a few times its embeddings
+MAX_IMAGE_ELEMENTS = 1 << 22
+
+
+def check_image_size(num_image_tokens: int, hidden_size: int) -> None:
+    """Refuse, before anything of that size is allocated, a sequence of
+    more than MAX_IMAGE_ELEMENTS image-embedding elements."""
+    if num_image_tokens * hidden_size > MAX_IMAGE_ELEMENTS:
+        raise InputError(
+            f"{num_image_tokens} image tokens x hidden size {hidden_size} exceeds "
+            f"the bound of {MAX_IMAGE_ELEMENTS} elements"
+        )
+
+
 @dataclass
 class MultimodalSequence:
     """One prefill sequence: ``image_embeddings`` rows (positions

@@ -76,19 +76,29 @@ def softmax_rows(a: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     return out
 
 
-def rmsnorm_rows(a: np.ndarray, gain: np.ndarray, eps: float) -> np.ndarray:
+def rmsnorm_rows(
+    a: np.ndarray, gain: np.ndarray, eps: float, out: np.ndarray | None = None
+) -> np.ndarray:
+    """``a * gain / sqrt(mean(a * a) + eps)`` per row. ``out``, which must
+    not overlap ``a``, receives the squares and then the result."""
     a = np.asarray(a, dtype=np.float64)
     gain = np.asarray(gain, dtype=np.float64)
     if a.ndim != 2 or a.shape[1] != gain.shape[0]:
         raise ShapeError(f"rmsnorm_rows mismatch: {a.shape} vs gain {gain.shape}")
-    return a * gain / np.sqrt(np.mean(a * a, axis=-1, keepdims=True) + eps)
+    mean_square = np.mean(np.multiply(a, a, out=out), axis=-1, keepdims=True)
+    out = np.multiply(a, gain, out=out)
+    out /= np.sqrt(mean_square + eps)
+    return out
 
 
-def rope_rotate_rows(x: np.ndarray, positions: np.ndarray, theta_base: float) -> np.ndarray:
+def rope_rotate_rows(
+    x: np.ndarray, positions: np.ndarray, theta_base: float, out: np.ndarray | None = None
+) -> np.ndarray:
     """Rotate consecutive (even, odd) pairs of the last axis of ``x`` by
     angles scaled by ``positions``, which broadcasts against the leading
     axes: (n, head_dim) rows with (n,) positions, or (n, heads, head_dim)
-    with (n, 1) positions to rotate every head of a row alike."""
+    with (n, 1) positions to rotate every head of a row alike. ``out``, of
+    the shape of ``x`` and not overlapping it, may be any strided view."""
     x = np.asarray(x, dtype=np.float64)
     if x.shape[-1] % 2 != 0:
         raise ConfigError(f"rope requires even head_dim, got {x.shape[-1]}")
@@ -97,9 +107,11 @@ def rope_rotate_rows(x: np.ndarray, positions: np.ndarray, theta_base: float) ->
     inv_freq = theta_base ** (-2.0 * pair / head_dim)
     ang = np.asarray(positions, dtype=np.float64)[..., None] * inv_freq
     cos, sin = np.cos(ang), np.sin(ang)
-    out = np.empty_like(x)
-    out[..., 0::2] = x[..., 0::2] * cos - x[..., 1::2] * sin
-    out[..., 1::2] = x[..., 0::2] * sin + x[..., 1::2] * cos
+    if out is None:
+        out = np.empty_like(x)
+    even, odd = x[..., 0::2], x[..., 1::2]
+    np.subtract(even * cos, odd * sin, out=out[..., 0::2])
+    np.add(even * sin, odd * cos, out=out[..., 1::2])
     return out
 
 

@@ -19,13 +19,6 @@ from .errors import ConfigError, InputError, ShapeError
 from .numkernel import RngState, arg_topk, derive_seed
 
 
-def _drop_count(count: int, keep_ratio: float) -> int:
-    # snap the float ratio to its intended rational so e.g. 0.4 * 345 does
-    # not ceil to 139 through binary rounding noise
-    ratio = Fraction(keep_ratio).limit_denominator(1_000_000)
-    return math.ceil((1 - ratio) * count)
-
-
 @dataclass(frozen=True)
 class StageSchedule:
     """Layers and image tokens in each stage of one forward; each stage
@@ -58,9 +51,15 @@ def build_schedule(num_layers: int, num_stages: int, keep_ratio: float, num_imag
         raise ConfigError(f"keep_ratio must be in (0, 1], got {keep_ratio}")
     base = num_layers // num_stages
     layer_counts = [base] * (num_stages - 1) + [num_layers - base * (num_stages - 1)]
+    # snap the float ratio to its intended rational p/q so e.g. 0.4 * 345
+    # does not ceil to 139 through binary rounding noise; then the count
+    # left by dropping ceil((1 - p/q) * c) of c is c + floor((p - q) * c / q)
+    ratio = Fraction(keep_ratio).limit_denominator(1_000_000)
+    p, q = ratio.numerator, ratio.denominator
     tokens = [num_image_tokens]
     for _ in range(num_stages - 1):
-        tokens.append(tokens[-1] - _drop_count(tokens[-1], keep_ratio))
+        c = tokens[-1]
+        tokens.append(c + (p - q) * c // q)
     return StageSchedule(tuple(layer_counts), tuple(tokens))
 
 

@@ -15,7 +15,7 @@ import numpy as np
 from scipy.special import expit
 
 from .errors import ConfigError, InputError
-from .layout import MultimodalSequence
+from .layout import MultimodalSequence, check_image_size
 from .numkernel import RngState, gaussian_init, rmsnorm_rows, rope_rotate_rows, softmax_rows
 from .pruner import StageSchedule, attention_ranker, decide
 
@@ -127,46 +127,82 @@ def _embed(w: DecoderWeights, seq: MultimodalSequence) -> np.ndarray:
     return np.concatenate([image, w.embedding[text_ids]])
 
 
-def _causal_attention(q, k, v, positions):
+# the diagonal block's mask: rows strictly ascend by position id, so a
+# query row never sees a key row after it
+_ABOVE_DIAGONAL = np.triu(np.ones((ATTENTION_BLOCK_ROWS, ATTENTION_BLOCK_ROWS), dtype=bool), 1)
+
+
+def _causal_attention(qh, kt, vh, out, scores):
     """Causal attention of every head at once, ATTENTION_BLOCK_ROWS query
-    rows at a time, on (n, heads, head_dim) inputs; returns (n, heads *
-    head_dim). Rows ascend by position id (kept rows stay in order, image
-    rows precede text rows), so query rows [r0, r1) see only keys [0, r1)
-    and only the diagonal block needs the mask by position id."""
-    n, nh, hd = q.shape
-    qh = np.ascontiguousarray(q.transpose(1, 0, 2)) * (1.0 / np.sqrt(hd))
-    kt = np.ascontiguousarray(k.transpose(1, 2, 0))
-    vh = np.ascontiguousarray(v.transpose(1, 0, 2))
-    out = np.empty((nh, n, hd))
+    rows at a time, into ``out`` (heads, n, head_dim). Takes the post-rotary
+    queries ``qh`` (heads, n, head_dim), which it scales in place by
+    1/sqrt(head_dim), the keys ``kt`` (heads, head_dim, n) and the values
+    ``vh`` (heads, n, head_dim); ``scores`` is a flat buffer of at least
+    heads * ATTENTION_BLOCK_ROWS * n floats for the score block. Rows
+    strictly ascend by position id (kept rows stay in order, image rows
+    precede text rows), so query rows [r0, r1) see only keys [0, r1) and
+    only the diagonal block needs a mask, its strict upper triangle."""
+    nh, n, hd = qh.shape
+    qh *= 1.0 / np.sqrt(hd)
     for r0 in range(0, n, ATTENTION_BLOCK_ROWS):
         r1 = min(r0 + ATTENTION_BLOCK_ROWS, n)
-        scores = qh[:, r0:r1] @ kt[:, :, :r1]
-        scores[:, :, r0:][:, positions[None, r0:r1] > positions[r0:r1, None]] = -np.inf
-        np.matmul(softmax_rows(scores, out=scores), vh[:, :r1], out=out[:, r0:r1])
-    return out.transpose(1, 0, 2).reshape(n, nh * hd)
+        rows = r1 - r0
+        block = scores[:nh * rows * r1].reshape(nh, rows, r1)
+        np.matmul(qh[:, r0:r1], kt[:, :, :r1], out=block)
+        np.copyto(block[:, :, r0:], -np.inf, where=_ABOVE_DIAGONAL[:rows, :rows])
+        np.matmul(softmax_rows(block, out=block), vh[:, :r1], out=out[:, r0:r1])
 
 
-def _layer_forward(lw: LayerWeights, cfg: ModelConfig, x: np.ndarray, positions: np.ndarray):
-    """One pre-norm block. Returns the new residual stream and the
-    post-rotary per-head (q, k) used by the attention itself. The normed
-    input is freed before the attention and the values before the FFN."""
-    n = x.shape[0]
+def _workspace(cfg: ModelConfig, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The block buffers of a forward whose widest layer has ``n`` rows: an
+    n x d buffer and one flat arena, which holds the projection scratch,
+    the head-major queries and keys and the score block during attention
+    and the two n x m FFN buffers after it. Every layer of the forward
+    works in views of them sized for its own, never larger, row count."""
+    d = cfg.hidden_size
+    attention = 3 * d + cfg.num_heads * ATTENTION_BLOCK_ROWS
+    return np.empty(n * d), np.empty(n * max(attention, 2 * cfg.ffn_intermediate))
+
+
+def _layer_forward(lw: LayerWeights, cfg: ModelConfig, x: np.ndarray, positions: np.ndarray,
+                   workspace, rank=None):
+    """One pre-norm block: adds both residual updates to ``x`` in place and
+    writes every intermediate into views of ``workspace`` (see
+    ``_workspace``). With ``rank=(row, n_img)`` it returns copies of the
+    ranker's inputs, the post-rotary query of ``row`` (heads, head_dim) and
+    the first ``n_img`` keys (heads, n_img, head_dim); they outlive the
+    buffers the FFN reuses."""
+    n, d, m = x.shape[0], cfg.hidden_size, cfg.ffn_intermediate
     nh, hd = cfg.num_heads, cfg.head_dim
-    h = rmsnorm_rows(x, lw.attn_gain, cfg.rmsnorm_eps)
+    h = workspace[0][:n * d].reshape(n, d)
+    arena = workspace[1]
+    t = arena[:n * d].reshape(n, d)
+    qh = arena[n * d:2 * n * d].reshape(nh, n, hd)
+    kt = arena[2 * n * d:3 * n * d].reshape(nh, hd, n)
+    rmsnorm_rows(x, lw.attn_gain, cfg.rmsnorm_eps, out=h)
     # one rotation per projection: each row's position broadcasts over heads
-    q = rope_rotate_rows((h @ lw.w_q).reshape(n, nh, hd), positions[:, None], cfg.rope_theta)
-    k = rope_rotate_rows((h @ lw.w_k).reshape(n, nh, hd), positions[:, None], cfg.rope_theta)
-    v = (h @ lw.w_v).reshape(n, nh, hd)
-    del h
-    x = x + _causal_attention(q, k, v, positions) @ lw.w_o
-    del v
-    hf = rmsnorm_rows(x, lw.ffn_gain, cfg.rmsnorm_eps)
-    # SiLU(gate) * up in place: two n x m buffers live, the same two
-    # elementwise products in the same order as (g * expit(g)) * up
-    gate = hf @ lw.w_gate
-    gate *= expit(gate)
-    gate *= hf @ lw.w_up
-    return x + gate @ lw.w_down, q, k
+    for w_proj, rotated in ((lw.w_q, qh.transpose(1, 0, 2)), (lw.w_k, kt.transpose(2, 0, 1))):
+        np.matmul(h, w_proj, out=t)
+        rope_rotate_rows(t.reshape(n, nh, hd), positions[:, None], cfg.rope_theta, out=rotated)
+    ranked = None
+    if rank is not None:
+        row, n_img = rank
+        # the keys in the (row, head, head_dim) layout the ranker always saw
+        k_image = np.ascontiguousarray(kt[:, :, :n_img].transpose(2, 0, 1)).transpose(1, 0, 2)
+        ranked = qh[:, row].copy(), k_image
+    values = np.matmul(h, lw.w_v, out=t).reshape(n, nh, hd).transpose(1, 0, 2)
+    _causal_attention(qh, kt, values, h.reshape(n, nh, hd).transpose(1, 0, 2), arena[3 * n * d:])
+    x += np.matmul(h, lw.w_o, out=t)
+    rmsnorm_rows(x, lw.ffn_gain, cfg.rmsnorm_eps, out=h)
+    gate = arena[:n * m].reshape(n, m)
+    up = arena[n * m:2 * n * m].reshape(n, m)
+    # SiLU(gate) * up: the same two elementwise products in the same order
+    # as (g * expit(g)) * up, with the up buffer holding expit(g) first
+    np.matmul(h, lw.w_gate, out=gate)
+    gate *= expit(gate, out=up)
+    gate *= np.matmul(h, lw.w_up, out=up)
+    x += np.matmul(gate, lw.w_down, out=h)
+    return ranked
 
 
 def forward_pruned(
@@ -183,7 +219,8 @@ def forward_pruned(
     ``ranker(q_last, k_image, stage)`` scores the image tokens with the last
     instruction token's query. ``_inject=(layer, position, vector)``
     overwrites the hidden state of the token at that original position at
-    that boundary, immediately before the drop decision."""
+    that boundary, immediately before the drop decision. The blocks run in
+    one workspace allocated for the first, widest layer."""
     cfg = w.config
     if sum(schedule.stage_layer_counts) != cfg.num_layers:
         raise ConfigError(
@@ -194,7 +231,9 @@ def forward_pruned(
             f"schedule expects {schedule.stage_token_counts[0]} image tokens, "
             f"sequence has {seq.num_image_tokens}"
         )
+    check_image_size(seq.num_image_tokens, cfg.hidden_size)
 
+    workspace = _workspace(cfg, len(seq))
     x = _embed(w, seq)
     positions = np.arange(len(seq), dtype=np.int64)
     n_img = seq.num_image_tokens
@@ -203,18 +242,18 @@ def forward_pruned(
     trace = ForwardTrace()
     stage = 0
     for layer_no, lw in enumerate(w.layers, start=1):
-        q = k = None  # the previous layer's q and k are dead: free them before this block
-        x, q, k = _layer_forward(lw, cfg, x, positions)
         if layer_no not in boundaries:
+            _layer_forward(lw, cfg, x, positions, workspace)
             continue
+        # post-rotary (heads, head_dim) query against (heads, n_img, head_dim) keys
+        q_last, k_image = _layer_forward(lw, cfg, x, positions, workspace,
+                                         rank=(n_img + num_instruction - 1, n_img))
         if _inject is not None and _inject[0] == layer_no:
             slot = np.nonzero(positions == _inject[1])[0]
             if not slot.size:
                 raise ConfigError(f"token {_inject[1]} no longer survives at layer {layer_no}")
-            x = x.copy()
             x[slot[0]] = _inject[2]
-        # post-rotary (heads, head_dim) query against (heads, n_img, head_dim) keys
-        scores = ranker(q[n_img + num_instruction - 1], np.transpose(k[:n_img], (1, 0, 2)), stage)
+        scores = ranker(q_last, k_image, stage)
         kept = decide(scores, schedule, stage)
         trace.kept_masks.append((layer_no, positions[kept]))
         rows = np.concatenate([kept, np.arange(n_img, len(positions))])
@@ -222,6 +261,7 @@ def forward_pruned(
         positions = positions[rows]
         n_img = kept.size
         stage += 1
+    del workspace  # freed before the logits
     trace.hidden.append(x)
     trace.logits = x @ w.head
     trace.positions = positions.copy()

@@ -3,7 +3,7 @@ import time
 
 import pytest
 
-from pdrop import harness
+from pdrop import harness, layout
 from pdrop.cli import main
 from pdrop.toymodel import forward_pruned
 
@@ -173,6 +173,44 @@ def test_sweep_tiny_ratio_step_is_rejected_at_once(capsys, config_file, tmp_path
     err = capsys.readouterr().err
     assert code == 2
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+SIZE_COMMANDS = {
+    "run": ["run"],
+    "compare": ["compare", "--strategies", "vanilla,pdrop"],
+    "sweep": ["sweep", "--layers", "2", "--ratios", "0.5"],
+}
+
+
+@pytest.mark.parametrize("command", SIZE_COMMANDS)
+@pytest.mark.parametrize("image_tokens, code", [(16, 0), (17, 2)], ids=["at_bound", "past_bound"])
+def test_image_size_bound(capsys, monkeypatch, tmp_path, command, image_tokens, code):
+    # the bound shrunk to 16 toy-width image tokens, so nothing large is
+    # allocated on either side of it
+    monkeypatch.setattr(layout, "MAX_IMAGE_ELEMENTS", 16 * TOY_MODEL["hidden_size"])
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"model": TOY_MODEL, "fixture": {"image_tokens": image_tokens}}))
+    argv = [*SIZE_COMMANDS[command], "--config", str(path)]
+    if command != "run":
+        argv += ["--out", str(tmp_path / "out")]
+    assert main(argv) == code
+    err = capsys.readouterr().err
+    if code:
+        assert err == (f"error: {image_tokens} image tokens x hidden size 64 exceeds "
+                       f"the bound of 1024 elements\n")
+
+
+def test_fixture_file_past_image_size_bound(capsys, monkeypatch, tmp_path):
+    # a fixture file is read whole, and the forward refuses it before its
+    # own buffers are allocated
+    monkeypatch.setattr(layout, "MAX_IMAGE_ELEMENTS", 4 * TOY_MODEL["hidden_size"] - 1)
+    fixture = tmp_path / "fixture.json"
+    fixture.write_text(json.dumps({"image": [[0.0] * 64] * 4, "instruction": [1, 2]}))
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"model": TOY_MODEL, "fixture": {"path": str(fixture)}}))
+    assert main(["run", "--config", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: 4 image tokens x hidden size 64 exceeds") and err.count("\n") == 1
 
 
 @pytest.fixture

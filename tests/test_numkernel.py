@@ -66,6 +66,15 @@ class TestRmsnorm:
     def test_zero_input(self):
         assert np.array_equal(rmsnorm_rows(np.zeros((2, 4)), np.ones(4), 1e-6), np.zeros((2, 4)))
 
+    def test_out_buffer_bit_identical(self):
+        rng = RngState(29)
+        a = rng.normals(5 * 8).reshape(5, 8)
+        gain = rng.normals(8)
+        buffer = np.full(6 * 8, np.nan)
+        out = rmsnorm_rows(a, gain, 1e-6, out=buffer[:40].reshape(5, 8))
+        assert np.shares_memory(out, buffer)
+        assert np.array_equal(out, rmsnorm_rows(a, gain, 1e-6))
+
     def test_length_mismatch(self):
         with pytest.raises(ShapeError):
             rmsnorm_rows(np.zeros((1, 4)), np.ones(3), 1e-6)
@@ -95,6 +104,16 @@ class TestRopeRotate:
         out = rope_rotate_rows(x, positions[:, None], 10000.0)
         for head in range(4):
             assert np.array_equal(out[:, head], rope_rotate_rows(x[:, head], positions, 10000.0))
+
+    def test_strided_out_bit_identical(self):
+        # rotated straight into a head-major buffer, through its (n, heads,
+        # head_dim) view
+        rng = RngState(37)
+        x = rng.normals(7 * 4 * 16).reshape(7, 4, 16)
+        positions = np.array([0, 1, 2, 5, 9, 40, 1000])[:, None]
+        head_major = np.empty((4, 7, 16))
+        rope_rotate_rows(x, positions, 10000.0, out=head_major.transpose(1, 0, 2))
+        assert np.array_equal(head_major.transpose(1, 0, 2), rope_rotate_rows(x, positions, 10000.0))
 
     @given(st.lists(st.floats(-10, 10), min_size=2, max_size=16).filter(lambda v: len(v) % 2 == 0),
            st.integers(0, 5000))

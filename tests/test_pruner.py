@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pdrop.cli import main
@@ -92,6 +92,24 @@ class TestBuildSchedule:
             assert b <= a
         assert all(x < y for x, y in zip(s.boundary_layers, s.boundary_layers[1:]))
         assert all(b < num_layers for b in s.boundary_layers)
+
+    @settings(max_examples=300)
+    @given(v0=st.one_of(st.integers(0, 69), st.sampled_from([345, 576, 1152, 2880, 5184, 10**6 + 7]),
+                        st.integers(0, 10**7)),
+           stages=st.integers(1, 8),
+           ratio=st.floats(0.0, 1.0, exclude_min=True))
+    @example(v0=345, stages=8, ratio=1 / 3)
+    @example(v0=10**6 + 7, stages=8, ratio=0.1 + 0.2)
+    @example(v0=10**6 + 7, stages=8, ratio=1e-7)
+    @example(v0=10**6 + 7, stages=8, ratio=0.9999995)
+    def test_integer_recurrence_matches_per_stage_fraction_form(self, v0, stages, ratio):
+        # the recurrence as it was written: the float ratio snapped to a
+        # Fraction again at every stage, and the drop count a Fraction ceiling
+        tokens = [v0]
+        for _ in range(stages - 1):
+            drop = math.ceil((1 - Fraction(ratio).limit_denominator(10**6)) * tokens[-1])
+            tokens.append(tokens[-1] - drop)
+        assert build_schedule(8, stages, ratio, v0).stage_token_counts == tuple(tokens)
 
 
 class TestRanking:

@@ -8,6 +8,7 @@ from scipy.special import expit
 
 from layerstates import layer_states
 from maskoracle import masked_pruned_forward
+from pdrop import layout, toymodel
 from pdrop.errors import ConfigError, InputError
 from pdrop.layout import MultimodalSequence, build_sequence
 from pdrop.numkernel import RngState, derive_seed, rmsnorm_rows, rope_rotate_rows, softmax_rows
@@ -18,6 +19,7 @@ from pdrop.toymodel import (
     ModelConfig,
     _causal_attention,
     _layer_forward,
+    _workspace,
     build_marker_model,
     forward_pruned,
     init_model,
@@ -123,27 +125,47 @@ class TestForwardFull:
     def test_layer_forward_bit_identical_to_inline_block(self, toy_weights):
         # the block as one inline expression per half, the FFN written as
         # (g * expit(g)) * up without in-place products: _layer_forward and
-        # the per-layer states of a forward must both equal it bit for bit
+        # the per-layer states of a forward must both equal it bit for bit.
+        # Keep-all at V0=40, then S=4 lambda=0.5 at V0=70, whose layers after
+        # each drop run on 75, 40, 22 and 13 rows, across the 32-row
+        # attention block edge, in views of one workspace sized for 75
         cfg = toy_weights.config
-        seq = random_sequence(cfg, 40, seed=15)
-        n, nh, hd = len(seq), cfg.num_heads, cfg.head_dim
-        positions = np.arange(n)
-        states = layer_states(toy_weights, seq, keep_all_schedule(8, 40), range(1, 9))
-        x = np.concatenate([seq.image_embeddings, toy_weights.embedding[seq.text_ids]])
-        for lw, state in zip(toy_weights.layers, states):
-            got, got_q, got_k = _layer_forward(lw, cfg, x, positions)
-            h = rmsnorm_rows(x, lw.attn_gain, cfg.rmsnorm_eps)
-            rows = positions[:, None]
-            q = rope_rotate_rows((h @ lw.w_q).reshape(n, nh, hd), rows, cfg.rope_theta)
-            k = rope_rotate_rows((h @ lw.w_k).reshape(n, nh, hd), rows, cfg.rope_theta)
-            v = (h @ lw.w_v).reshape(n, nh, hd)
-            x = x + _causal_attention(q, k, v, positions) @ lw.w_o
-            hf = rmsnorm_rows(x, lw.ffn_gain, cfg.rmsnorm_eps)
-            gate = hf @ lw.w_gate
-            x = x + ((gate * expit(gate)) * (hf @ lw.w_up)) @ lw.w_down
-            assert np.array_equal(got_q, q) and np.array_equal(got_k, k)
-            assert np.array_equal(got, x)
-            assert np.array_equal(state, x)
+        nh, hd = cfg.num_heads, cfg.head_dim
+        for v0, stages in [(40, 1), (70, 4)]:
+            schedule = build_schedule(8, stages, 0.5, v0)
+            seq = random_sequence(cfg, v0, seed=15)
+            kept = dict(forward_pruned(toy_weights, seq, schedule).kept_masks)
+            states = layer_states(toy_weights, seq, schedule, range(1, 9))
+            positions = np.arange(len(seq))
+            workspace = _workspace(cfg, len(seq))
+            x = np.concatenate([seq.image_embeddings, toy_weights.embedding[seq.text_ids]])
+            for layer_no, lw, state in zip(range(1, 9), toy_weights.layers, states):
+                n = len(positions)
+                got = x.copy()
+                got_q, got_k = _layer_forward(lw, cfg, got, positions, workspace,
+                                              rank=(slice(None), n))
+                h = rmsnorm_rows(x, lw.attn_gain, cfg.rmsnorm_eps)
+                rows = positions[:, None]
+                q = rope_rotate_rows((h @ lw.w_q).reshape(n, nh, hd), rows, cfg.rope_theta)
+                k = rope_rotate_rows((h @ lw.w_k).reshape(n, nh, hd), rows, cfg.rope_theta)
+                v = (h @ lw.w_v).reshape(n, nh, hd)
+                attention = np.empty((nh, n, hd))
+                _causal_attention(np.ascontiguousarray(q.transpose(1, 0, 2)),
+                                  np.ascontiguousarray(k.transpose(1, 2, 0)),
+                                  np.ascontiguousarray(v.transpose(1, 0, 2)), attention,
+                                  np.empty(nh * ATTENTION_BLOCK_ROWS * n))
+                x = x + attention.transpose(1, 0, 2).reshape(n, nh * hd) @ lw.w_o
+                hf = rmsnorm_rows(x, lw.ffn_gain, cfg.rmsnorm_eps)
+                gate = hf @ lw.w_gate
+                x = x + ((gate * expit(gate)) * (hf @ lw.w_up)) @ lw.w_down
+                assert (np.array_equal(got_q, q.transpose(1, 0, 2))
+                        and np.array_equal(got_k, k.transpose(1, 0, 2)))
+                assert np.array_equal(got, x)
+                assert np.array_equal(state, x)
+                if layer_no in kept:
+                    survives = np.isin(positions, kept[layer_no]) | (positions >= v0)
+                    x, positions = x[survives], positions[survives]
+            assert len(positions) == (len(seq) if stages == 1 else 8 + 5)
 
     def test_trace_keeps_final_state_in_bounded_memory(self):
         # toy V0=1152 keep-all: 13.7 MB when the trace held every layer's
@@ -160,6 +182,29 @@ class TestForwardFull:
         assert len(trace.hidden) == 1
         assert trace.hidden[0].shape == (1157, TOY_CONFIG.hidden_size)
         assert peak < 10e6
+
+
+    def test_forward_runs_in_one_workspace(self):
+        # toy V0=1152 keep-all: 7.08 MB when each block allocated its arrays
+        # afresh, 5.26 MB with one workspace sized for the first layer
+        weights = init_model(TOY_CONFIG, 3)
+        seq = random_sequence(TOY_CONFIG, 1152, seed=3, instr=4, answer=1)
+        tracemalloc.start()
+        try:
+            keep_all_forward(weights, seq)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 6e6
+
+    def test_image_size_bound_checked_before_allocation(self, toy_weights, monkeypatch):
+        seq = random_sequence(TOY_CONFIG, 6, seed=16)
+        monkeypatch.setattr(layout, "MAX_IMAGE_ELEMENTS", 6 * TOY_CONFIG.hidden_size)
+        assert len(keep_all_forward(toy_weights, seq).hidden) == 1
+        monkeypatch.setattr(layout, "MAX_IMAGE_ELEMENTS", 6 * TOY_CONFIG.hidden_size - 1)
+        monkeypatch.setattr(toymodel, "_workspace", None)  # reached only past the check
+        with pytest.raises(InputError, match="6 image tokens x hidden size 64 exceeds"):
+            keep_all_forward(toy_weights, seq)
 
 
 class TestForwardPruned:
@@ -289,6 +334,23 @@ class TestForwardPruned:
             scores = rank_image_tokens(q, k)
             is_kept = np.isin(survivors, kept)
             assert scores[is_kept].min() >= scores[~is_kept].max()
+
+
+    def test_ranker_may_keep_its_arguments(self, toy_weights):
+        # the forward reuses its buffers after each boundary: what it hands
+        # a ranker must stay as it was handed
+        seq = random_sequence(TOY_CONFIG, 40, seed=17)
+        held, copies = [], []
+
+        def keeping(q_last, k_image, stage):
+            held.append((q_last, k_image))
+            copies.append((q_last.copy(), k_image.copy()))
+            return attention_ranker(q_last, k_image, stage)
+
+        forward_pruned(toy_weights, seq, build_schedule(8, 4, 0.5, 40), ranker=keeping)
+        assert len(held) == 3
+        for (q, k), (q_then, k_then) in zip(held, copies):
+            assert np.array_equal(q, q_then) and np.array_equal(k, k_then)
 
 
 class TestInjection:
