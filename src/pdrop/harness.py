@@ -16,7 +16,7 @@ from dataclasses import dataclass, field, fields, replace
 import numpy as np
 
 from .costmodel import CostReport, strategy_cost
-from .errors import ConfigError, InputError
+from .errors import ConfigError
 from .layout import MultimodalSequence, build_sequence, check_image_size, load_sequence
 from .numkernel import RngState, derive_seed
 from .pruner import (
@@ -27,7 +27,6 @@ from .pruner import (
     Strategy,
     UniformCompression,
     Vanilla,
-    attention_ranker,
     build_schedule,
     decide,
     random_ranker,
@@ -153,7 +152,7 @@ def strategy_from_json(obj) -> Strategy:
 
 def spec_from_json(obj: dict) -> ExperimentSpec:
     try:
-        model = _from_fields(ModelConfig, obj["model"], "model").validate()
+        model = _from_fields(ModelConfig, obj["model"], "model")
     except (KeyError, TypeError) as exc:
         raise ConfigError(f"bad model config: {exc}") from exc
     fixture = None
@@ -225,12 +224,7 @@ def make_marker_sequence(
 def prepare(spec: ExperimentSpec) -> tuple[DecoderWeights, MultimodalSequence, np.ndarray]:
     """Resolve (weights, sequence, marked positions) for a run."""
     if spec.fixture_path is not None:
-        seq = load_sequence(spec.fixture_path)
-        if seq.num_image_tokens and seq.image_embeddings.shape[1] != spec.model.hidden_size:
-            raise InputError(
-                f"fixture embedding dim {seq.image_embeddings.shape[1]} "
-                f"!= model hidden size {spec.model.hidden_size}"
-            )
+        seq = load_sequence(spec.fixture_path)  # the forward checks its width
         weights = build_marker_model(
             spec.model, FixtureSpec().marker_dims, margin_onset_layer=spec.margin_onset_layer
         )
@@ -244,11 +238,12 @@ def prepare(spec: ExperimentSpec) -> tuple[DecoderWeights, MultimodalSequence, n
     return weights, seq, marked
 
 
-def marker_recall(kept_masks, marked: np.ndarray, num_image_tokens: int) -> float:
-    if marked.size == 0:
+def marker_recall(kept: np.ndarray | None, marked: np.ndarray) -> float:
+    """Fraction of the ``marked`` image positions among ``kept``, those kept
+    at the last drop boundary, or ``None`` when nothing was dropped."""
+    if kept is None or marked.size == 0:
         return 1.0
-    final = set(kept_masks[-1][1].tolist()) if kept_masks else set(range(num_image_tokens))
-    return sum(1 for p in marked if int(p) in final) / marked.size
+    return int(np.isin(marked, kept).sum()) / marked.size
 
 
 # --- runs ------------------------------------------------------------------
@@ -272,7 +267,7 @@ def run_strategy(
     return RunReport(
         strategy=strategy.name,
         kept_masks=trace.kept_masks,
-        recall=marker_recall(trace.kept_masks, marked, v0),
+        recall=marker_recall(trace.kept_masks[-1][1] if trace.kept_masks else None, marked),
         cost=strategy_cost(strategy, cfg.num_layers, v0, cfg.hidden_size, cfg.ffn_intermediate),
         digest=digest,
     )
@@ -314,19 +309,15 @@ def run_layer_sweep(spec: ExperimentSpec) -> list[SweepRow]:
             cells.append((strategy, strategy.schedule(cfg.num_layers, v0)))
 
     boundaries = sorted(set(spec.sweep_layers))
-    scores = {}
-
-    def record(q_last, k_image, stage):
-        scores[boundaries[stage]] = attention_ranker(q_last, k_image, stage)
-        return scores[boundaries[stage]]
-
     # no row reads a layer past the last sweep layer, nor the logits: run
     # the first last + 1 layers, since the final stage needs one
     depth = boundaries[-1] + 1
     weights = replace(weights, config=replace(cfg, num_layers=depth), layers=weights.layers[:depth])
     layer_counts = tuple(np.diff([0, *boundaries, depth]).tolist())
     keep_all = StageSchedule(layer_counts, (v0,) * len(layer_counts))
-    forward_pruned(weights, seq, keep_all, ranker=record)
+    recorded = []  # each boundary's scores, in layer order
+    forward_pruned(weights, seq, keep_all, ranker=lambda s, stage: recorded.append(s) or s)
+    scores = dict(zip(boundaries, recorded))
 
     rows = []
     for strategy, schedule in cells:
@@ -336,7 +327,7 @@ def run_layer_sweep(spec: ExperimentSpec) -> list[SweepRow]:
         rows.append(SweepRow(
             layer=strategy.drop_layer,
             keep_ratio=strategy.keep_ratio,
-            recall=marker_recall([(strategy.drop_layer, kept)], marked, v0),
+            recall=marker_recall(kept, marked),
             kept_count=schedule.stage_token_counts[-1],
             flops=cost.total,
         ))
@@ -352,10 +343,9 @@ def simulate_random_recall(
     rank = random_ranker(seed)
     surviving = np.arange(v0, dtype=np.int64)
     for stage in range(stages - 1):
-        # the random ranker reads only the number of image keys
-        scores = rank(None, np.empty((0, surviving.size, 0)), stage)
+        scores = rank(np.zeros(surviving.size), stage)  # reads only the count
         surviving = surviving[decide(scores, schedule, stage)]
-    return marker_recall([(stages - 1, surviving)], marked, v0)
+    return marker_recall(surviving, marked)
 
 
 # --- output ----------------------------------------------------------------

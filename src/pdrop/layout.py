@@ -9,6 +9,7 @@ token, which the ranking rule requires.
 from __future__ import annotations
 
 import json
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,6 +22,9 @@ from .errors import InputError
 # V0=5184, at the toy width of 64 is 331,776); a forward's own buffers are
 # a few times its embeddings
 MAX_IMAGE_ELEMENTS = 1 << 22
+# fixture bytes per image element: a float64 repr takes at most 24, plus a
+# separator and json.dump(indent=2)'s newline and indentation, and brackets
+FIXTURE_BYTES_PER_ELEMENT = 40
 
 
 def check_image_size(num_image_tokens: int, hidden_size: int) -> None:
@@ -47,6 +51,8 @@ class MultimodalSequence:
     def __post_init__(self):
         if self.image_embeddings.ndim != 2:
             raise InputError(f"image embeddings must be 2-D rows, got shape {self.image_embeddings.shape}")
+        if self.instruction_ids.ndim != 1 or self.answer_ids.ndim != 1:
+            raise InputError("instruction and answer ids must be flat lists")
         if self.instruction_ids.size == 0:
             raise InputError("instruction must contain at least one token")
         if not np.isfinite(self.image_embeddings).all():
@@ -81,15 +87,29 @@ def build_sequence(
 
 def sequence_from_json(obj: dict) -> MultimodalSequence:
     """Fixture format: {"image": [[...d floats...], ...], "instruction": [ids], "answer": [ids]}."""
+    if not isinstance(obj, dict):
+        raise InputError(f"sequence fixture must be a JSON object, got {type(obj).__name__}")
+    image = obj.get("image", [])
+    if isinstance(image, list):  # counted before it becomes an array, rows as wide as the widest
+        width = max((len(row) if isinstance(row, list) else 1 for row in image), default=0)
+        check_image_size(len(image), width)
     try:
-        image = np.asarray(obj.get("image", []), dtype=np.float64)
-        instruction = obj["instruction"]
-        answer = obj.get("answer", [])
-    except (KeyError, TypeError, ValueError) as exc:
+        image = np.asarray(image, dtype=np.float64)
+        instruction = np.asarray(obj["instruction"], dtype=np.int64)
+        answer = np.asarray(obj.get("answer", []), dtype=np.int64)
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise InputError(f"malformed sequence fixture: {exc}") from exc
     return build_sequence(image, instruction, answer)
 
 
 def load_sequence(path) -> MultimodalSequence:
+    """The fixture at ``path``, refused unparsed if its size is past the bound."""
+    size, bound = os.path.getsize(path), FIXTURE_BYTES_PER_ELEMENT * MAX_IMAGE_ELEMENTS
+    if size > bound:
+        raise InputError(f"fixture file {path} holds {size} bytes, past the bound of {bound}")
     with open(path) as fh:
-        return sequence_from_json(json.load(fh))
+        try:
+            obj = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise InputError(f"{path}: invalid JSON: {exc}") from exc
+    return sequence_from_json(obj)

@@ -70,18 +70,17 @@ def keep_all_schedule(num_layers: int, num_image_tokens: int) -> StageSchedule:
 
 def rank_image_tokens(q_last: np.ndarray, k_image: np.ndarray) -> np.ndarray:
     """Mean over heads of dot(q, k) / sqrt(head_dim) for the last-instruction
-    query ``q_last`` (heads, head_dim) against the image keys ``k_image``
-    (heads, V, head_dim); no softmax, the ranking only needs a monotone
-    score."""
+    query ``q_last`` (heads, head_dim) against the image keys ``k_image`` in
+    the attention kernel's kᵀ layout (heads, head_dim, V); no softmax, the
+    ranking only needs a monotone score."""
     q_last = np.asarray(q_last, dtype=np.float64)
     k_image = np.asarray(k_image, dtype=np.float64)
     if (q_last.ndim != 2 or k_image.ndim != 3 or q_last.shape[0] != k_image.shape[0]
-            or q_last.shape[1] != k_image.shape[2]):
+            or q_last.shape[1] != k_image.shape[1]):
         raise ShapeError(f"bad head shapes: q {q_last.shape}, k {k_image.shape}")
     if q_last.shape[0] == 0:
         raise ShapeError("need at least one attention head")
-    per_head = np.einsum("hd,hnd->hn", q_last, k_image) / math.sqrt(q_last.shape[1])
-    return per_head.mean(axis=0)
+    return np.matmul(q_last[:, None, :], k_image)[:, 0].mean(axis=0) / math.sqrt(q_last.shape[1])
 
 
 def decide(scores: np.ndarray, schedule: StageSchedule, stage: int) -> np.ndarray:
@@ -107,12 +106,12 @@ class Strategy:
     """A strategy is its stage schedule,
     ``schedule(num_layers, num_image_tokens)``, plus ``ranker(seed)``, the
     ranker that picks the kept set at each drop boundary of a run. A ranker
-    is called as ``ranker(q_last, k_image, stage)`` with the post-rotary
-    last-instruction query (heads, head_dim) and the surviving image keys
-    (heads, V, head_dim), and returns one float64 score per image key."""
+    is called as ``ranker(scores, stage)`` with the ``rank_image_tokens``
+    score of each surviving image token and returns one float64 score per
+    token; the boundary keeps the highest."""
 
     def ranker(self, seed: int):
-        return attention_ranker
+        return identity_ranker
 
 
 @dataclass(frozen=True)
@@ -182,12 +181,12 @@ def random_ranker(seed: int):
     """Ranker callable producing seeded uniform scores; the per-stage stream
     is derived from (seed, stage) so row order never matters."""
 
-    def rank(q_last, k_image, stage):
-        return RngState(derive_seed(seed, stage)).uniforms(k_image.shape[1])
+    def rank(scores, stage):
+        return RngState(derive_seed(seed, stage)).uniforms(scores.size)
 
     return rank
 
 
-def attention_ranker(q_last, k_image, stage):
-    """Default ranker: last-instruction query against surviving image keys."""
-    return rank_image_tokens(q_last, k_image)
+def identity_ranker(scores, stage):
+    """Default ranker: the paper's rule keeps the highest attention scores."""
+    return scores

@@ -1,10 +1,10 @@
 """A small causal decoder instrumented for staged image-token dropping.
 
 Pre-norm residual blocks with RMS normalization, rotary positions, and a
-gated three-linear FFN. At each stage boundary the forward hands the
-last instruction token's query and the surviving image keys to a ranker,
-then physically removes the dropped image rows; kept tokens keep their
-original position ids.
+gated three-linear FFN. At each stage boundary the forward scores the
+surviving image keys against the last instruction token's query once,
+hands the scores to a ranker, then physically removes the dropped image
+rows; kept tokens keep their original position ids.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from scipy.special import expit
 from .errors import ConfigError, InputError
 from .layout import MultimodalSequence, check_image_size
 from .numkernel import RngState, gaussian_init, rmsnorm_rows, rope_rotate_rows, softmax_rows
-from .pruner import StageSchedule, attention_ranker, decide
+from .pruner import StageSchedule, decide, identity_ranker, rank_image_tokens
 
 INIT_STDDEV = 0.02
 # query rows per attention block: on 2 vCPUs with one BLAS thread, 32 is the
@@ -37,7 +37,7 @@ class ModelConfig:
     rope_theta: float = 10000.0
     rmsnorm_eps: float = 1e-6
 
-    def validate(self) -> "ModelConfig":
+    def __post_init__(self):
         if self.num_layers < 1:
             raise ConfigError(f"need at least one layer, got {self.num_layers}")
         if self.hidden_size != self.num_heads * self.head_dim:
@@ -50,7 +50,6 @@ class ModelConfig:
             raise ConfigError("heads, ffn_intermediate and vocab_size must be positive")
         if self.rope_theta <= 0 or self.rmsnorm_eps <= 0:
             raise ConfigError("rope_theta and rmsnorm_eps must be positive")
-        return self
 
 
 # toy default: small enough for second-scale test runs
@@ -94,7 +93,6 @@ class ForwardTrace:
 
 
 def init_model(cfg: ModelConfig, seed: int) -> DecoderWeights:
-    cfg.validate()
     rng = RngState(seed)
     d, m, v = cfg.hidden_size, cfg.ffn_intermediate, cfg.vocab_size
     layers = []
@@ -168,10 +166,9 @@ def _layer_forward(lw: LayerWeights, cfg: ModelConfig, x: np.ndarray, positions:
                    workspace, rank=None):
     """One pre-norm block: adds both residual updates to ``x`` in place and
     writes every intermediate into views of ``workspace`` (see
-    ``_workspace``). With ``rank=(row, n_img)`` it returns copies of the
-    ranker's inputs, the post-rotary query of ``row`` (heads, head_dim) and
-    the first ``n_img`` keys (heads, n_img, head_dim); they outlive the
-    buffers the FFN reuses."""
+    ``_workspace``). With ``rank=(row, n_img)`` it returns the ranking
+    scores of the first ``n_img`` keys against the query of ``row``, taken
+    from the post-rotary q and kᵀ before the attention scales q in place."""
     n, d, m = x.shape[0], cfg.hidden_size, cfg.ffn_intermediate
     nh, hd = cfg.num_heads, cfg.head_dim
     h = workspace[0][:n * d].reshape(n, d)
@@ -184,12 +181,7 @@ def _layer_forward(lw: LayerWeights, cfg: ModelConfig, x: np.ndarray, positions:
     for w_proj, rotated in ((lw.w_q, qh.transpose(1, 0, 2)), (lw.w_k, kt.transpose(2, 0, 1))):
         np.matmul(h, w_proj, out=t)
         rope_rotate_rows(t.reshape(n, nh, hd), positions[:, None], cfg.rope_theta, out=rotated)
-    ranked = None
-    if rank is not None:
-        row, n_img = rank
-        # the keys in the (row, head, head_dim) layout the ranker always saw
-        k_image = np.ascontiguousarray(kt[:, :, :n_img].transpose(2, 0, 1)).transpose(1, 0, 2)
-        ranked = qh[:, row].copy(), k_image
+    scores = None if rank is None else rank_image_tokens(qh[:, rank[0]], kt[:, :, :rank[1]])
     values = np.matmul(h, lw.w_v, out=t).reshape(n, nh, hd).transpose(1, 0, 2)
     _causal_attention(qh, kt, values, h.reshape(n, nh, hd).transpose(1, 0, 2), arena[3 * n * d:])
     x += np.matmul(h, lw.w_o, out=t)
@@ -202,25 +194,25 @@ def _layer_forward(lw: LayerWeights, cfg: ModelConfig, x: np.ndarray, positions:
     gate *= expit(gate, out=up)
     gate *= np.matmul(h, lw.w_up, out=up)
     x += np.matmul(gate, lw.w_down, out=h)
-    return ranked
+    return scores
 
 
 def forward_pruned(
     w: DecoderWeights,
     seq: MultimodalSequence,
     schedule: StageSchedule,
-    ranker=attention_ranker,
+    ranker=identity_ranker,
     _inject=None,
 ) -> ForwardTrace:
     """The forward: image tokens dropped at the schedule's boundaries are
     physically removed for all later layers; ``keep_all_schedule`` gives
     the unpruned forward. The surviving image tokens always occupy the
     first rows and the instruction tokens follow them; at each boundary
-    ``ranker(q_last, k_image, stage)`` scores the image tokens with the last
-    instruction token's query. ``_inject=(layer, position, vector)``
-    overwrites the hidden state of the token at that original position at
-    that boundary, immediately before the drop decision. The blocks run in
-    one workspace allocated for the first, widest layer."""
+    the block scores them once (``rank_image_tokens``) and the kept set is
+    the highest of ``ranker(scores, stage)``. ``_inject=(layer, position,
+    vector)`` overwrites the hidden state of the token at that original
+    position at that boundary, immediately before the drop decision. The
+    blocks run in one workspace allocated for the first, widest layer."""
     cfg = w.config
     if sum(schedule.stage_layer_counts) != cfg.num_layers:
         raise ConfigError(
@@ -233,8 +225,8 @@ def forward_pruned(
         )
     check_image_size(seq.num_image_tokens, cfg.hidden_size)
 
+    x = _embed(w, seq)  # first: a wrong embedding width allocates no workspace
     workspace = _workspace(cfg, len(seq))
-    x = _embed(w, seq)
     positions = np.arange(len(seq), dtype=np.int64)
     n_img = seq.num_image_tokens
     num_instruction = seq.instruction_ids.size
@@ -245,16 +237,14 @@ def forward_pruned(
         if layer_no not in boundaries:
             _layer_forward(lw, cfg, x, positions, workspace)
             continue
-        # post-rotary (heads, head_dim) query against (heads, n_img, head_dim) keys
-        q_last, k_image = _layer_forward(lw, cfg, x, positions, workspace,
-                                         rank=(n_img + num_instruction - 1, n_img))
+        scores = _layer_forward(lw, cfg, x, positions, workspace,
+                                rank=(n_img + num_instruction - 1, n_img))
         if _inject is not None and _inject[0] == layer_no:
             slot = np.nonzero(positions == _inject[1])[0]
             if not slot.size:
                 raise ConfigError(f"token {_inject[1]} no longer survives at layer {layer_no}")
             x[slot[0]] = _inject[2]
-        scores = ranker(q_last, k_image, stage)
-        kept = decide(scores, schedule, stage)
+        kept = decide(ranker(scores, stage), schedule, stage)
         trace.kept_masks.append((layer_no, positions[kept]))
         rows = np.concatenate([kept, np.arange(n_img, len(positions))])
         x = x[rows]
@@ -275,7 +265,7 @@ def inject_at_boundary(
     boundary_layer: int,
     token_index: int,
     replacement: np.ndarray,
-    ranker=attention_ranker,
+    ranker=identity_ranker,
 ) -> ForwardTrace:
     """Pruned forward with the hidden state of the token at original
     position ``token_index`` overwritten at a boundary, immediately before
@@ -314,7 +304,6 @@ def build_marker_model(
     ranking scores carry no signal, which models rankings that only become
     informative in deeper layers.
     """
-    cfg.validate()
     dims = sorted(set(int(i) for i in np.atleast_1d(np.asarray(marker_subspace_dims, dtype=np.int64))))
     if not dims:
         raise ConfigError("marker subspace must contain at least one dimension")

@@ -31,9 +31,11 @@ def _softmax_rows(a):
 def masked_pruned_forward(weights, seq, schedule):
     """Full-length forward with key masking at drop boundaries.
 
-    Returns (hidden_rows_by_position, kept_sets) where hidden rows are the
-    final-layer states of all tokens (dropped rows are garbage by design)
-    and kept_sets lists the surviving image positions per boundary.
+    Returns (hidden_rows_by_position, kept_sets, boundary_scores) where
+    hidden rows are the final-layer states of all tokens (dropped rows are
+    garbage by design), kept_sets lists the surviving image positions per
+    boundary and boundary_scores the ranking score of each surviving image
+    token there, in position order.
     """
     cfg = weights.config
     n = len(seq)
@@ -54,6 +56,7 @@ def masked_pruned_forward(weights, seq, schedule):
     masked = np.zeros(n, dtype=bool)
     boundaries = set(schedule.boundary_layers)
     kept_sets = []
+    boundary_scores = []
     stage = 0
     nh, hd = cfg.num_heads, cfg.head_dim
     for layer_no, lw in enumerate(weights.layers, start=1):
@@ -86,6 +89,7 @@ def masked_pruned_forward(weights, seq, schedule):
                 [[q[q_row, hh] @ k[i, hh] for i in alive] for hh in range(nh)]
             ) / np.sqrt(hd)
             scores = per_head.mean(axis=0)
+            boundary_scores.append(scores)
             keep = schedule.stage_token_counts[stage + 1]
             order = np.argsort(-scores, kind="stable")
             kept = sorted(alive[j] for j in order[:keep])
@@ -94,4 +98,4 @@ def masked_pruned_forward(weights, seq, schedule):
                     masked[i] = True
             kept_sets.append(kept)
             stage += 1
-    return x, kept_sets
+    return x, kept_sets, boundary_scores

@@ -124,7 +124,7 @@ def test_c7_no_drop_equivalence():
         assert all(np.array_equal(a, b) for a, b in zip(
             layer_states(weights, seq, schedule, layers),
             layer_states(weights, seq, keep_all, layers)))
-        oracle_hidden, oracle_kept = masked_pruned_forward(weights, seq, keep_all)
+        oracle_hidden, oracle_kept, _ = masked_pruned_forward(weights, seq, keep_all)
         assert oracle_kept == []
         worst = max(worst, max_rel_error(full.hidden[-1], oracle_hidden[full.positions]))
     assert worst < 1e-9
@@ -143,7 +143,7 @@ def test_c8_mask_oracle_equivalence():
             weights = init_model(TOY_CONFIG, 1000 + seed)
             seq = random_sequence(schedule.stage_token_counts[0], 2000 + seed)
             pruned = forward_pruned(weights, seq, schedule)
-            oracle_hidden, oracle_kept = masked_pruned_forward(weights, seq, schedule)
+            oracle_hidden, oracle_kept, _ = masked_pruned_forward(weights, seq, schedule)
             assert [set(k.tolist()) for _, k in pruned.kept_masks] == [set(k) for k in oracle_kept]
             worst = max(worst, max_rel_error(pruned.hidden[-1], oracle_hidden[pruned.positions]))
         assert worst < 1e-9

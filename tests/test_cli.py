@@ -200,17 +200,50 @@ def test_image_size_bound(capsys, monkeypatch, tmp_path, command, image_tokens, 
                        f"the bound of 1024 elements\n")
 
 
-def test_fixture_file_past_image_size_bound(capsys, monkeypatch, tmp_path):
-    # a fixture file is read whole, and the forward refuses it before its
-    # own buffers are allocated
-    monkeypatch.setattr(layout, "MAX_IMAGE_ELEMENTS", 4 * TOY_MODEL["hidden_size"] - 1)
+def fixture_config(tmp_path, fixture_text):
     fixture = tmp_path / "fixture.json"
-    fixture.write_text(json.dumps({"image": [[0.0] * 64] * 4, "instruction": [1, 2]}))
+    fixture.write_text(fixture_text)
     path = tmp_path / "config.json"
     path.write_text(json.dumps({"model": TOY_MODEL, "fixture": {"path": str(fixture)}}))
-    assert main(["run", "--config", str(path)]) == 2
+    return str(path)
+
+
+def test_fixture_file_past_image_size_bound(capsys, monkeypatch, tmp_path, forward_calls):
+    # a fixture file's image is counted once parsed, before it becomes an
+    # array, and refused there, before any forward; the at-bound side is
+    # test_fixture_file_byte_size_bound[at_bound]
+    monkeypatch.setattr(layout, "MAX_IMAGE_ELEMENTS", 4 * TOY_MODEL["hidden_size"] - 1)
+    path = fixture_config(tmp_path, json.dumps({"image": [[0.0] * 64] * 4, "instruction": [1, 2]}))
+    assert main(["run", "--config", path]) == 2
     err = capsys.readouterr().err
-    assert err.startswith("error: 4 image tokens x hidden size 64 exceeds") and err.count("\n") == 1
+    assert err == "error: 4 image tokens x hidden size 64 exceeds the bound of 255 elements\n"
+    assert forward_calls == []
+
+
+@pytest.mark.parametrize("extra, code", [(0, 0), (1, 2)], ids=["at_bound", "past_bound"])
+def test_fixture_file_byte_size_bound(capsys, monkeypatch, tmp_path, extra, code):
+    # the bound shrunk to 4 toy-width image tokens, which the fixture holds:
+    # a file of more than FIXTURE_BYTES_PER_ELEMENT * 256 bytes is refused
+    # before it is parsed, however little its padding holds
+    monkeypatch.setattr(layout, "MAX_IMAGE_ELEMENTS", 4 * TOY_MODEL["hidden_size"])
+    limit = layout.FIXTURE_BYTES_PER_ELEMENT * 4 * TOY_MODEL["hidden_size"]
+    text = json.dumps({"image": [[0.0] * 64] * 4, "instruction": [1, 2]})
+    path = fixture_config(tmp_path, text.ljust(limit + extra))
+    assert main(["run", "--config", path]) == code
+    err = capsys.readouterr().err
+    if code:
+        assert err == (f"error: fixture file {tmp_path / 'fixture.json'} holds {limit + 1} "
+                       f"bytes, past the bound of {limit}\n")
+
+
+@pytest.mark.parametrize("text", [
+    "{", "[1, 2]", '{"image": [], "instruction": "ab"}', '{"image": [], "instruction": [[1]]}',
+    '{"image": [], "instruction": [1e30]}',
+], ids=["invalid_json", "not_object", "string_ids", "nested_ids", "huge_id"])
+def test_malformed_fixture_file_is_input_error(capsys, tmp_path, text):
+    assert main(["run", "--config", fixture_config(tmp_path, text)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
 
 
 @pytest.fixture

@@ -148,7 +148,7 @@ def per_cell_sweep(spec: ExperimentSpec) -> list[SweepRow]:
             rows.append(SweepRow(
                 layer=layer,
                 keep_ratio=ratio,
-                recall=marker_recall(trace.kept_masks, marked, v0),
+                recall=marker_recall(trace.kept_masks[-1][1], marked),
                 kept_count=schedule.stage_token_counts[-1],
                 flops=cost.total,
             ))

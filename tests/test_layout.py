@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 
+from pdrop import toymodel
 from pdrop.errors import InputError
 from pdrop.layout import MultimodalSequence, build_sequence, sequence_from_json
-from pdrop.pruner import attention_ranker, build_schedule
+from pdrop.pruner import build_schedule, rank_image_tokens
 from pdrop.toymodel import TOY_CONFIG, forward_pruned, init_model
 
 
@@ -49,7 +50,7 @@ def test_build_sequence_rejects_3d_image():
         build_sequence(np.zeros((2, 64, 2)), [1])
 
 
-def test_query_sees_every_image_token():
+def test_query_sees_every_image_token(monkeypatch):
     # the ranking query is the last instruction token, which comes after
     # every image token: at the second layer's boundary it has attended
     # to each of them, and to no answer token
@@ -57,16 +58,18 @@ def test_query_sees_every_image_token():
     weights = init_model(cfg, 3)
     emb = 0.5 * np.ones((5, cfg.hidden_size))
     schedule = build_schedule(cfg.num_layers, 4, 0.5, 5)
+    seen = []
+
+    def recording_scores(q_last, k_image):
+        # k_image is (heads, head_dim, V)
+        seen.append((q_last.copy(), k_image.shape[2]))
+        return rank_image_tokens(q_last, k_image)
+
+    monkeypatch.setattr(toymodel, "rank_image_tokens", recording_scores)
 
     def first_query(image, answer):
-        seen = []
-
-        def recording_ranker(q_last, k_image, stage):
-            seen.append((q_last.copy(), k_image.shape[1]))
-            return attention_ranker(q_last, k_image, stage)
-
-        forward_pruned(weights, build_sequence(image, [1, 2, 3], answer), schedule,
-                       ranker=recording_ranker)
+        seen.clear()
+        forward_pruned(weights, build_sequence(image, [1, 2, 3], answer), schedule)
         return seen[0]
 
     base, keys = first_query(emb, [4])
@@ -89,3 +92,17 @@ def test_fixture_roundtrip():
 def test_fixture_missing_instruction():
     with pytest.raises(InputError):
         sequence_from_json({"image": [[0.0]]})
+
+
+@pytest.mark.parametrize("obj", [[1, 2], "x", None])
+def test_fixture_not_an_object(obj):
+    with pytest.raises(InputError, match="JSON object"):
+        sequence_from_json(obj)
+
+
+@pytest.mark.parametrize("instruction, answer", [
+    ("ab", []), ([1e30], []), ([[1]], [2]), ([1], [[2]]), (1, []),
+])
+def test_fixture_ids_must_be_flat_integers(instruction, answer):
+    with pytest.raises(InputError):
+        sequence_from_json({"image": [[0.0] * 4], "instruction": instruction, "answer": answer})

@@ -113,28 +113,31 @@ class TestBuildSchedule:
 
 
 class TestRanking:
+    # keys are in the attention kernel's transposed layout (heads, head_dim, V)
     def test_single_head_unit_dim(self):
-        scores = rank_image_tokens(np.array([[1.0]]), np.array([[[2.0], [0.0], [-1.0]]]))
+        scores = rank_image_tokens(np.array([[1.0]]), np.array([[[2.0, 0.0, -1.0]]]))
         assert scores.dtype == np.float64
         assert np.allclose(scores, [2.0, 0.0, -1.0])
 
     def test_head_averaging(self):
         q = np.array([[1.0], [1.0]])
-        k = np.array([[[1.0], [0.0]], [[0.0], [1.0]]])
+        k = np.array([[[1.0, 0.0]], [[0.0, 1.0]]])
         assert np.allclose(rank_image_tokens(q, k), [0.5, 0.5])
 
     def test_scale_by_sqrt_head_dim(self):
         q = np.array([[1.0, 1.0, 1.0, 1.0]])
-        k = np.array([[[1.0, 1.0, 1.0, 1.0]]])
+        k = np.array([[[1.0], [1.0], [1.0], [1.0]]])
         assert rank_image_tokens(q, k)[0] == pytest.approx(2.0)
 
     def test_shape_errors(self):
         with pytest.raises(ShapeError):
-            rank_image_tokens(np.zeros((1, 4)), np.zeros((2, 3, 4)))
+            rank_image_tokens(np.zeros((1, 4)), np.zeros((2, 4, 3)))
         with pytest.raises(ShapeError):
-            rank_image_tokens(np.zeros((1, 4)), np.zeros((1, 3, 2)))
+            rank_image_tokens(np.zeros((1, 4)), np.zeros((1, 2, 3)))
         with pytest.raises(ShapeError):
-            rank_image_tokens(np.zeros((0, 4)), np.zeros((0, 3, 4)))
+            rank_image_tokens(np.zeros((1, 4)), np.zeros((1, 3, 4)))  # (heads, V, head_dim)
+        with pytest.raises(ShapeError):
+            rank_image_tokens(np.zeros((0, 4)), np.zeros((0, 4, 3)))
 
 
 class TestDecide:

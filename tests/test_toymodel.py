@@ -1,4 +1,5 @@
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -12,7 +13,7 @@ from pdrop import layout, toymodel
 from pdrop.errors import ConfigError, InputError
 from pdrop.layout import MultimodalSequence, build_sequence
 from pdrop.numkernel import RngState, derive_seed, rmsnorm_rows, rope_rotate_rows, softmax_rows
-from pdrop.pruner import attention_ranker, build_schedule, keep_all_schedule, rank_image_tokens
+from pdrop.pruner import build_schedule, keep_all_schedule, rank_image_tokens
 from pdrop.toymodel import (
     ATTENTION_BLOCK_ROWS,
     TOY_CONFIG,
@@ -36,13 +37,32 @@ def random_sequence(cfg, v0, seed, instr=3, answer=2):
 
 
 def recording_ranker(seen):
-    """The default ranker, recording the (q_last, k_image) of each call."""
+    """The default ranker, recording a copy of the scores of each call."""
 
-    def rank(q_last, k_image, stage):
-        seen.append((q_last.copy(), k_image.copy()))
-        return attention_ranker(q_last, k_image, stage)
+    def rank(scores, stage):
+        seen.append(scores.copy())
+        return scores
 
     return rank
+
+
+def check_against_oracle(weights, seq, schedule):
+    """The forward against the mask oracle: equal kept masks, final states
+    within 1e-9 elementwise relative, and the scores the forward hands an
+    identity ranker within 1e-12 of the oracle's, relative to the largest
+    score at that boundary (entries near zero differ by more, elementwise).
+    Returns the oracle's kept sets."""
+    seen = []
+    pruned = forward_pruned(weights, seq, schedule, ranker=recording_ranker(seen))
+    oracle_hidden, oracle_kept, oracle_scores = masked_pruned_forward(weights, seq, schedule)
+    assert [k.tolist() for _, k in pruned.kept_masks] == oracle_kept
+    ref = oracle_hidden[pruned.positions]
+    rel = np.abs(pruned.hidden[-1] - ref) / np.maximum(np.abs(ref), 1e-12)
+    assert rel.max() < 1e-9
+    assert [got.shape for got in seen] == [want.shape for want in oracle_scores]
+    for got, want in zip(seen, oracle_scores):
+        assert np.abs(got - want).max(initial=0.0) <= 1e-12 * np.abs(want).max(initial=0.0)
+    return oracle_kept
 
 
 def keep_all_forward(weights, seq):
@@ -71,11 +91,15 @@ class TestInit:
         assert not np.array_equal(a.layers[0].w_q, b.layers[0].w_q)
 
     def test_invalid_config_rejected(self):
-        bad = ModelConfig(8, 64, 4, 17, 172, 256)  # d != heads*head_dim, odd head_dim
         with pytest.raises(ConfigError):
-            init_model(bad, 0)
+            ModelConfig(8, 64, 4, 17, 172, 256)  # d != heads*head_dim, odd head_dim
         with pytest.raises(ConfigError):
-            init_model(ModelConfig(0, 64, 4, 16, 172, 256), 0)
+            ModelConfig(0, 64, 4, 16, 172, 256)
+        # a replaced config is checked as well
+        with pytest.raises(ConfigError, match="even"):
+            replace(TOY_CONFIG, num_heads=8, head_dim=9, hidden_size=72)
+        with pytest.raises(ConfigError, match="at least one layer"):
+            replace(TOY_CONFIG, num_layers=0)
 
 
 class TestForwardFull:
@@ -122,13 +146,21 @@ class TestForwardFull:
             layer_states(toy_weights, seq, keep_all, range(1, 9)),
             layer_states(toy_weights, seq, keep_all, range(1, 9))))
 
-    def test_layer_forward_bit_identical_to_inline_block(self, toy_weights):
+    def test_layer_forward_bit_identical_to_inline_block(self, toy_weights, monkeypatch):
         # the block as one inline expression per half, the FFN written as
         # (g * expit(g)) * up without in-place products: _layer_forward and
-        # the per-layer states of a forward must both equal it bit for bit.
-        # Keep-all at V0=40, then S=4 lambda=0.5 at V0=70, whose layers after
-        # each drop run on 75, 40, 22 and 13 rows, across the 32-row
-        # attention block edge, in views of one workspace sized for 75
+        # the per-layer states of a forward must both equal it bit for bit,
+        # and the score call must get its post-rotary query row and image
+        # keys, unscaled. Keep-all at V0=40, then S=4 lambda=0.5 at V0=70,
+        # whose layers after each drop run on 75, 40, 22 and 13 rows, across
+        # the 32-row attention block edge, in views of one workspace sized for 75
+        scored = []
+
+        def recording_scores(q_last, k_image):
+            scored.append((q_last.copy(), k_image.copy()))
+            return rank_image_tokens(q_last, k_image)
+
+        monkeypatch.setattr(toymodel, "rank_image_tokens", recording_scores)
         cfg = toy_weights.config
         nh, hd = cfg.num_heads, cfg.head_dim
         for v0, stages in [(40, 1), (70, 4)]:
@@ -141,9 +173,11 @@ class TestForwardFull:
             x = np.concatenate([seq.image_embeddings, toy_weights.embedding[seq.text_ids]])
             for layer_no, lw, state in zip(range(1, 9), toy_weights.layers, states):
                 n = len(positions)
+                n_img = n - 5  # three instruction tokens, two answer tokens
                 got = x.copy()
-                got_q, got_k = _layer_forward(lw, cfg, got, positions, workspace,
-                                              rank=(slice(None), n))
+                got_scores = _layer_forward(lw, cfg, got, positions, workspace,
+                                            rank=(n_img + 2, n_img))
+                got_q, got_k = scored[-1]
                 h = rmsnorm_rows(x, lw.attn_gain, cfg.rmsnorm_eps)
                 rows = positions[:, None]
                 q = rope_rotate_rows((h @ lw.w_q).reshape(n, nh, hd), rows, cfg.rope_theta)
@@ -158,8 +192,9 @@ class TestForwardFull:
                 hf = rmsnorm_rows(x, lw.ffn_gain, cfg.rmsnorm_eps)
                 gate = hf @ lw.w_gate
                 x = x + ((gate * expit(gate)) * (hf @ lw.w_up)) @ lw.w_down
-                assert (np.array_equal(got_q, q.transpose(1, 0, 2))
-                        and np.array_equal(got_k, k.transpose(1, 0, 2)))
+                assert (np.array_equal(got_q, q[n_img + 2])
+                        and np.array_equal(got_k, k[:n_img].transpose(1, 2, 0)))
+                assert np.array_equal(got_scores, rank_image_tokens(got_q, got_k))
                 assert np.array_equal(got, x)
                 assert np.array_equal(state, x)
                 if layer_no in kept:
@@ -204,6 +239,14 @@ class TestForwardFull:
         monkeypatch.setattr(layout, "MAX_IMAGE_ELEMENTS", 6 * TOY_CONFIG.hidden_size - 1)
         monkeypatch.setattr(toymodel, "_workspace", None)  # reached only past the check
         with pytest.raises(InputError, match="6 image tokens x hidden size 64 exceeds"):
+            keep_all_forward(toy_weights, seq)
+
+
+    def test_embedding_width_checked_before_allocation(self, toy_weights, monkeypatch):
+        # the one width check of a fixture's image embeddings
+        seq = build_sequence(np.zeros((3, 8)), [1])
+        monkeypatch.setattr(toymodel, "_workspace", None)  # reached only past the check
+        with pytest.raises(InputError, match="have dim 8, model expects 64"):
             keep_all_forward(toy_weights, seq)
 
 
@@ -258,14 +301,8 @@ class TestForwardPruned:
     @example(v0=5, stages=8, keep_ratio=0.1, instr=2, answer=1, seed=1)  # reaches 0 tokens
     def test_mask_oracle_equivalence(self, toy_weights, v0, stages, keep_ratio, instr, answer,
                                      seed):
-        schedule = build_schedule(8, stages, keep_ratio, v0)
         seq = random_sequence(TOY_CONFIG, v0, seed, instr, answer)
-        pruned = forward_pruned(toy_weights, seq, schedule)
-        oracle_hidden, oracle_kept = masked_pruned_forward(toy_weights, seq, schedule)
-        assert [k.tolist() for _, k in pruned.kept_masks] == oracle_kept
-        ref = oracle_hidden[pruned.positions]
-        rel = np.abs(pruned.hidden[-1] - ref) / np.maximum(np.abs(ref), 1e-12)
-        assert rel.max() < 1e-9
+        check_against_oracle(toy_weights, seq, build_schedule(8, stages, keep_ratio, v0))
 
     @pytest.mark.parametrize("cfg, v0", [
         (TOY_CONFIG, 1152),
@@ -277,13 +314,8 @@ class TestForwardPruned:
         weights = init_model(cfg, 11)
         schedule = build_schedule(cfg.num_layers, 4, 0.5, v0)
         seq = random_sequence(cfg, v0, seed=12, instr=4, answer=1)
-        pruned = forward_pruned(weights, seq, schedule)
-        oracle_hidden, oracle_kept = masked_pruned_forward(weights, seq, schedule)
-        assert [k.tolist() for _, k in pruned.kept_masks] == oracle_kept
+        oracle_kept = check_against_oracle(weights, seq, schedule)
         assert [len(k) for k in oracle_kept] == list(schedule.stage_token_counts[1:])
-        ref = oracle_hidden[pruned.positions]
-        rel = np.abs(pruned.hidden[-1] - ref) / np.maximum(np.abs(ref), 1e-12)
-        assert rel.max() < 1e-9
 
     @pytest.mark.parametrize("rows", [ATTENTION_BLOCK_ROWS - 1, ATTENTION_BLOCK_ROWS,
                                       ATTENTION_BLOCK_ROWS + 1, 2 * ATTENTION_BLOCK_ROWS + 1])
@@ -300,12 +332,7 @@ class TestForwardPruned:
             schedule = build_schedule(8, 4, 0.5, 2 * (rows - text))
             assert schedule.stage_token_counts[1] + text == rows
         seq = random_sequence(TOY_CONFIG, schedule.stage_token_counts[0], seed=rows)
-        pruned = forward_pruned(toy_weights, seq, schedule)
-        oracle_hidden, oracle_kept = masked_pruned_forward(toy_weights, seq, schedule)
-        assert [set(k.tolist()) for _, k in pruned.kept_masks] == [set(k) for k in oracle_kept]
-        ref = oracle_hidden[pruned.positions]
-        rel = np.abs(pruned.hidden[-1] - ref) / np.maximum(np.abs(ref), 1e-12)
-        assert rel.max() < 1e-9
+        check_against_oracle(toy_weights, seq, schedule)
 
     def test_paper_9patch_geometry_in_bounded_memory(self):
         # V0=5184 (criterion C4's geometry); one n x n float64 score matrix
@@ -323,34 +350,47 @@ class TestForwardPruned:
         assert peak < 100e6
 
     def test_boundary_qk_feeds_ranking(self, toy_weights):
+        # one float64 score per surviving image token at each boundary; the
+        # identity ranker keeps the highest
         seq = random_sequence(TOY_CONFIG, 16, seed=8)
         schedule = build_schedule(8, 4, 0.5, 16)
         seen = []
         trace = forward_pruned(toy_weights, seq, schedule, ranker=recording_ranker(seen))
-        assert [(q.shape, k.shape) for q, k in seen] == \
-               [((4, 16), (4, v, 16)) for v in schedule.stage_token_counts[:-1]]
-        for (q, k), (_, kept), survivors in zip(
+        assert [(scores.dtype, scores.shape) for scores in seen] == \
+               [(np.float64, (v,)) for v in schedule.stage_token_counts[:-1]]
+        for scores, (_, kept), survivors in zip(
                 seen, trace.kept_masks, [np.arange(16)] + [k for _, k in trace.kept_masks]):
-            scores = rank_image_tokens(q, k)
             is_kept = np.isin(survivors, kept)
             assert scores[is_kept].min() >= scores[~is_kept].max()
 
+    def test_ranker_output_decides_the_kept_set(self, toy_weights):
+        # a ranker that negates the scores keeps exactly the lowest-scored tokens
+        seq = random_sequence(TOY_CONFIG, 16, seed=8)
+        schedule = build_schedule(8, 4, 0.5, 16)
+        seen = []
+        record = recording_ranker(seen)
+        trace = forward_pruned(toy_weights, seq, schedule,
+                               ranker=lambda scores, stage: -record(scores, stage))
+        survivors = np.arange(16)
+        for scores, (_, kept), keep in zip(seen, trace.kept_masks, schedule.stage_token_counts[1:]):
+            assert kept.tolist() == sorted(survivors[np.argsort(scores)[:keep]].tolist())
+            survivors = kept
 
     def test_ranker_may_keep_its_arguments(self, toy_weights):
-        # the forward reuses its buffers after each boundary: what it hands
-        # a ranker must stay as it was handed
+        # the forward reuses its buffers after each boundary: the scores it
+        # hands a ranker must stay as they were handed
         seq = random_sequence(TOY_CONFIG, 40, seed=17)
         held, copies = [], []
 
-        def keeping(q_last, k_image, stage):
-            held.append((q_last, k_image))
-            copies.append((q_last.copy(), k_image.copy()))
-            return attention_ranker(q_last, k_image, stage)
+        def keeping(scores, stage):
+            held.append(scores)
+            copies.append(scores.copy())
+            return scores
 
         forward_pruned(toy_weights, seq, build_schedule(8, 4, 0.5, 40), ranker=keeping)
         assert len(held) == 3
-        for (q, k), (q_then, k_then) in zip(held, copies):
-            assert np.array_equal(q, q_then) and np.array_equal(k, k_then)
+        for scores, then in zip(held, copies):
+            assert np.array_equal(scores, then)
 
 
 class TestInjection:
@@ -432,7 +472,7 @@ class TestMarkerModel:
         schedule = build_schedule(8, 4, 0.5, 16)
         seen = []
         forward_pruned(weights, seq, schedule, ranker=recording_ranker(seen))
-        scores = rank_image_tokens(*seen[0])  # at the first boundary, layer 2
+        scores = seen[0]  # at the first boundary, layer 2
         assert min(scores[marked]) > max(
             s for i, s in enumerate(scores) if i not in marked
         )
