@@ -11,7 +11,7 @@ import json
 import math
 import sys
 
-from .costmodel import schedule_cost, strategy_cost
+from .costmodel import strategy_cost
 from .errors import ConfigError, PdropError
 from .harness import (
     emit_masks,
@@ -67,13 +67,12 @@ def _build_parser() -> argparse.ArgumentParser:
     cost.add_argument("--layers", type=int, required=True)
     cost.add_argument("--d", type=int, required=True, help="hidden size")
     cost.add_argument("--m", type=int, required=True, help="FFN intermediate size")
-    cost.add_argument("--lambda", "--keep-ratio", dest="keep_ratio", type=float, default=None,
-                      help="keep ratio; alone, costs the --stages schedule")
-    cost.add_argument("--stages", type=int, default=4)
-    cost.add_argument("--strategy", default=None,
-                      help="vanilla | pdrop | fastv | uniform | random")
-    cost.add_argument("--drop-layer", type=int, default=2, help="fastv drop layer")
-    cost.add_argument("--tokens", type=int, default=288, help="uniform token count")
+    cost.add_argument("--lambda", "--keep-ratio", dest="keep_ratio", type=float,
+                      help="keep ratio; without --strategy, selects pdrop")
+    cost.add_argument("--stages", type=int, help="pdrop and random stage count")
+    cost.add_argument("--strategy", help="vanilla | pdrop | fastv | uniform | random")
+    cost.add_argument("--drop-layer", type=int, help="fastv drop layer")
+    cost.add_argument("--tokens", type=int, help="uniform token count")
 
     sched = sub.add_parser("schedule", help="stage schedule as JSON")
     sched.add_argument("--layers", type=int, required=True)
@@ -106,11 +105,11 @@ _PARSER = _build_parser()
 
 
 def _cmd_cost(args) -> dict:
-    if args.strategy is None and args.keep_ratio is not None:
-        schedule = build_schedule(args.layers, args.stages, args.keep_ratio, args.n)
-        return schedule_cost(schedule, args.d, args.m).to_json()
+    # only the flags given reach the strategy: an unset one takes the
+    # strategy's default, and one the strategy lacks is an error
+    default = "vanilla" if args.keep_ratio is None else "pdrop"
     fields = {
-        "name": "vanilla" if args.strategy is None else args.strategy,
+        "name": default if args.strategy is None else args.strategy,
         "stages": args.stages,
         "keep_ratio": args.keep_ratio,
         "drop_layer": args.drop_layer,

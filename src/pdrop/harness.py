@@ -101,8 +101,22 @@ STRATEGIES = {
 STRATEGIES.update(pyramiddrop=PyramidDrop, qformer=UniformCompression)
 
 
+def _int(value) -> int:
+    """An integer, or a numeric string of one; a bool or a fraction is refused,
+    not truncated."""
+    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
+        raise ValueError(f"not an integer: {value!r}")
+    return int(value)
+
+
+def _ints(value) -> tuple[int, ...]:
+    if not isinstance(value, list):
+        raise TypeError(f"not a list: {value!r}")
+    return tuple(map(_int, value))
+
+
 # field annotation -> coercion of a JSON value to that type
-_COERCE = {"int": int, "float": float, "str": str, "tuple[int, ...]": lambda v: tuple(map(int, v))}
+_COERCE = {"int": _int, "float": float, "str": str, "tuple[int, ...]": _ints}
 
 
 def _typed(kind: str, value, what: str):
@@ -134,7 +148,7 @@ def _from_fields(cls, obj, what: str):
 
 def strategy_from_json(obj) -> Strategy:
     """Build a strategy from its name and the fields given; each field is
-    coerced to its annotated type."""
+    coerced to its annotated type, and a field the strategy lacks is an error."""
     if isinstance(obj, str):
         obj = {"name": obj}
     try:
@@ -144,10 +158,7 @@ def strategy_from_json(obj) -> Strategy:
     cls = STRATEGIES.get(name) if isinstance(name, str) else None
     if cls is None:
         raise ConfigError(f"unknown strategy {name!r}")
-    # fields of other strategies are ignored, so one set of fields (as
-    # `pdrop cost` passes) can describe any strategy
-    own = {f.name for f in fields(cls)}
-    return _from_fields(cls, {k: v for k, v in obj.items() if k in own}, f"strategy {name!r}")
+    return _from_fields(cls, {k: v for k, v in obj.items() if k != "name"}, f"strategy {name!r}")
 
 
 def spec_from_json(obj: dict) -> ExperimentSpec:

@@ -93,11 +93,15 @@ def sequence_from_json(obj: dict) -> MultimodalSequence:
     if isinstance(image, list):  # counted before it becomes an array, rows as wide as the widest
         width = max((len(row) if isinstance(row, list) else 1 for row in image), default=0)
         check_image_size(len(image), width)
+    ids = {"instruction": obj.get("instruction"), "answer": obj.get("answer", [])}
+    for key, value in ids.items():  # cast below, a float or a bool would be truncated
+        if not isinstance(value, list) or any(type(i) is not int for i in value):
+            raise InputError(f"sequence fixture {key} must be a flat list of integer ids")
     try:
         image = np.asarray(image, dtype=np.float64)
-        instruction = np.asarray(obj["instruction"], dtype=np.int64)
-        answer = np.asarray(obj.get("answer", []), dtype=np.int64)
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        instruction = np.asarray(ids["instruction"], dtype=np.int64)
+        answer = np.asarray(ids["answer"], dtype=np.int64)
+    except (TypeError, ValueError, OverflowError) as exc:
         raise InputError(f"malformed sequence fixture: {exc}") from exc
     return build_sequence(image, instruction, answer)
 

@@ -8,6 +8,7 @@ roughly exponentially stage by stage.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -42,6 +43,24 @@ class StageSchedule:
         return tuple(itertools.accumulate(self.stage_layer_counts[:-1]))
 
 
+@functools.lru_cache(maxsize=1024)
+def _rational(ratio: float) -> tuple[int, int]:
+    """``ratio`` as the rational p/q it stands for, so that 0.4 * 345 does
+    not ceil to 139 through binary rounding noise (cached: a snap is ~10 us)."""
+    snapped = Fraction(ratio).limit_denominator(1_000_000)
+    return snapped.numerator, snapped.denominator
+
+
+def _keep_counts(keep_ratio: float, num_image_tokens: int, num_drops: int) -> tuple[int, ...]:
+    """Image-token counts before and after each of ``num_drops`` drops, each
+    keeping floor(p * c / q) of c for the snapped ``keep_ratio`` p/q."""
+    p, q = _rational(keep_ratio)
+    tokens = [num_image_tokens]
+    for _ in range(num_drops):
+        tokens.append(p * tokens[-1] // q)
+    return tuple(tokens)
+
+
 def build_schedule(num_layers: int, num_stages: int, keep_ratio: float, num_image_tokens: int) -> StageSchedule:
     """Split layers into stages as evenly as possible (remainder goes to the
     last stage) and iterate the ceiling-drop recurrence on token counts."""
@@ -51,16 +70,7 @@ def build_schedule(num_layers: int, num_stages: int, keep_ratio: float, num_imag
         raise ConfigError(f"keep_ratio must be in (0, 1], got {keep_ratio}")
     base = num_layers // num_stages
     layer_counts = [base] * (num_stages - 1) + [num_layers - base * (num_stages - 1)]
-    # snap the float ratio to its intended rational p/q so e.g. 0.4 * 345
-    # does not ceil to 139 through binary rounding noise; then the count
-    # left by dropping ceil((1 - p/q) * c) of c is c + floor((p - q) * c / q)
-    ratio = Fraction(keep_ratio).limit_denominator(1_000_000)
-    p, q = ratio.numerator, ratio.denominator
-    tokens = [num_image_tokens]
-    for _ in range(num_stages - 1):
-        c = tokens[-1]
-        tokens.append(c + (p - q) * c // q)
-    return StageSchedule(tuple(layer_counts), tuple(tokens))
+    return StageSchedule(tuple(layer_counts), _keep_counts(keep_ratio, num_image_tokens, num_stages - 1))
 
 
 def keep_all_schedule(num_layers: int, num_image_tokens: int) -> StageSchedule:
@@ -135,7 +145,7 @@ class PyramidDrop(Strategy):
 @dataclass(frozen=True)
 class SingleEarlyDrop(Strategy):
     """FastV-style schedule: full width for drop_layer layers, then a
-    single cut down to floor(keep_ratio * V0)."""
+    single cut down to floor(keep_ratio * V0) by build_schedule's rule."""
 
     drop_layer: int = 2
     keep_ratio: float = 0.5
@@ -146,8 +156,8 @@ class SingleEarlyDrop(Strategy):
             raise ConfigError(f"keep_ratio must be in [0, 1], got {self.keep_ratio}")
         if not 1 <= self.drop_layer < num_layers:
             raise ConfigError(f"drop layer {self.drop_layer} must be in [1, {num_layers})")
-        keep = math.floor(self.keep_ratio * num_image_tokens)
-        return StageSchedule((self.drop_layer, num_layers - self.drop_layer), (num_image_tokens, keep))
+        return StageSchedule((self.drop_layer, num_layers - self.drop_layer),
+                             _keep_counts(self.keep_ratio, num_image_tokens, 1))
 
 
 @dataclass(frozen=True)

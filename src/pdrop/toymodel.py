@@ -289,12 +289,7 @@ MARKER_AMPLITUDE = 1.0
 MARKER_GAIN = 2.5
 
 
-def build_marker_model(
-    cfg: ModelConfig,
-    marker_subspace_dims,
-    flag_dim: int | None = None,
-    margin_onset_layer: int = 1,
-) -> DecoderWeights:
+def build_marker_model(cfg: ModelConfig, marker_subspace_dims, margin_onset_layer: int = 1) -> DecoderWeights:
     """Constructed weights whose head-0 similarity separates image tokens
     carrying the marker subspace from all others by a large margin.
 
@@ -309,13 +304,10 @@ def build_marker_model(
         raise ConfigError("marker subspace must contain at least one dimension")
     if dims[0] < 0 or dims[-1] >= cfg.hidden_size:
         raise ConfigError(f"marker dims {dims} outside hidden size {cfg.hidden_size}")
+    # the flag: the highest dimension outside the marker subspace
+    flag_dim = max(set(range(cfg.hidden_size)).difference(dims), default=None)
     if flag_dim is None:
-        # the highest dimension outside the marker subspace, -1 if none is left
-        flag_dim = max(set(range(cfg.hidden_size)).difference(dims), default=-1)
-    if not 0 <= flag_dim < cfg.hidden_size or flag_dim in dims:
-        raise ConfigError(
-            f"flag dim {flag_dim} must be a hidden dimension outside the marker subspace {dims}"
-        )
+        raise ConfigError(f"marker dims {dims} leave no hidden dimension for the flag")
     if not 1 <= margin_onset_layer <= cfg.num_layers:
         raise ConfigError(f"margin onset layer {margin_onset_layer} outside [1, {cfg.num_layers}]")
 

@@ -68,6 +68,31 @@ def test_cost_strategy_default_keep_ratio(capsys):
     assert json.loads(out)["avg_tokens"] == 270.0
 
 
+@pytest.mark.parametrize("n", ["16", "576"])
+@pytest.mark.parametrize("keep_ratio", ["0.1", "0.5", "1.0"])
+@pytest.mark.parametrize("stages", ["1", "4", "8"])
+def test_cost_lambda_alone_is_pdrop(capsys, n, keep_ratio, stages):
+    flags = ["--n", n, "--layers", "8", "--d", "64", "--m", "172",
+             "--lambda", keep_ratio, "--stages", stages]
+    code, alone = run_cli(capsys, "cost", *flags)
+    assert code == 0
+    assert (0, alone) == run_cli(capsys, "cost", *flags, "--strategy", "pdrop")
+
+
+@pytest.mark.parametrize("flags", [
+    ["--strategy", "fastv", "--stages", "7"],
+    ["--strategy", "vanilla", "--lambda", "0.5"],
+    ["--strategy", "uniform", "--drop-layer", "2"],
+    ["--lambda", "0.5", "--tokens", "64"],
+    ["--stages", "4"],
+])
+def test_cost_flag_the_strategy_lacks_is_config_error(capsys, flags):
+    code = main(["cost", "--n", "576", "--layers", "32", "--d", "4096", "--m", "11008", *flags])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
 def test_schedule(capsys):
     code, out = run_cli(capsys, "schedule", "--layers", "32", "--stages", "4",
                         "--lambda", "0.5", "--tokens", "576")
@@ -120,6 +145,9 @@ def test_run_missing_config_is_io_error(capsys, tmp_path):
     {"fixture": {"image_tokens": 64, "marked_count": -1, "marked_placement": "random"}},
     {"fixture": {"image_tokens": 16, "answer_length": -1}},
     {"fixture": {"image_tokens": 16, "marker_dims": list(range(TOY_MODEL["hidden_size"]))}},
+    {"strategy": {"name": "pdrop", "keep_ration": 0.3}},
+    {"seed": 1.5},
+    {"model": {**TOY_MODEL, "num_layers": 8.9}},
 ])
 def test_run_mistyped_config_value_is_config_error(capsys, tmp_path, override):
     path = tmp_path / "config.json"

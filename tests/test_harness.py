@@ -256,7 +256,9 @@ class TestSpecParsing:
                RandomDrop(4, 1.0, seed=2)
         for bad in ({"name": "tome"}, {"name": ["pdrop"]}, {"stages": 4},
                     {"name": "pdrop", "stages": "four"}, {"name": "fastv", "keep_ratio": None},
-                    {"name": "random", "seed": float("inf")}):
+                    {"name": "random", "seed": float("inf")}, {"name": "pdrop", "stages": 3.5},
+                    {"name": "pdrop", "stages": True}, {"name": "pdrop", "keep_ration": 0.3},
+                    {"name": "fastv", "stages": 4}, {"name": "vanilla", "keep_ratio": 0.5}):
             with pytest.raises(ConfigError):
                 strategy_from_json(bad)
 
@@ -281,7 +283,9 @@ class TestSpecParsing:
         spec = spec_from_json({"model": model, "fixture": {
             "image_tokens": "32", "noise": 0, "marker_dims": ["0", 1.0]}})
         assert spec.fixture == FixtureSpec(image_tokens=32, noise=0.0, marker_dims=(0, 1))
-        for bad in ({"image_tokens": "many"}, {"marker_dims": 3}, {"typo": 1}, "high", [1]):
+        for bad in ({"image_tokens": "many"}, {"marker_dims": 3}, {"typo": 1}, "high", [1],
+                    {"image_tokens": 16.7}, {"image_tokens": True}, {"marker_dims": [0, 1.5]},
+                    {"marker_dims": [True]}, {"marker_dims": "01"}):
             with pytest.raises(ConfigError):
                 spec_from_json({"model": model, "fixture": bad})
 

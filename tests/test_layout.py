@@ -102,6 +102,7 @@ def test_fixture_not_an_object(obj):
 
 @pytest.mark.parametrize("instruction, answer", [
     ("ab", []), ([1e30], []), ([[1]], [2]), ([1], [[2]]), (1, []),
+    ([1.5, 2.7, True], []), ([1.0], []), ([1], [True]), ([2**64], []),
 ])
 def test_fixture_ids_must_be_flat_integers(instruction, answer):
     with pytest.raises(InputError):

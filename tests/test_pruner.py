@@ -242,6 +242,14 @@ def test_single_drop_schedule_validation():
         SingleEarlyDrop(drop_layer=2, keep_ratio=-0.1).schedule(8, 16)
 
 
+@pytest.mark.parametrize("v0", [100, 576, 2880, 5184])
+def test_single_drop_keeps_the_staged_count(v0):
+    # one keep-count rule: floor(0.7 * 2880) in floats is 2015, not 2016
+    for k in range(1, 101):
+        kept = SingleEarlyDrop(2, k / 100).schedule(8, v0).stage_token_counts[1]
+        assert kept == build_schedule(8, 2, k / 100, v0).stage_token_counts[1], k
+
+
 def test_schedule_json_dump(capsys):
     # The schedule's JSON form is built by `pdrop schedule`; key order is part of it.
     assert main(["schedule", "--layers", "32", "--stages", "4",

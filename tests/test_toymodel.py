@@ -503,3 +503,7 @@ class TestMarkerModel:
         with pytest.raises(ConfigError):
             build_marker_model(TOY_CONFIG, ())
 
+    def test_marker_subspace_must_leave_a_flag_dimension(self):
+        with pytest.raises(ConfigError, match="flag"):
+            build_marker_model(TOY_CONFIG, range(TOY_CONFIG.hidden_size))
+
