@@ -10,10 +10,12 @@ import argparse
 import json
 import math
 import sys
+from dataclasses import fields
 
 from .costmodel import strategy_cost
 from .errors import ConfigError, PdropError
 from .harness import (
+    STRATEGIES,
     emit_masks,
     load_spec,
     run_compare,
@@ -72,7 +74,7 @@ def _build_parser() -> argparse.ArgumentParser:
     cost.add_argument("--stages", type=int, help="pdrop and random stage count")
     cost.add_argument("--strategy", help="vanilla | pdrop | fastv | uniform | random")
     cost.add_argument("--drop-layer", type=int, help="fastv drop layer")
-    cost.add_argument("--tokens", type=int, help="uniform token count")
+    cost.add_argument("--tokens", dest="token_count", type=int, help="uniform token count")
 
     sched = sub.add_parser("schedule", help="stage schedule as JSON")
     sched.add_argument("--layers", type=int, required=True)
@@ -104,18 +106,23 @@ def _build_parser() -> argparse.ArgumentParser:
 _PARSER = _build_parser()
 
 
+# each strategy field that a cost flag sets (its dest), and the flag as typed
+_COST_FLAGS = {"stages": "--stages", "keep_ratio": "--lambda/--keep-ratio",
+               "drop_layer": "--drop-layer", "token_count": "--tokens"}
+
+
 def _cmd_cost(args) -> dict:
     # only the flags given reach the strategy: an unset one takes the
-    # strategy's default, and one the strategy lacks is an error
+    # strategy's default, and one the strategy lacks is an error that names it
     default = "vanilla" if args.keep_ratio is None else "pdrop"
-    fields = {
-        "name": default if args.strategy is None else args.strategy,
-        "stages": args.stages,
-        "keep_ratio": args.keep_ratio,
-        "drop_layer": args.drop_layer,
-        "token_count": args.tokens,
-    }
-    strat = strategy_from_json({k: v for k, v in fields.items() if v is not None})
+    name = default if args.strategy is None else args.strategy
+    given = {k: getattr(args, k) for k in _COST_FLAGS if getattr(args, k) is not None}
+    if name in STRATEGIES:
+        owned = {f.name for f in fields(STRATEGIES[name])}
+        lacking = [_COST_FLAGS[k] for k in given if k not in owned]
+        if lacking:
+            raise ConfigError(f"strategy {name!r} takes no {', '.join(lacking)}")
+    strat = strategy_from_json({"name": name, **given})
     return strategy_cost(strat, args.layers, args.n, args.d, args.m).to_json()
 
 

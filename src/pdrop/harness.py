@@ -109,6 +109,13 @@ def _int(value) -> int:
     return int(value)
 
 
+def _float(value) -> float:
+    """A float, or a numeric string of one; a bool is refused, not taken as 0 or 1."""
+    if isinstance(value, bool):
+        raise ValueError(f"not a number: {value!r}")
+    return float(value)
+
+
 def _ints(value) -> tuple[int, ...]:
     if not isinstance(value, list):
         raise TypeError(f"not a list: {value!r}")
@@ -116,7 +123,7 @@ def _ints(value) -> tuple[int, ...]:
 
 
 # field annotation -> coercion of a JSON value to that type
-_COERCE = {"int": _int, "float": float, "str": str, "tuple[int, ...]": _ints}
+_COERCE = {"int": _int, "float": _float, "str": str, "tuple[int, ...]": _ints}
 
 
 def _typed(kind: str, value, what: str):

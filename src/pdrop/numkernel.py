@@ -1,7 +1,11 @@
 """Deterministic dense numeric primitives for the toy decoder.
 
 Everything is float64 and pure: identical inputs give bit-identical
-outputs on the same machine and BLAS. The RNG is a counter-based
+outputs on the same machine and BLAS. The softmax, RMS norm and rotary
+kernels can write every result and intermediate into buffers the caller
+passes (``out=``, ``sums=``, ``scratch=``, a ``rope_table`` built into
+``out=``), so the decoder runs them inside its workspace without
+allocating arrays of their size. The RNG is a counter-based
 splitmix-style integer generator feeding a Box-Muller normal sampler, so
 weight init does not depend on numpy's own generators; its integer
 stream is the same on every platform.
@@ -66,13 +70,22 @@ class RngState:
         return stddev * out[:count]
 
 
-def softmax_rows(a: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+def softmax_rows(
+    a: np.ndarray, out: np.ndarray | None = None, sums: np.ndarray | None = None
+) -> np.ndarray:
     """Softmax over the last axis with max subtraction; -inf entries get
-    weight 0. ``out`` may be ``a`` itself to normalise in place."""
+    weight 0. ``out`` may be ``a`` itself to normalise in place. With
+    ``sums``, of the shape of ``a`` with a last axis of 1, the division is
+    left to the caller: each row is left as exp(a - max) and its sum is
+    written to ``sums``, which first holds the row maxima."""
     a = np.asarray(a, dtype=np.float64)
-    out = np.subtract(a, np.max(a, axis=-1, keepdims=True), out=out)
+    top = np.max(a, axis=-1, keepdims=True, out=sums)
+    out = np.subtract(a, top, out=out)
     np.exp(out, out=out)
-    out /= np.sum(out, axis=-1, keepdims=True)
+    if sums is None:
+        out /= np.sum(out, axis=-1, keepdims=True)
+    else:
+        np.sum(out, axis=-1, keepdims=True, out=sums)
     return out
 
 
@@ -91,27 +104,56 @@ def rmsnorm_rows(
     return out
 
 
-def rope_rotate_rows(
-    x: np.ndarray, positions: np.ndarray, theta_base: float, out: np.ndarray | None = None
+def rope_table(
+    positions: np.ndarray, head_dim: int, theta_base: float, out: np.ndarray | None = None
 ) -> np.ndarray:
-    """Rotate consecutive (even, odd) pairs of the last axis of ``x`` by
-    angles scaled by ``positions``, which broadcasts against the leading
-    axes: (n, head_dim) rows with (n,) positions, or (n, heads, head_dim)
-    with (n, 1) positions to rotate every head of a row alike. ``out``, of
-    the shape of ``x`` and not overlapping it, may be any strided view."""
-    x = np.asarray(x, dtype=np.float64)
-    if x.shape[-1] % 2 != 0:
-        raise ConfigError(f"rope requires even head_dim, got {x.shape[-1]}")
-    head_dim = x.shape[-1]
+    """The cos and sin of the rotary angles of ``positions``, stacked in
+    one array of shape (2, *positions.shape, head_dim // 2) that ``out``
+    may provide: pair i of a row at position p turns by
+    p * theta_base^(-2i / head_dim). Give (n, 1) positions to rotate every
+    head of an (n, heads, head_dim) row alike."""
+    if head_dim % 2 != 0:
+        raise ConfigError(f"rope requires even head_dim, got {head_dim}")
     pair = np.arange(head_dim // 2, dtype=np.float64)
     inv_freq = theta_base ** (-2.0 * pair / head_dim)
-    ang = np.asarray(positions, dtype=np.float64)[..., None] * inv_freq
-    cos, sin = np.cos(ang), np.sin(ang)
+    positions = np.asarray(positions)
+    if out is None:
+        out = np.empty((2, *positions.shape, head_dim // 2))
+    cos, sin = out
+    # the angles pass through the sin half
+    np.multiply(positions[..., None], inv_freq, out=sin)
+    np.cos(sin, out=cos)
+    np.sin(sin, out=sin)
+    return out
+
+
+def rope_rotate_rows(
+    x: np.ndarray, table: np.ndarray, out: np.ndarray | None = None,
+    scratch: np.ndarray | None = None,
+) -> np.ndarray:
+    """Rotate consecutive (even, odd) pairs of the last axis of ``x`` by the
+    angles of a ``rope_table``, whose (cos, sin) halves broadcast against
+    the pairs of ``x``. ``out``, of the shape of ``x`` and not overlapping
+    it, may be any strided view; ``scratch``, of the shape of the pairs,
+    holds one product, so the rotation allocates nothing when both are
+    given."""
+    x = np.asarray(x, dtype=np.float64)
+    cos, sin = table
+    if x.shape[-1] != 2 * cos.shape[-1]:
+        raise ConfigError(f"rope requires even head_dim matching a table of "
+                          f"{cos.shape[-1]} pairs, got {x.shape[-1]}")
     if out is None:
         out = np.empty_like(x)
     even, odd = x[..., 0::2], x[..., 1::2]
-    np.subtract(even * cos, odd * sin, out=out[..., 0::2])
-    np.add(even * sin, odd * cos, out=out[..., 1::2])
+    out_even, out_odd = out[..., 0::2], out[..., 1::2]
+    if scratch is None:
+        scratch = np.empty_like(even)
+    # even * cos - odd * sin, then even * sin + odd * cos, each product
+    # rounded on its own as in the two-expression form
+    np.multiply(even, cos, out=out_even)
+    out_even -= np.multiply(odd, sin, out=out_odd)
+    np.multiply(even, sin, out=out_odd)
+    out_odd += np.multiply(odd, cos, out=scratch)
     return out
 
 

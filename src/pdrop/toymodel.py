@@ -16,7 +16,7 @@ from scipy.special import expit
 
 from .errors import ConfigError, InputError
 from .layout import MultimodalSequence, check_image_size
-from .numkernel import RngState, gaussian_init, rmsnorm_rows, rope_rotate_rows, softmax_rows
+from .numkernel import RngState, gaussian_init, rmsnorm_rows, rope_rotate_rows, rope_table, softmax_rows
 from .pruner import StageSchedule, decide, identity_ranker, rank_image_tokens
 
 INIT_STDDEV = 0.02
@@ -130,36 +130,46 @@ def _embed(w: DecoderWeights, seq: MultimodalSequence) -> np.ndarray:
 _ABOVE_DIAGONAL = np.triu(np.ones((ATTENTION_BLOCK_ROWS, ATTENTION_BLOCK_ROWS), dtype=bool), 1)
 
 
-def _causal_attention(qh, kt, vh, out, scores):
+def _causal_attention(qh, kt, vh, out, scratch):
     """Causal attention of every head at once, ATTENTION_BLOCK_ROWS query
     rows at a time, into ``out`` (heads, n, head_dim). Takes the post-rotary
     queries ``qh`` (heads, n, head_dim), which it scales in place by
     1/sqrt(head_dim), the keys ``kt`` (heads, head_dim, n) and the values
-    ``vh`` (heads, n, head_dim); ``scores`` is a flat buffer of at least
-    heads * ATTENTION_BLOCK_ROWS * n floats for the score block. Rows
-    strictly ascend by position id (kept rows stay in order, image rows
-    precede text rows), so query rows [r0, r1) see only keys [0, r1) and
-    only the diagonal block needs a mask, its strict upper triangle."""
+    ``vh`` (heads, n, head_dim); ``scratch`` is a flat buffer of at least
+    heads * ATTENTION_BLOCK_ROWS * (n + 1) floats for the row sums and the
+    score block. Rows strictly ascend by position id (kept rows stay in
+    order, image rows precede text rows), so query rows [r0, r1) see only
+    keys [0, r1) and only the diagonal block needs a mask, its strict upper
+    triangle. The weights stay unnormalised through the value product, and
+    its rows x head_dim result, not the rows x r1 block, is divided by the
+    row sums."""
     nh, n, hd = qh.shape
     qh *= 1.0 / np.sqrt(hd)
     for r0 in range(0, n, ATTENTION_BLOCK_ROWS):
         r1 = min(r0 + ATTENTION_BLOCK_ROWS, n)
         rows = r1 - r0
-        block = scores[:nh * rows * r1].reshape(nh, rows, r1)
+        sums = scratch[:nh * rows].reshape(nh, rows, 1)
+        block = scratch[nh * rows:nh * rows * (r1 + 1)].reshape(nh, rows, r1)
         np.matmul(qh[:, r0:r1], kt[:, :, :r1], out=block)
         np.copyto(block[:, :, r0:], -np.inf, where=_ABOVE_DIAGONAL[:rows, :rows])
-        np.matmul(softmax_rows(block, out=block), vh[:, :r1], out=out[:, r0:r1])
+        block_out = out[:, r0:r1]
+        np.matmul(softmax_rows(block, out=block, sums=sums), vh[:, :r1], out=block_out)
+        block_out /= sums
 
 
 def _workspace(cfg: ModelConfig, n: int) -> tuple[np.ndarray, np.ndarray]:
     """The block buffers of a forward whose widest layer has ``n`` rows: an
-    n x d buffer and one flat arena, which holds the projection scratch,
-    the head-major queries and keys and the score block during attention
-    and the two n x m FFN buffers after it. Every layer of the forward
-    works in views of them sized for its own, never larger, row count."""
-    d = cfg.hidden_size
-    attention = 3 * d + cfg.num_heads * ATTENTION_BLOCK_ROWS
-    return np.empty(n * d), np.empty(n * max(attention, 2 * cfg.ffn_intermediate))
+    n x d buffer and one flat arena. During attention the arena holds an
+    n x d projection scratch (which then holds the values and the output
+    projection), the head-major queries and keys, and a shared region: the
+    rotary cos/sin table, the rotated rows and the rotary scratch while q
+    and k are rotated, the row sums and the score block after that. The
+    two n x m FFN buffers reuse the arena after attention. Every layer of
+    the forward works in views of them sized for its own, never larger,
+    row count."""
+    d, m, hd = cfg.hidden_size, cfg.ffn_intermediate, cfg.head_dim
+    shared = max(n * (hd + d + d // 2), cfg.num_heads * ATTENTION_BLOCK_ROWS * (n + 1))
+    return np.empty(n * d), np.empty(max(3 * n * d + shared, 2 * n * m))
 
 
 def _layer_forward(lw: LayerWeights, cfg: ModelConfig, x: np.ndarray, positions: np.ndarray,
@@ -176,14 +186,23 @@ def _layer_forward(lw: LayerWeights, cfg: ModelConfig, x: np.ndarray, positions:
     t = arena[:n * d].reshape(n, d)
     qh = arena[n * d:2 * n * d].reshape(nh, n, hd)
     kt = arena[2 * n * d:3 * n * d].reshape(nh, hd, n)
+    shared = arena[3 * n * d:]
     rmsnorm_rows(x, lw.attn_gain, cfg.rmsnorm_eps, out=h)
-    # one rotation per projection: each row's position broadcasts over heads
-    for w_proj, rotated in ((lw.w_q, qh.transpose(1, 0, 2)), (lw.w_k, kt.transpose(2, 0, 1))):
+    # one table for both rotations: each row's position broadcasts over heads
+    table = rope_table(positions[:, None], hd, cfg.rope_theta,
+                       out=shared[:n * hd].reshape(2, n, 1, hd // 2))
+    rotated = shared[n * hd:n * (hd + d)].reshape(n, nh, hd)
+    scratch = shared[n * (hd + d):n * (hd + d + d // 2)].reshape(n, nh, hd // 2)
+    for w_proj, head_major in ((lw.w_q, qh.transpose(1, 0, 2)), (lw.w_k, kt.transpose(2, 0, 1))):
         np.matmul(h, w_proj, out=t)
-        rope_rotate_rows(t.reshape(n, nh, hd), positions[:, None], cfg.rope_theta, out=rotated)
+        # rotating into rows and copying them into q or kᵀ at once beats
+        # writing each product through the head-major view
+        rope_rotate_rows(t.reshape(n, nh, hd), table, out=rotated, scratch=scratch)
+        np.copyto(head_major, rotated)
+    del table, rotated, scratch  # dead: the score block overwrites them
     scores = None if rank is None else rank_image_tokens(qh[:, rank[0]], kt[:, :, :rank[1]])
     values = np.matmul(h, lw.w_v, out=t).reshape(n, nh, hd).transpose(1, 0, 2)
-    _causal_attention(qh, kt, values, h.reshape(n, nh, hd).transpose(1, 0, 2), arena[3 * n * d:])
+    _causal_attention(qh, kt, values, h.reshape(n, nh, hd).transpose(1, 0, 2), shared)
     x += np.matmul(h, lw.w_o, out=t)
     rmsnorm_rows(x, lw.ffn_gain, cfg.rmsnorm_eps, out=h)
     gate = arena[:n * m].reshape(n, m)

@@ -34,8 +34,12 @@ def masked_pruned_forward(weights, seq, schedule):
     Returns (hidden_rows_by_position, kept_sets, boundary_scores) where
     hidden rows are the final-layer states of all tokens (dropped rows are
     garbage by design), kept_sets lists the surviving image positions per
-    boundary and boundary_scores the ranking score of each surviving image
-    token there, in position order.
+    boundary and boundary_scores, per boundary, a pair: the ranking score
+    of each surviving image token there, in position order, and the same
+    score with every product q_i * k_i taken in absolute value. A dot
+    product computed in another order differs by at most about
+    head_dim * eps times that magnitude, however close to zero the score
+    itself is.
     """
     cfg = weights.config
     n = len(seq)
@@ -88,8 +92,11 @@ def masked_pruned_forward(weights, seq, schedule):
             per_head = np.array(
                 [[q[q_row, hh] @ k[i, hh] for i in alive] for hh in range(nh)]
             ) / np.sqrt(hd)
+            magnitude = np.array(
+                [[np.abs(q[q_row, hh]) @ np.abs(k[i, hh]) for i in alive] for hh in range(nh)]
+            ) / np.sqrt(hd)
             scores = per_head.mean(axis=0)
-            boundary_scores.append(scores)
+            boundary_scores.append((scores, magnitude.mean(axis=0)))
             keep = schedule.stage_token_counts[stage + 1]
             order = np.argsort(-scores, kind="stable")
             kept = sorted(alive[j] for j in order[:keep])

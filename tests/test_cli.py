@@ -93,6 +93,19 @@ def test_cost_flag_the_strategy_lacks_is_config_error(capsys, flags):
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
 
 
+@pytest.mark.parametrize("flags, named", [
+    (["--lambda", "0.5", "--tokens", "64"], "'pdrop' takes no --tokens"),
+    (["--strategy", "fastv", "--stages", "7"], "'fastv' takes no --stages"),
+    (["--strategy", "vanilla", "--keep-ratio", "0.5"], "'vanilla' takes no --lambda/--keep-ratio"),
+    (["--strategy", "uniform", "--drop-layer", "2", "--stages", "3"],
+     "'uniform' takes no --stages, --drop-layer"),
+])
+def test_cost_error_names_the_flag_typed(capsys, flags, named):
+    code = main(["cost", "--n", "576", "--layers", "32", "--d", "4096", "--m", "11008", *flags])
+    assert code == 2
+    assert capsys.readouterr().err == f"error: strategy {named}\n"
+
+
 def test_schedule(capsys):
     code, out = run_cli(capsys, "schedule", "--layers", "32", "--stages", "4",
                         "--lambda", "0.5", "--tokens", "576")
@@ -148,6 +161,10 @@ def test_run_missing_config_is_io_error(capsys, tmp_path):
     {"strategy": {"name": "pdrop", "keep_ration": 0.3}},
     {"seed": 1.5},
     {"model": {**TOY_MODEL, "num_layers": 8.9}},
+    {"strategy": {"name": "pdrop", "keep_ratio": True}},
+    {"fixture": {"image_tokens": 16, "noise": True}},
+    {"model": {**TOY_MODEL, "rope_theta": True}},
+    {"sweep": {"ratios": [0.5, False]}},
 ])
 def test_run_mistyped_config_value_is_config_error(capsys, tmp_path, override):
     path = tmp_path / "config.json"

@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from pdrop.numkernel import (
     gaussian_init,
     rmsnorm_rows,
     rope_rotate_rows,
+    rope_table,
     softmax_rows,
 )
 
@@ -52,6 +54,20 @@ class TestSoftmaxRows:
         assert a[0, 0].tolist() == [0.5, 0.0, 0.5]
         assert a[0, 1, 2] == 0.0 and a[0, 1, :2].sum() == pytest.approx(1.0)
 
+    def test_deferred_division_matches_normalised_rows(self):
+        # with sums=, each row stays exp(a - max) and its sum goes to sums;
+        # scaling by 1/sums gives the normalised route, and -inf still weighs 0
+        a = RngState(41).normals(3 * 4 * 9, 5.0).reshape(3, 4, 9)
+        a[0, 1, 4:] = -np.inf
+        a[2, 3, ::2] = -np.inf
+        sums = np.full((3, 4, 1), np.nan)
+        out = softmax_rows(a.copy(), sums=sums)
+        assert np.all(out.max(axis=-1) == 1.0)  # the row maximum's exp(0)
+        assert np.array_equal(sums, out.sum(axis=-1, keepdims=True))
+        weights = out * (1.0 / sums)
+        assert np.abs(weights - softmax_rows(a)).max() <= 1e-15
+        assert np.all(weights[np.isneginf(a)] == 0.0)
+
 
 class TestRmsnorm:
     def test_unit_rms(self):
@@ -85,42 +101,82 @@ class TestRmsnorm:
 class TestRopeRotate:
     def test_zero_position_is_identity(self):
         x = np.array([[1.0, 2.0, 3.0, 4.0]])
-        assert np.allclose(rope_rotate_rows(x, np.array([0]), 10000.0), x, atol=1e-15)
+        assert np.allclose(rope_rotate_rows(x, rope_table(np.array([0]), 4, 10000.0)), x,
+                           atol=1e-15)
 
     def test_single_pair_is_plain_rotation(self):
         # each row turns by its own position
-        out = rope_rotate_rows(np.array([[1.0, 0.0], [1.0, 0.0]]), np.array([3, 5]), 123.0)
+        out = rope_rotate_rows(np.array([[1.0, 0.0], [1.0, 0.0]]),
+                               rope_table(np.array([3, 5]), 2, 123.0))
         assert np.allclose(out, [[math.cos(3), math.sin(3)], [math.cos(5), math.sin(5)]],
                            atol=1e-12)
 
     def test_odd_dim_rejected(self):
         with pytest.raises(ConfigError):
-            rope_rotate_rows(np.zeros((1, 3)), np.array([1]), 10000.0)
+            rope_rotate_rows(np.zeros((1, 3)), rope_table(np.array([1]), 2, 10000.0))
+        with pytest.raises(ConfigError):
+            rope_table(np.array([1]), 3, 10000.0)
 
     def test_heads_broadcast_bit_identical_to_per_head(self):
         rng = RngState(31)
         x = rng.normals(7 * 4 * 16).reshape(7, 4, 16)
         positions = np.array([0, 1, 2, 5, 9, 40, 1000])
-        out = rope_rotate_rows(x, positions[:, None], 10000.0)
+        out = rope_rotate_rows(x, rope_table(positions[:, None], 16, 10000.0))
         for head in range(4):
-            assert np.array_equal(out[:, head], rope_rotate_rows(x[:, head], positions, 10000.0))
+            assert np.array_equal(out[:, head],
+                                  rope_rotate_rows(x[:, head], rope_table(positions, 16, 10000.0)))
 
     def test_strided_out_bit_identical(self):
         # rotated straight into a head-major buffer, through its (n, heads,
         # head_dim) view
         rng = RngState(37)
         x = rng.normals(7 * 4 * 16).reshape(7, 4, 16)
-        positions = np.array([0, 1, 2, 5, 9, 40, 1000])[:, None]
+        table = rope_table(np.array([0, 1, 2, 5, 9, 40, 1000])[:, None], 16, 10000.0)
         head_major = np.empty((4, 7, 16))
-        rope_rotate_rows(x, positions, 10000.0, out=head_major.transpose(1, 0, 2))
-        assert np.array_equal(head_major.transpose(1, 0, 2), rope_rotate_rows(x, positions, 10000.0))
+        rope_rotate_rows(x, table, out=head_major.transpose(1, 0, 2))
+        assert np.array_equal(head_major.transpose(1, 0, 2), rope_rotate_rows(x, table))
 
     @given(st.lists(st.floats(-10, 10), min_size=2, max_size=16).filter(lambda v: len(v) % 2 == 0),
            st.integers(0, 5000))
     def test_norm_preserved(self, vec, position):
         x = np.array([vec, vec[::-1]])
-        out = rope_rotate_rows(x, np.array([position, 2 * position]), 10000.0)
+        out = rope_rotate_rows(x, rope_table(np.array([position, 2 * position]), len(vec), 10000.0))
         assert np.allclose(np.linalg.norm(out, axis=1), np.linalg.norm(x, axis=1), atol=1e-12)
+
+    def test_table_bit_identical_to_per_call_formula(self):
+        # one table shared by q and k gives, bit for bit, the rotation that
+        # computed its angles and products afresh in each call
+        rng = RngState(43)
+        q, k = rng.normals(2 * 9 * 4 * 16).reshape(2, 9, 4, 16)
+        positions = np.array([0, 1, 3, 7, 64, 100, 1151, 1156, 5188])
+        pair = np.arange(8, dtype=np.float64)
+        ang = positions.astype(np.float64)[:, None, None] * 10000.0 ** (-2.0 * pair / 16)
+        cos, sin = np.cos(ang), np.sin(ang)
+        table = rope_table(positions[:, None], 16, 10000.0)
+        buffers = np.full(2 * 9 * 4 * 16 + 9 * 4 * 8, np.nan)
+        for x, out in ((q, buffers[:576].reshape(9, 4, 16)),
+                       (k, buffers[576:1152].reshape(4, 16, 9).transpose(2, 0, 1))):
+            expected = np.empty_like(x)
+            expected[..., 0::2] = x[..., 0::2] * cos - x[..., 1::2] * sin
+            expected[..., 1::2] = x[..., 0::2] * sin + x[..., 1::2] * cos
+            got = rope_rotate_rows(x, table, out=out, scratch=buffers[1152:].reshape(9, 4, 8))
+            assert got is out
+            assert np.array_equal(got, expected)
+
+    def test_rotation_into_buffers_allocates_no_products(self):
+        # toy V0=1152 rows: each half-width product would take 296 KB; what
+        # remains is numpy's iterator buffer for the broadcast table,
+        # np.getbufsize() elements whatever the row count
+        x = RngState(47).normals(1157 * 64).reshape(1157, 4, 16)
+        table = rope_table(np.arange(1157)[:, None], 16, 10000.0)
+        out, scratch = np.empty_like(x), np.empty((1157, 4, 8))
+        tracemalloc.start()
+        try:
+            rope_rotate_rows(x, table, out=out, scratch=scratch)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * np.getbufsize() + 4096
 
 
 class TestArgTopk:
