@@ -220,6 +220,8 @@ def make_marker_sequence(
         raise ConfigError(f"cannot mark {km} of {v0} image tokens")
     if fixture.answer_length < 0:
         raise ConfigError(f"negative answer length {fixture.answer_length}")
+    if cfg.vocab_size < 2:  # the text ids run over 1 .. vocab_size - 1
+        raise ConfigError(f"a generated fixture needs vocab_size >= 2, got {cfg.vocab_size}")
     d = cfg.hidden_size
     check_image_size(v0, d)
     rng = RngState(derive_seed(seed, 101))

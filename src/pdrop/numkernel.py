@@ -79,13 +79,14 @@ def softmax_rows(
     left to the caller: each row is left as exp(a - max) and its sum is
     written to ``sums``, which first holds the row maxima."""
     a = np.asarray(a, dtype=np.float64)
-    top = np.max(a, axis=-1, keepdims=True, out=sums)
+    # the reductions np.max and np.sum wrap, called without their wrappers
+    top = np.maximum.reduce(a, axis=-1, keepdims=True, out=sums)
     out = np.subtract(a, top, out=out)
     np.exp(out, out=out)
     if sums is None:
-        out /= np.sum(out, axis=-1, keepdims=True)
+        out /= np.add.reduce(out, axis=-1, keepdims=True)
     else:
-        np.sum(out, axis=-1, keepdims=True, out=sums)
+        np.add.reduce(out, axis=-1, keepdims=True, out=sums)
     return out
 
 
@@ -98,9 +99,14 @@ def rmsnorm_rows(
     gain = np.asarray(gain, dtype=np.float64)
     if a.ndim != 2 or a.shape[1] != gain.shape[0]:
         raise ShapeError(f"rmsnorm_rows mismatch: {a.shape} vs gain {gain.shape}")
-    mean_square = np.mean(np.multiply(a, a, out=out), axis=-1, keepdims=True)
+    # np.mean's own steps, a sum then a division by the row width, without
+    # its wrapper
+    rms = np.add.reduce(np.multiply(a, a, out=out), axis=-1, keepdims=True)
+    rms /= a.shape[1]
+    rms += eps
+    np.sqrt(rms, out=rms)
     out = np.multiply(a, gain, out=out)
-    out /= np.sqrt(mean_square + eps)
+    out /= rms
     return out
 
 

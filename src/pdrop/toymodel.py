@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import expit
 
 from .errors import ConfigError, InputError
 from .layout import MultimodalSequence, check_image_size
@@ -172,6 +171,18 @@ def _workspace(cfg: ModelConfig, n: int) -> tuple[np.ndarray, np.ndarray]:
     return np.empty(n * d), np.empty(max(3 * n * d + shared, 2 * n * m))
 
 
+def _silu(gate, scratch):
+    """SiLU in place: ``gate / (1 + exp(-gate))`` with numpy's vector exp,
+    ``scratch`` (of the shape of ``gate``) holding the denominator. Where
+    exp(-gate) overflows, the quotient is -0.0, SiLU's limit."""
+    np.negative(gate, out=scratch)
+    with np.errstate(over="ignore"):
+        np.exp(scratch, out=scratch)
+    scratch += 1.0
+    gate /= scratch
+    return gate
+
+
 def _layer_forward(lw: LayerWeights, cfg: ModelConfig, x: np.ndarray, positions: np.ndarray,
                    workspace, rank=None):
     """One pre-norm block: adds both residual updates to ``x`` in place and
@@ -207,10 +218,8 @@ def _layer_forward(lw: LayerWeights, cfg: ModelConfig, x: np.ndarray, positions:
     rmsnorm_rows(x, lw.ffn_gain, cfg.rmsnorm_eps, out=h)
     gate = arena[:n * m].reshape(n, m)
     up = arena[n * m:2 * n * m].reshape(n, m)
-    # SiLU(gate) * up: the same two elementwise products in the same order
-    # as (g * expit(g)) * up, with the up buffer holding expit(g) first
-    np.matmul(h, lw.w_gate, out=gate)
-    gate *= expit(gate, out=up)
+    # SiLU(gate) * up, with the up buffer holding SiLU's denominator first
+    _silu(np.matmul(h, lw.w_gate, out=gate), up)
     gate *= np.matmul(h, lw.w_up, out=up)
     x += np.matmul(gate, lw.w_down, out=h)
     return scores

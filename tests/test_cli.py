@@ -1,7 +1,14 @@
+import contextlib
+import io
 import json
+import os
+import tempfile
 import time
+import warnings
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pdrop import harness, layout
 from pdrop.cli import main
@@ -361,3 +368,132 @@ def test_compare_same_seed_reproducible(capsys, config_file):
     code2, out2 = run_cli(capsys, "compare", "--config", config_file)
     assert code == code2 == 0
     assert out1 == out2
+
+
+# --- whole-run fuzz -----------------------------------------------------------
+
+# values of a wrong type or out of range, put in place of a generated field;
+# none is large, since no bound refuses a large layer, FFN or text length yet
+WRONG = st.one_of(st.none(), st.booleans(), st.text(max_size=3), st.integers(-3, 3),
+                  st.floats(-10.0, 10.0), st.sampled_from([float("nan"), float("inf")]),
+                  st.lists(st.integers(-1, 9), max_size=2),
+                  st.dictionaries(st.text(max_size=2), st.integers(), max_size=1))
+
+
+def strategies(layers):
+    """A strategy of each kind, its fields in range for ``layers`` layers."""
+    stages, keep = st.integers(1, layers), st.floats(0.0, 1.0)
+    fields = {
+        "vanilla": {}, "pdrop": {"stages": stages, "keep_ratio": keep},
+        "fastv": {"drop_layer": st.integers(1, max(1, layers - 1)), "keep_ratio": keep},
+        "uniform": {"token_count": st.integers(0, 30)},
+        "random": {"stages": stages, "keep_ratio": keep, "seed": st.integers(0, 99)},
+    }
+    return st.one_of(
+        st.sampled_from([*fields, "pyramiddrop", "qformer"]),
+        st.sampled_from(sorted(fields)).flatmap(
+            lambda name: st.fixed_dictionaries({"name": st.just(name), **fields[name]})),
+    )
+
+
+@st.composite
+def configs(draw, fixture_path):
+    """A run's config file object, and the text of a fixture file at
+    ``fixture_path`` for it (None for a generated fixture); in half of the
+    cases one field somewhere in them is left out, or given a value from
+    WRONG, or an unknown field is added."""
+    layers, heads = draw(st.integers(1, 4)), draw(st.integers(1, 2))
+    head_dim = draw(st.sampled_from([8, 4, 2]))
+    width = heads * head_dim
+    config = draw(st.fixed_dictionaries({
+        "model": st.fixed_dictionaries({
+            "num_layers": st.just(layers), "hidden_size": st.just(width),
+            "num_heads": st.just(heads), "head_dim": st.just(head_dim),
+            "ffn_intermediate": st.integers(1, 8), "vocab_size": st.integers(2, 8),
+            "rope_theta": st.floats(1.0, 1e5), "rmsnorm_eps": st.floats(1e-9, 1e-2),
+        }),
+        "seed": st.integers(0, 2**31),
+        "strategy": strategies(layers),
+        "strategies": st.lists(strategies(layers), min_size=1, max_size=3),
+        "sweep": st.fixed_dictionaries({
+            "layers": st.lists(st.integers(1, max(1, layers - 1)), min_size=1, max_size=3),
+            "ratios": st.lists(st.floats(0.0, 1.0), min_size=1, max_size=3)}),
+        "margin_onset_layer": st.integers(1, layers),
+    }))
+    from_file = draw(st.integers(0, 3)) == 3
+    if from_file:
+        # image rows mostly of the model's width, some entries not finite
+        entry = st.one_of(st.floats(-1e3, 1e3), st.sampled_from([float("nan"), float("inf")]))
+        row = st.lists(entry, min_size=width, max_size=width + draw(st.integers(0, 1)))
+        fixture = draw(st.fixed_dictionaries({
+            "image": st.lists(row, max_size=12),
+            "instruction": st.lists(st.integers(-1, 9), min_size=1, max_size=3),
+            "answer": st.lists(st.integers(-1, 9), max_size=2),
+        }))
+        config["fixture"] = {"path": fixture_path}
+    else:
+        image_tokens = draw(st.integers(0, 24))
+        fixture = config["fixture"] = draw(st.fixed_dictionaries({
+            "image_tokens": st.just(image_tokens),
+            "marked_count": st.integers(0, min(6, image_tokens)),
+            "instruction_length": st.integers(1, 3), "answer_length": st.integers(0, 2),
+            "marker_dims": st.lists(st.integers(0, max(0, width - 2)), min_size=1, max_size=3),
+            "marked_placement": st.sampled_from(["high", "low", "random"]),
+            "noise": st.floats(0.0, 1.0), "amplitude": st.floats(-2.0, 2.0),
+        }))
+    if draw(st.booleans()):
+        node = draw(st.sampled_from([config, config["model"], config["sweep"], fixture]))
+        key = draw(st.sampled_from([*node, "extra"]))
+        if key in node and draw(st.booleans()):
+            del node[key]
+        else:
+            node[key] = draw(WRONG)
+    return config, json.dumps(fixture) if from_file else None
+
+
+FUZZ_FLAGS = {
+    "run": ["--seed", "--emit-masks"],
+    "compare": ["--strategies", "--out"],
+    "sweep": ["--layers", "--ratios"],
+}
+FLAG_VALUES = {
+    "--seed": st.integers(0, 2**40).map(str),
+    "--emit-masks": st.just("masks.json"),
+    "--strategies": st.lists(st.sampled_from(["vanilla", "pdrop", "fastv", "random", "uniform",
+                                              "x"]), min_size=1, max_size=3).map(",".join),
+    "--out": st.just("compare.json"),
+    "--layers": st.sampled_from(["1", "2,1", "0", "-1", "9", "a", "1,,2"]),
+    "--ratios": st.sampled_from(["0.5", "0,1", "0.1:0.9:0.4", "1:0:0.5", "nan", "0.2:0.4"]),
+}
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_whole_run_ends_with_a_code_and_a_line(data):
+    # every generated run, compare or sweep returns 0, 2 or 3 without
+    # raising or warning; a nonzero code comes with one error line
+    with tempfile.TemporaryDirectory() as workdir:
+        config, fixture_file = data.draw(configs(os.path.join(workdir, "fixture.json")))
+        with open(os.path.join(workdir, "config.json"), "w") as fh:
+            json.dump(config, fh)
+        if fixture_file is not None:
+            with open(os.path.join(workdir, "fixture.json"), "w") as fh:
+                fh.write(fixture_file)
+        command = data.draw(st.sampled_from(sorted(FUZZ_FLAGS)))
+        argv = [command, "--config", os.path.join(workdir, "config.json")]
+        for flag in data.draw(st.lists(st.sampled_from(FUZZ_FLAGS[command]), unique=True)):
+            value = data.draw(FLAG_VALUES[flag])
+            argv += [flag, os.path.join(workdir, value) if value.endswith(".json") else value]
+        if command == "sweep":
+            argv += ["--out", os.path.join(workdir, "sweep.csv")]
+        out, err = io.StringIO(), io.StringIO()
+        with (warnings.catch_warnings(), contextlib.redirect_stdout(out),
+              contextlib.redirect_stderr(err)):
+            warnings.simplefilter("error")
+            code = main(argv)
+    assert code in (0, 2, 3)
+    if code:
+        assert err.getvalue().startswith(("error: ", "i/o error: "))
+        assert err.getvalue().count("\n") == 1
+    else:
+        assert err.getvalue() == "" and "NaN" not in out.getvalue()

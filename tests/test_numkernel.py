@@ -98,6 +98,38 @@ class TestRmsnorm:
             rmsnorm_rows(np.zeros(4), np.ones(4), 1e-6)
 
 
+class TestReductionsBitIdentical:
+    """rmsnorm_rows and softmax_rows call np.add.reduce and np.maximum.reduce
+    themselves and divide by the row width; their results equal, bit for
+    bit, the np.mean, np.max and np.sum formulas those calls replace."""
+
+    @pytest.mark.parametrize("shape", [(1, 1), (1, 64), (5, 7), (69, 64), (33, 256)])
+    def test_rmsnorm_rows(self, shape):
+        rng = RngState(derive_seed(51, *shape))
+        a = rng.normals(shape[0] * shape[1], 4.0).reshape(shape)
+        gain = rng.normals(shape[1])
+        for eps in (1e-6, 1e-300):
+            want = a * gain / np.sqrt(np.mean(a * a, axis=-1, keepdims=True) + eps)
+            assert np.array_equal(rmsnorm_rows(a, gain, eps), want)
+            assert np.array_equal(rmsnorm_rows(a, gain, eps, out=np.full(shape, np.nan)), want)
+
+    @pytest.mark.parametrize("shape", [(1, 1), (1, 9), (6, 9), (4, 33, 70)])
+    def test_softmax_rows(self, shape):
+        a = RngState(derive_seed(53, *shape)).normals(math.prod(shape), 5.0).reshape(shape)
+        rows = a.reshape(-1, shape[-1])  # a view of a
+        rows[-1, 1:] = -np.inf  # one finite entry left
+        if rows.shape[0] > 2:
+            rows[0, ::2] = -np.inf
+            rows[1] = -np.inf  # fully masked: NaN by either route
+        with np.errstate(invalid="ignore"):
+            weights = np.exp(a - np.max(a, axis=-1, keepdims=True))
+            sums = np.sum(weights, axis=-1, keepdims=True)
+            got_sums = np.full(sums.shape, np.nan)
+            assert np.array_equal(softmax_rows(a), weights / sums, equal_nan=True)
+            assert np.array_equal(softmax_rows(a, sums=got_sums), weights, equal_nan=True)
+            assert np.array_equal(got_sums, sums, equal_nan=True)
+
+
 class TestRopeRotate:
     def test_zero_position_is_identity(self):
         x = np.array([[1.0, 2.0, 3.0, 4.0]])

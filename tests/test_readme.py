@@ -1,12 +1,17 @@
-"""The README's library quick start and experiment config must run as written."""
+"""The README's library quick start and experiment config must run as
+written, and the package must need no dependency but numpy."""
 
 import json
+import os
 import pathlib
 import re
+import subprocess
+import sys
 
 from pdrop.cli import main
 
-README = pathlib.Path(__file__).resolve().parent.parent / "README.md"
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+README = ROOT / "README.md"
 
 
 def test_quick_start_runs(capsys):
@@ -23,3 +28,13 @@ def test_experiment_config_runs(capsys, tmp_path):
     path.write_text(block)
     assert main(["run", "--config", str(path)]) == 0
     assert json.loads(capsys.readouterr().out)["strategy"] == "pdrop"
+
+
+def test_import_loads_no_scipy():
+    # a fresh interpreter, so that no other test's imports are counted
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    child = subprocess.run(
+        [sys.executable, "-c", "import sys, pdrop, pdrop.cli; print('scipy' in sys.modules)"],
+        env=env, capture_output=True, text=True, timeout=120)
+    assert child.returncode == 0, child.stderr
+    assert child.stdout == "False\n"
