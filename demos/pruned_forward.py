@@ -13,7 +13,6 @@ from pdrop import (
     TOY_CONFIG,
     build_schedule,
     forward_pruned,
-    inject_at_boundary,
     keep_all_schedule,
 )
 from pdrop.harness import FixtureSpec, make_marker_sequence
@@ -48,6 +47,13 @@ print(f"four-stage keep-all forward identical to one-stage forward: {same}")
 layer, kept = trace.kept_masks[0]
 dropped = sorted(set(range(fixture.image_tokens)) - set(kept.tolist()))
 garbage = RngState(7).normals(cfg.hidden_size, 100.0)
-injected = inject_at_boundary(weights, seq, schedule, layer, dropped[0], garbage)
+
+
+def inject(layer_no, x, positions, scores):  # called at each boundary, before its drop
+    if layer_no == layer:
+        x[positions == dropped[0]] = garbage
+
+
+injected = forward_pruned(weights, seq, schedule, observe=inject)
 print(f"garbage injected into dropped token {dropped[0]} at layer {layer}: "
       f"final logits identical = {np.array_equal(injected.logits, trace.logits)}")

@@ -37,7 +37,6 @@ from .toymodel import (
     build_marker_model,
     forward_pruned,
     init_model,
-    inject_at_boundary,
 )
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -17,7 +17,7 @@ import numpy as np
 
 from .costmodel import CostReport, strategy_cost
 from .errors import ConfigError
-from .layout import MultimodalSequence, build_sequence, check_image_size, load_sequence
+from .layout import MultimodalSequence, build_sequence, check_elements, check_image_size, load_sequence
 from .numkernel import RngState, derive_seed
 from .pruner import (
     PyramidDrop,
@@ -31,7 +31,7 @@ from .pruner import (
     decide,
     random_ranker,
 )
-from .toymodel import DecoderWeights, ModelConfig, build_marker_model, forward_pruned
+from .toymodel import DecoderWeights, ModelConfig, build_marker_model, forward_elements, forward_pruned
 
 
 @dataclass(frozen=True)
@@ -224,6 +224,9 @@ def make_marker_sequence(
         raise ConfigError(f"a generated fixture needs vocab_size >= 2, got {cfg.vocab_size}")
     d = cfg.hidden_size
     check_image_size(v0, d)
+    # refused as its forward would be, before any embedding or id is built
+    n = v0 + max(fixture.instruction_length, 0) + fixture.answer_length
+    check_elements(f"a forward of {n} tokens", forward_elements(cfg, n))
     rng = RngState(derive_seed(seed, 101))
     emb = fixture.noise * rng.normals(v0 * d).reshape(v0, d) if v0 else np.zeros((0, d))
     if fixture.marked_placement == "high":
@@ -335,9 +338,9 @@ def run_layer_sweep(spec: ExperimentSpec) -> list[SweepRow]:
     weights = replace(weights, config=replace(cfg, num_layers=depth), layers=weights.layers[:depth])
     layer_counts = tuple(np.diff([0, *boundaries, depth]).tolist())
     keep_all = StageSchedule(layer_counts, (v0,) * len(layer_counts))
-    recorded = []  # each boundary's scores, in layer order
-    forward_pruned(weights, seq, keep_all, ranker=lambda s, stage: recorded.append(s) or s)
-    scores = dict(zip(boundaries, recorded))
+    scores = {}  # each boundary's scores, by layer
+    forward_pruned(weights, seq, keep_all,
+                   observe=lambda layer, x, positions, s: scores.setdefault(layer, s))
 
     rows = []
     for strategy, schedule in cells:

@@ -22,6 +22,12 @@ from .errors import InputError
 # V0=5184, at the toy width of 64 is 331,776); a forward's own buffers are
 # a few times its embeddings
 MAX_IMAGE_ELEMENTS = 1 << 22
+# elements past which no model weights, token ids or forward buffers are
+# built: 2**25 float64 elements, 256 MiB. The mid benchmark model's weights
+# are about 12.8M elements; a forward at MAX_IMAGE_ELEMENTS with a short
+# text holds about 31M at the toy and mid widths, so this bound refuses no
+# image the image bound admits there
+MAX_ELEMENTS = 1 << 25
 # fixture bytes per image element: a float64 repr takes at most 24, plus a
 # separator and json.dump(indent=2)'s newline and indentation, and brackets
 FIXTURE_BYTES_PER_ELEMENT = 40
@@ -35,6 +41,13 @@ def check_image_size(num_image_tokens: int, hidden_size: int) -> None:
             f"{num_image_tokens} image tokens x hidden size {hidden_size} exceeds "
             f"the bound of {MAX_IMAGE_ELEMENTS} elements"
         )
+
+
+def check_elements(what: str, elements: int, error=InputError) -> None:
+    """Refuse, before it is allocated, ``what`` of more than MAX_ELEMENTS
+    elements."""
+    if elements > MAX_ELEMENTS:
+        raise error(f"{what}: {elements} elements exceed the bound of {MAX_ELEMENTS}")
 
 
 @dataclass
@@ -97,6 +110,7 @@ def sequence_from_json(obj: dict) -> MultimodalSequence:
     for key, value in ids.items():  # cast below, a float or a bool would be truncated
         if not isinstance(value, list) or any(type(i) is not int for i in value):
             raise InputError(f"sequence fixture {key} must be a flat list of integer ids")
+    check_elements("sequence fixture text ids", len(ids["instruction"]) + len(ids["answer"]))
     try:
         image = np.asarray(image, dtype=np.float64)
         instruction = np.asarray(ids["instruction"], dtype=np.int64)

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError, InputError
-from .layout import MultimodalSequence, check_image_size
+from .layout import MultimodalSequence, check_elements, check_image_size
 from .numkernel import RngState, gaussian_init, rmsnorm_rows, rope_rotate_rows, rope_table, softmax_rows
 from .pruner import StageSchedule, decide, identity_ranker, rank_image_tokens
 
@@ -49,6 +49,10 @@ class ModelConfig:
             raise ConfigError("heads, ffn_intermediate and vocab_size must be positive")
         if self.rope_theta <= 0 or self.rmsnorm_eps <= 0:
             raise ConfigError("rope_theta and rmsnorm_eps must be positive")
+        # the elements of init_model's and build_marker_model's weights
+        d, m = self.hidden_size, self.ffn_intermediate
+        check_elements("model weights", self.num_layers * (4 * d * d + 3 * d * m + 2 * d)
+                       + 2 * self.vocab_size * d, ConfigError)
 
 
 # toy default: small enough for second-scale test runs
@@ -156,6 +160,20 @@ def _causal_attention(qh, kt, vh, out, scratch):
         block_out /= sums
 
 
+def _workspace_sizes(cfg: ModelConfig, n: int) -> tuple[int, int]:
+    """The elements of ``_workspace``'s two buffers."""
+    d, m, hd = cfg.hidden_size, cfg.ffn_intermediate, cfg.head_dim
+    shared = max(n * (hd + d + d // 2), cfg.num_heads * ATTENTION_BLOCK_ROWS * (n + 1))
+    return n * d, max(3 * n * d + shared, 2 * n * m)
+
+
+def forward_elements(cfg: ModelConfig, n: int) -> int:
+    """The elements a forward over ``n`` tokens holds at most: its residual
+    stream plus the larger of its workspace and its logits, which are
+    built once the workspace is freed."""
+    return n * cfg.hidden_size + max(sum(_workspace_sizes(cfg, n)), n * cfg.vocab_size)
+
+
 def _workspace(cfg: ModelConfig, n: int) -> tuple[np.ndarray, np.ndarray]:
     """The block buffers of a forward whose widest layer has ``n`` rows: an
     n x d buffer and one flat arena. During attention the arena holds an
@@ -166,9 +184,8 @@ def _workspace(cfg: ModelConfig, n: int) -> tuple[np.ndarray, np.ndarray]:
     two n x m FFN buffers reuse the arena after attention. Every layer of
     the forward works in views of them sized for its own, never larger,
     row count."""
-    d, m, hd = cfg.hidden_size, cfg.ffn_intermediate, cfg.head_dim
-    shared = max(n * (hd + d + d // 2), cfg.num_heads * ATTENTION_BLOCK_ROWS * (n + 1))
-    return np.empty(n * d), np.empty(max(3 * n * d + shared, 2 * n * m))
+    rows, arena = _workspace_sizes(cfg, n)
+    return np.empty(rows), np.empty(arena)
 
 
 def _silu(gate, scratch):
@@ -230,17 +247,19 @@ def forward_pruned(
     seq: MultimodalSequence,
     schedule: StageSchedule,
     ranker=identity_ranker,
-    _inject=None,
+    observe=None,
 ) -> ForwardTrace:
     """The forward: image tokens dropped at the schedule's boundaries are
     physically removed for all later layers; ``keep_all_schedule`` gives
     the unpruned forward. The surviving image tokens always occupy the
     first rows and the instruction tokens follow them; at each boundary
     the block scores them once (``rank_image_tokens``) and the kept set is
-    the highest of ``ranker(scores, stage)``. ``_inject=(layer, position,
-    vector)`` overwrites the hidden state of the token at that original
-    position at that boundary, immediately before the drop decision. The
-    blocks run in one workspace allocated for the first, widest layer."""
+    the highest of ``ranker(scores, stage)``. Before that decision, a given
+    ``observe(layer, x, positions, scores)`` sees the boundary: its 1-based
+    layer, the live hidden rows ``x`` (not a copy: a write into them
+    carries into every later layer), their original positions, and the
+    scores. The blocks run in one workspace allocated for the first,
+    widest layer."""
     cfg = w.config
     if sum(schedule.stage_layer_counts) != cfg.num_layers:
         raise ConfigError(
@@ -252,6 +271,7 @@ def forward_pruned(
             f"sequence has {seq.num_image_tokens}"
         )
     check_image_size(seq.num_image_tokens, cfg.hidden_size)
+    check_elements(f"a forward of {len(seq)} tokens", forward_elements(cfg, len(seq)))
 
     x = _embed(w, seq)  # first: a wrong embedding width allocates no workspace
     workspace = _workspace(cfg, len(seq))
@@ -267,11 +287,8 @@ def forward_pruned(
             continue
         scores = _layer_forward(lw, cfg, x, positions, workspace,
                                 rank=(n_img + num_instruction - 1, n_img))
-        if _inject is not None and _inject[0] == layer_no:
-            slot = np.nonzero(positions == _inject[1])[0]
-            if not slot.size:
-                raise ConfigError(f"token {_inject[1]} no longer survives at layer {layer_no}")
-            x[slot[0]] = _inject[2]
+        if observe is not None:
+            observe(layer_no, x, positions, scores)
         kept = decide(ranker(scores, stage), schedule, stage)
         trace.kept_masks.append((layer_no, positions[kept]))
         rows = np.concatenate([kept, np.arange(n_img, len(positions))])
@@ -284,31 +301,6 @@ def forward_pruned(
     trace.logits = x @ w.head
     trace.positions = positions.copy()
     return trace
-
-
-def inject_at_boundary(
-    w: DecoderWeights,
-    seq: MultimodalSequence,
-    schedule: StageSchedule,
-    boundary_layer: int,
-    token_index: int,
-    replacement: np.ndarray,
-    ranker=identity_ranker,
-) -> ForwardTrace:
-    """Pruned forward with the hidden state of the token at original
-    position ``token_index`` overwritten at a boundary, immediately before
-    the drop decision is applied there."""
-    if boundary_layer not in schedule.boundary_layers:
-        raise ConfigError(f"layer {boundary_layer} is not a drop boundary of the schedule")
-    if not 0 <= token_index < len(seq):
-        raise ConfigError(f"token index {token_index} out of range for length {len(seq)}")
-    replacement = np.asarray(replacement, dtype=np.float64)
-    if replacement.shape != (w.config.hidden_size,):
-        raise ConfigError(
-            f"replacement must have shape ({w.config.hidden_size},), got {replacement.shape}"
-        )
-    return forward_pruned(w, seq, schedule, ranker=ranker,
-                          _inject=(boundary_layer, token_index, replacement))
 
 
 # --- marker model ----------------------------------------------------------

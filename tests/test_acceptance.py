@@ -14,7 +14,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from layerstates import layer_states
+from layerstates import inject_at_boundary, layer_states
 from maskoracle import masked_pruned_forward
 from pdrop.costmodel import layer_flops, schedule_cost, strategy_cost, tera, theoretical_saving
 from pdrop.harness import (
@@ -34,7 +34,7 @@ from pdrop.pruner import (
     decide,
     keep_all_schedule,
 )
-from pdrop.toymodel import TOY_CONFIG, forward_pruned, init_model, inject_at_boundary
+from pdrop.toymodel import TOY_CONFIG, forward_pruned, init_model
 
 D7B, M7B, J7B = 4096, 11008, 32
 

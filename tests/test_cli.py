@@ -10,9 +10,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pdrop import harness, layout
+from pdrop import harness, layout, toymodel
 from pdrop.cli import main
-from pdrop.toymodel import forward_pruned
+from pdrop.toymodel import TOY_CONFIG, forward_elements, forward_pruned, init_model
 
 TOY_MODEL = {
     "num_layers": 8, "hidden_size": 64, "num_heads": 4,
@@ -260,6 +260,46 @@ def fixture_config(tmp_path, fixture_text):
     return str(path)
 
 
+@pytest.mark.parametrize("past", [0, 1], ids=["at_bound", "past_bound"])
+@pytest.mark.parametrize("case", ["weights", "generated_text", "fixture_text"])
+def test_element_bound(capsys, monkeypatch, tmp_path, case, past):
+    # the bound shrunk to the toy model's weights, or to the forward of a
+    # text long enough that the weights fit under it; past it, one line and
+    # exit 2, before the weights, the ids or the forward's buffers are built
+    w = init_model(TOY_CONFIG, 0)
+    weights = sum(a.size for lw in w.layers for a in vars(lw).values()) + w.embedding.size * 2
+    fixture = {"image_tokens": 16}
+    if case == "weights":
+        bound, what = weights, "model weights"
+    elif case == "generated_text":
+        fixture["instruction_length"] = 1000
+        n = 16 + 1000 + 1
+        bound, what = forward_elements(TOY_CONFIG, n), f"a forward of {n} tokens"
+    else:
+        fixture = {"path": str(tmp_path / "fixture.json")}
+        (tmp_path / "fixture.json").write_text(json.dumps(
+            {"image": [[0.0] * 64] * 4, "instruction": [1] * 1000}))
+        bound, what = forward_elements(TOY_CONFIG, 1004), "a forward of 1004 tokens"
+    assert bound >= weights
+    monkeypatch.setattr(layout, "MAX_ELEMENTS", bound - past)
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"model": TOY_MODEL, "fixture": fixture}))
+    assert main(["run", "--config", str(path)]) == 2 * past
+    if past:
+        assert capsys.readouterr().err == (
+            f"error: {what}: {bound} elements exceed the bound of {bound - 1}\n")
+
+
+def test_long_fixture_text_refused_before_the_forward_allocates(capsys, monkeypatch, tmp_path):
+    # a 0.3 MB fixture of 100,000 instruction ids passes the file and id
+    # checks; at the toy width its forward would hold 47M elements
+    path = fixture_config(tmp_path, json.dumps({"image": [], "instruction": [1] * 100_000}))
+    monkeypatch.setattr(toymodel, "_embed", None)  # reached only past the check
+    assert main(["run", "--config", path]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: a forward of 100000 tokens: ") and err.count("\n") == 1
+
+
 def test_fixture_file_past_image_size_bound(capsys, monkeypatch, tmp_path, forward_calls):
     # a fixture file's image is counted once parsed, before it becomes an
     # array, and refused there, before any forward; the at-bound side is
@@ -372,12 +412,16 @@ def test_compare_same_seed_reproducible(capsys, config_file):
 
 # --- whole-run fuzz -----------------------------------------------------------
 
-# values of a wrong type or out of range, put in place of a generated field;
-# none is large, since no bound refuses a large layer, FFN or text length yet
+# values of a wrong type or out of range, put in place of a generated field
 WRONG = st.one_of(st.none(), st.booleans(), st.text(max_size=3), st.integers(-3, 3),
                   st.floats(-10.0, 10.0), st.sampled_from([float("nan"), float("inf")]),
                   st.lists(st.integers(-1, 9), max_size=2),
                   st.dictionaries(st.text(max_size=2), st.integers(), max_size=1))
+# sizes past layout.MAX_ELEMENTS, put in place of a model or generated
+# fixture size, which the bounds refuse before anything of that size is built
+HUGE = st.one_of(st.integers(layout.MAX_ELEMENTS + 1, 2**70), st.floats(1e20, 1e300))
+SIZE_FIELDS = {"num_layers", "hidden_size", "ffn_intermediate", "vocab_size", "image_tokens",
+               "instruction_length", "answer_length"}
 
 
 def strategies(layers):
@@ -398,10 +442,11 @@ def strategies(layers):
 
 @st.composite
 def configs(draw, fixture_path):
-    """A run's config file object, and the text of a fixture file at
-    ``fixture_path`` for it (None for a generated fixture); in half of the
-    cases one field somewhere in them is left out, or given a value from
-    WRONG, or an unknown field is added."""
+    """A run's config file object, the text of a fixture file at
+    ``fixture_path`` for it (None for a generated fixture), and whether a
+    size in them is HUGE. In one case in eight one model or generated
+    fixture size is HUGE; in half of the others one field somewhere in them
+    is left out, or given a value from WRONG, or an unknown field is added."""
     layers, heads = draw(st.integers(1, 4)), draw(st.integers(1, 2))
     head_dim = draw(st.sampled_from([8, 4, 2]))
     width = heads * head_dim
@@ -441,14 +486,18 @@ def configs(draw, fixture_path):
             "marked_placement": st.sampled_from(["high", "low", "random"]),
             "noise": st.floats(0.0, 1.0), "amplitude": st.floats(-2.0, 2.0),
         }))
-    if draw(st.booleans()):
+    huge = draw(st.integers(0, 7)) == 0
+    if huge:
+        node = draw(st.sampled_from([config["model"]] if from_file else [config["model"], fixture]))
+        node[draw(st.sampled_from(sorted(SIZE_FIELDS & set(node))))] = draw(HUGE)
+    elif draw(st.booleans()):
         node = draw(st.sampled_from([config, config["model"], config["sweep"], fixture]))
         key = draw(st.sampled_from([*node, "extra"]))
         if key in node and draw(st.booleans()):
             del node[key]
         else:
             node[key] = draw(WRONG)
-    return config, json.dumps(fixture) if from_file else None
+    return config, json.dumps(fixture) if from_file else None, huge
 
 
 FUZZ_FLAGS = {
@@ -473,7 +522,7 @@ def test_whole_run_ends_with_a_code_and_a_line(data):
     # every generated run, compare or sweep returns 0, 2 or 3 without
     # raising or warning; a nonzero code comes with one error line
     with tempfile.TemporaryDirectory() as workdir:
-        config, fixture_file = data.draw(configs(os.path.join(workdir, "fixture.json")))
+        config, fixture_file, huge = data.draw(configs(os.path.join(workdir, "fixture.json")))
         with open(os.path.join(workdir, "config.json"), "w") as fh:
             json.dump(config, fh)
         if fixture_file is not None:
@@ -491,7 +540,7 @@ def test_whole_run_ends_with_a_code_and_a_line(data):
               contextlib.redirect_stderr(err)):
             warnings.simplefilter("error")
             code = main(argv)
-    assert code in (0, 2, 3)
+    assert code in ((2,) if huge else (0, 2, 3))
     if code:
         assert err.getvalue().startswith(("error: ", "i/o error: "))
         assert err.getvalue().count("\n") == 1

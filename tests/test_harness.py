@@ -6,6 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from pdrop import harness, layout
 from pdrop.costmodel import strategy_cost
 from pdrop.errors import ConfigError, PdropError
 from pdrop.harness import (
@@ -26,7 +27,7 @@ from pdrop.harness import (
     write_sweep_csv,
 )
 from pdrop.pruner import PyramidDrop, RandomDrop, SingleEarlyDrop, UniformCompression, Vanilla
-from pdrop.toymodel import TOY_CONFIG, forward_pruned
+from pdrop.toymodel import TOY_CONFIG, forward_elements, forward_pruned
 
 
 def marker_spec(**overrides) -> ExperimentSpec:
@@ -52,6 +53,18 @@ class TestFixture:
     def test_too_many_marked(self):
         with pytest.raises(ConfigError):
             make_marker_sequence(TOY_CONFIG, FixtureSpec(4, 5), 0)
+
+    def test_forward_size_bound_checked_before_building(self, monkeypatch):
+        fixture = FixtureSpec(16, 3, instruction_length=5, answer_length=2)
+        elements = forward_elements(TOY_CONFIG, 16 + 5 + 2)
+        monkeypatch.setattr(layout, "MAX_ELEMENTS", elements)
+        assert len(make_marker_sequence(TOY_CONFIG, fixture, 0)[0]) == 23
+        monkeypatch.setattr(layout, "MAX_ELEMENTS", elements - 1)
+        monkeypatch.setattr(harness, "RngState", None)  # reached only past the check
+        with pytest.raises(PdropError, match=f"a forward of 23 tokens: {elements} elements"):
+            make_marker_sequence(TOY_CONFIG, fixture, 0)
+        with pytest.raises(PdropError, match="a forward of"):
+            make_marker_sequence(TOY_CONFIG, FixtureSpec(16, 3, instruction_length=10**18), 0)
 
 
 class TestCompare:

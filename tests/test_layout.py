@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from pdrop import toymodel
+from pdrop import layout, toymodel
 from pdrop.errors import InputError
 from pdrop.layout import MultimodalSequence, build_sequence, sequence_from_json
 from pdrop.pruner import build_schedule, rank_image_tokens
@@ -107,3 +107,12 @@ def test_fixture_not_an_object(obj):
 def test_fixture_ids_must_be_flat_integers(instruction, answer):
     with pytest.raises(InputError):
         sequence_from_json({"image": [[0.0] * 4], "instruction": instruction, "answer": answer})
+
+
+def test_fixture_text_bound(monkeypatch):
+    obj = {"image": [[0.0] * 4], "instruction": [1, 2], "answer": [3]}
+    monkeypatch.setattr(layout, "MAX_ELEMENTS", 3)
+    assert list(sequence_from_json(obj).text_ids) == [1, 2, 3]
+    monkeypatch.setattr(layout, "MAX_ELEMENTS", 2)
+    with pytest.raises(InputError, match="text ids: 3 elements exceed the bound of 2"):
+        sequence_from_json(obj)

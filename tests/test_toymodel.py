@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from layerstates import layer_states
+from layerstates import inject_at_boundary, layer_states
 from maskoracle import masked_pruned_forward
 from pdrop import layout, toymodel
 from pdrop.errors import ConfigError, InputError
@@ -25,7 +25,6 @@ from pdrop.toymodel import (
     build_marker_model,
     forward_pruned,
     init_model,
-    inject_at_boundary,
 )
 
 
@@ -117,6 +116,20 @@ class TestInit:
             replace(TOY_CONFIG, num_heads=8, head_dim=9, hidden_size=72)
         with pytest.raises(ConfigError, match="at least one layer"):
             replace(TOY_CONFIG, num_layers=0)
+
+    def test_weights_bound(self, monkeypatch):
+        w = init_model(TOY_CONFIG, 0)
+        weights = (sum(a.size for lw in w.layers for a in vars(lw).values())
+                   + w.embedding.size + w.head.size)
+        monkeypatch.setattr(layout, "MAX_ELEMENTS", weights)
+        assert replace(TOY_CONFIG, num_layers=8) == TOY_CONFIG
+        monkeypatch.setattr(layout, "MAX_ELEMENTS", weights - 1)
+        with pytest.raises(ConfigError, match=f"model weights: {weights} elements exceed "
+                                              f"the bound of {weights - 1}"):
+            replace(TOY_CONFIG, num_layers=8)
+        # refused from the sizes alone, with nothing built
+        with pytest.raises(ConfigError, match="model weights"):
+            ModelConfig(10**18, 64, 4, 16, 172, 256)
 
 
 class TestForwardFull:
@@ -258,6 +271,26 @@ class TestForwardFull:
         with pytest.raises(InputError, match="6 image tokens x hidden size 64 exceeds"):
             keep_all_forward(toy_weights, seq)
 
+
+    def test_forward_size_bound_checked_before_allocation(self, toy_weights, monkeypatch):
+        seq = random_sequence(TOY_CONFIG, 6, seed=16)
+        n = len(seq)
+        rows, arena = (b.size for b in toymodel._workspace(TOY_CONFIG, n))
+        # the residual stream plus the workspace, which outweighs the logits here
+        elements = n * TOY_CONFIG.hidden_size + rows + arena
+        assert elements == toymodel.forward_elements(TOY_CONFIG, n) > n * TOY_CONFIG.vocab_size
+        monkeypatch.setattr(layout, "MAX_ELEMENTS", elements)
+        assert len(keep_all_forward(toy_weights, seq).hidden) == 1
+        monkeypatch.setattr(layout, "MAX_ELEMENTS", elements - 1)
+        # reached only past the check
+        monkeypatch.setattr(toymodel, "_embed", None)
+        monkeypatch.setattr(toymodel, "_workspace", None)
+        with pytest.raises(InputError, match=f"a forward of {n} tokens: {elements} elements"):
+            keep_all_forward(toy_weights, seq)
+
+    def test_forward_size_counts_the_logits(self):
+        wide = replace(TOY_CONFIG, vocab_size=4096)
+        assert toymodel.forward_elements(wide, 10) == 10 * (64 + 4096)
 
     def test_embedding_width_checked_before_allocation(self, toy_weights, monkeypatch):
         # the one width check of a fixture's image embeddings
@@ -507,6 +540,60 @@ class TestForwardPruned:
             assert np.array_equal(scores, then)
 
 
+class TestObserveHook:
+    def test_called_at_each_boundary_before_the_decision(self, toy_weights):
+        seq = random_sequence(TOY_CONFIG, 16, seed=13)
+        schedule = build_schedule(8, 4, 0.5, 16)
+        events, seen, ranked = [], [], []
+
+        def observe(layer, x, positions, scores):
+            events.append(("observe", layer))
+            seen.append((layer, x.shape[0], positions.copy(), scores))
+
+        def rank(scores, stage):
+            events.append(("rank", stage))
+            ranked.append(scores.copy())
+            return scores
+
+        base = forward_pruned(toy_weights, seq, schedule, ranker=rank, observe=observe)
+        # once per boundary, in boundary order, each call before its decision
+        assert events == [e for stage, layer in enumerate(schedule.boundary_layers)
+                          for e in (("observe", layer), ("rank", stage))]
+        text = np.arange(16, len(seq))
+        survivors = np.arange(16)
+        for (layer, rows, positions, scores), want, (_, kept) in zip(seen, ranked,
+                                                                     base.kept_masks):
+            # the scores an identity ranker gets, and the survivors' positions
+            assert scores.tobytes() == want.tobytes()
+            assert np.array_equal(positions, np.concatenate([survivors, text]))
+            assert rows == positions.size
+            survivors = kept
+        # a hook that only reads changes nothing
+        plain = forward_pruned(toy_weights, seq, schedule)
+        assert np.array_equal(plain.logits, base.logits)
+        assert all(np.array_equal(a, b) for (_, a), (_, b) in zip(plain.kept_masks,
+                                                                 base.kept_masks))
+        # and a forward without a boundary never calls it
+        events.clear()
+        forward_pruned(toy_weights, seq, keep_all_schedule(8, 16), observe=observe)
+        assert events == []
+
+    def test_write_into_kept_row_carries_forward(self, toy_weights):
+        seq = random_sequence(TOY_CONFIG, 16, seed=13)
+        schedule = build_schedule(8, 4, 0.5, 16)
+        base = forward_pruned(toy_weights, seq, schedule)
+        layer, kept = base.kept_masks[0]
+
+        def overwrite(at, x, positions, scores):
+            if at == layer:
+                x[np.flatnonzero(positions == kept[0])] = 10.0
+
+        trace = forward_pruned(toy_weights, seq, schedule, observe=overwrite)
+        # the scores were taken before the write: the kept set there stands
+        assert np.array_equal(trace.kept_masks[0][1], kept)
+        assert not np.array_equal(trace.logits, base.logits)
+
+
 class TestInjection:
     def test_dropped_token_injection_is_invisible(self, toy_weights):
         seq = random_sequence(TOY_CONFIG, 16, seed=9)
@@ -552,17 +639,21 @@ class TestInjection:
             layer_states(toy_weights, seq, schedule, after)))
 
     def test_invalid_targets_rejected(self, toy_weights):
+        # the helper fails rather than inject nothing, and so does
+        # layer_states, which calls it
         seq = random_sequence(TOY_CONFIG, 16, seed=12)
         schedule = build_schedule(8, 4, 0.5, 16)
         vec = np.zeros(TOY_CONFIG.hidden_size)
-        with pytest.raises(ConfigError):
-            inject_at_boundary(toy_weights, seq, schedule, 3, 0, vec)  # not a boundary
-        with pytest.raises(ConfigError):
+        with pytest.raises(AssertionError, match="not a drop boundary"):
+            inject_at_boundary(toy_weights, seq, schedule, 3, 0, vec)
+        with pytest.raises(AssertionError, match="does not survive"):
             inject_at_boundary(toy_weights, seq, schedule, 2, 99, vec)
         dropped_first = sorted(set(range(16)) - set(forward_pruned(
             toy_weights, seq, schedule).kept_masks[0][1].tolist()))[0]
-        with pytest.raises(ConfigError, match="no longer survives"):
+        with pytest.raises(AssertionError, match="does not survive"):
             inject_at_boundary(toy_weights, seq, schedule, 4, dropped_first, vec)
+        with pytest.raises(AssertionError, match="not a drop boundary"):
+            layer_states(toy_weights, seq, schedule, [2, 3], inject=(2, 0, vec))
 
     def test_one_forward_per_injection(self, toy_weights):
         seq = random_sequence(TOY_CONFIG, 16, seed=14)
