@@ -262,11 +262,12 @@ def prepare(spec: ExperimentSpec) -> tuple[DecoderWeights, MultimodalSequence, n
 
 
 def marker_recall(kept: np.ndarray | None, marked: np.ndarray) -> float:
-    """Fraction of the ``marked`` image positions among ``kept``, those kept
-    at the last drop boundary, or ``None`` when nothing was dropped."""
+    """Fraction of the distinct ``marked`` image positions among ``kept``,
+    the positions kept at the last drop boundary (``None`` when nothing was
+    dropped); 1.0 when nothing was dropped or nothing is marked."""
     if kept is None or marked.size == 0:
         return 1.0
-    return int(np.isin(marked, kept).sum()) / marked.size
+    return len(set(marked.tolist()).intersection(kept.tolist())) / marked.size
 
 
 # --- runs ------------------------------------------------------------------

@@ -28,6 +28,10 @@ MAX_IMAGE_ELEMENTS = 1 << 22
 # text holds about 31M at the toy and mid widths, so this bound refuses no
 # image the image bound admits there
 MAX_ELEMENTS = 1 << 25
+# the least a model layer is charged against MAX_ELEMENTS: a layer costs its
+# objects and a forward's per-layer calls beyond its elements, so at a tiny
+# width the bound admits fewer than 8192 layers; a toy layer holds 49,536
+MIN_LAYER_ELEMENTS = 4096
 # fixture bytes per image element: a float64 repr takes at most 24, plus a
 # separator and json.dump(indent=2)'s newline and indentation, and brackets
 FIXTURE_BYTES_PER_ELEMENT = 40

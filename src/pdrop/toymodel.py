@@ -9,12 +9,12 @@ rows; kept tokens keep their original position ids.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .errors import ConfigError, InputError
-from .layout import MultimodalSequence, check_elements, check_image_size
+from .layout import MIN_LAYER_ELEMENTS, MultimodalSequence, check_elements, check_image_size
 from .numkernel import RngState, gaussian_init, rmsnorm_rows, rope_rotate_rows, rope_table, softmax_rows
 from .pruner import StageSchedule, decide, identity_ranker, rank_image_tokens
 
@@ -49,10 +49,12 @@ class ModelConfig:
             raise ConfigError("heads, ffn_intermediate and vocab_size must be positive")
         if self.rope_theta <= 0 or self.rmsnorm_eps <= 0:
             raise ConfigError("rope_theta and rmsnorm_eps must be positive")
-        # the elements of init_model's and build_marker_model's weights
+        # the elements of init_model's weights, each layer charged at least
+        # MIN_LAYER_ELEMENTS (exact for layers that hold that many); an upper
+        # bound for build_marker_model's, whose layers share their blocks
         d, m = self.hidden_size, self.ffn_intermediate
-        check_elements("model weights", self.num_layers * (4 * d * d + 3 * d * m + 2 * d)
-                       + 2 * self.vocab_size * d, ConfigError)
+        layer = max(4 * d * d + 3 * d * m + 2 * d, MIN_LAYER_ELEMENTS)
+        check_elements("model weights", self.num_layers * layer + 2 * self.vocab_size * d, ConfigError)
 
 
 # toy default: small enough for second-scale test runs
@@ -62,7 +64,7 @@ TOY_CONFIG = ModelConfig(
 )
 
 
-@dataclass
+@dataclass(frozen=True)
 class LayerWeights:
     w_q: np.ndarray
     w_k: np.ndarray
@@ -315,9 +317,11 @@ def build_marker_model(cfg: ModelConfig, marker_subspace_dims, margin_onset_laye
 
     The residual stream is left untouched (w_v and w_down are zero), so the
     similarity at every boundary is computed on the raw embeddings. Layers
-    below ``margin_onset_layer`` (1-based) get zero q/k weights: their
-    ranking scores carry no signal, which models rankings that only become
-    informative in deeper layers.
+    below ``margin_onset_layer`` (1-based) are one silent layer, with zero
+    q/k weights whose ranking scores carry no signal (rankings that only
+    become informative in deeper layers); the rest are one signalling layer.
+    The two share their zero blocks and gain, and every array is read-only,
+    so an in-place write raises instead of changing every layer.
     """
     dims = sorted(set(int(i) for i in np.atleast_1d(np.asarray(marker_subspace_dims, dtype=np.int64))))
     if not dims:
@@ -338,20 +342,14 @@ def build_marker_model(cfg: ModelConfig, marker_subspace_dims, margin_onset_laye
     # query scores with cos(delta * that angle), which stays positive only
     # for delta < (pi / 2) / angle, about 4967 positions at the toy config
     signal_col = cfg.head_dim - 2
-    layers = []
-    for layer_no in range(1, cfg.num_layers + 1):
-        w_q = np.zeros((d, d))
-        w_k = np.zeros((d, d))
-        if layer_no >= margin_onset_layer:
-            w_q[flag_dim, signal_col] = MARKER_GAIN
-            for md in dims:
-                w_k[md, signal_col] = MARKER_GAIN
-        layers.append(LayerWeights(
-            w_q=w_q, w_k=w_k,
-            w_v=np.zeros((d, d)), w_o=np.zeros((d, d)),
-            w_gate=np.zeros((d, m)), w_up=np.zeros((d, m)), w_down=np.zeros((m, d)),
-            attn_gain=np.ones(d), ffn_gain=np.ones(d),
-        ))
-    embedding = np.zeros((v, d))
+    zeros_dd, zeros_dm, zeros_md, gain = np.zeros((d, d)), np.zeros((d, m)), np.zeros((m, d)), np.ones(d)
+    w_q, w_k, embedding, head = np.zeros((d, d)), np.zeros((d, d)), np.zeros((v, d)), np.zeros((d, v))
+    w_q[flag_dim, signal_col] = MARKER_GAIN
+    w_k[dims, signal_col] = MARKER_GAIN
     embedding[:, flag_dim] = MARKER_AMPLITUDE
-    return DecoderWeights(cfg, layers, embedding, np.zeros((d, v)))
+    for block in (zeros_dd, zeros_dm, zeros_md, gain, w_q, w_k, embedding, head):
+        block.flags.writeable = False
+    silent = LayerWeights(zeros_dd, zeros_dd, zeros_dd, zeros_dd, zeros_dm, zeros_dm, zeros_md, gain, gain)
+    signalling = replace(silent, w_q=w_q, w_k=w_k)
+    layers = [silent] * (margin_onset_layer - 1) + [signalling] * (cfg.num_layers - margin_onset_layer + 1)
+    return DecoderWeights(cfg, layers, embedding, head)

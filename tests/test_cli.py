@@ -290,6 +290,16 @@ def test_element_bound(capsys, monkeypatch, tmp_path, case, past):
             f"error: {what}: {bound} elements exceed the bound of {bound - 1}\n")
 
 
+def test_deep_tiny_model_refused(capsys, tmp_path):
+    # 8192 layers of hidden size 2: 26 elements each, charged 4096 each
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"model": {"num_layers": 8192, "hidden_size": 2, "num_heads": 1,
+                                          "head_dim": 2, "ffn_intermediate": 1, "vocab_size": 2}}))
+    assert main(["run", "--config", str(path)]) == 2
+    assert capsys.readouterr().err == (
+        "error: model weights: 33554440 elements exceed the bound of 33554432\n")
+
+
 def test_long_fixture_text_refused_before_the_forward_allocates(capsys, monkeypatch, tmp_path):
     # a 0.3 MB fixture of 100,000 instruction ids passes the file and id
     # checks; at the toy width its forward would hold 47M elements

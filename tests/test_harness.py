@@ -107,6 +107,17 @@ class TestCompare:
             run_compare(marker_spec(strategies=[]))
 
 
+@given(st.sets(st.integers(0, 99), min_size=1), st.sets(st.integers(0, 99)))
+def test_marker_recall_counts_the_marked_positions_kept(marked, kept):
+    marked, kept = (np.array(sorted(p), dtype=np.int64) for p in (marked, kept))
+    assert marker_recall(kept, marked) == np.isin(marked, kept).sum() / marked.size
+
+
+def test_marker_recall_is_one_when_nothing_is_dropped_or_marked():
+    assert marker_recall(None, np.array([3, 5])) == 1.0
+    assert marker_recall(np.array([0, 1]), np.empty(0, dtype=np.int64)) == 1.0
+
+
 class TestSweep:
     def test_keep_all_ratio_has_full_recall(self):
         spec = marker_spec(sweep_layers=[2, 4], sweep_ratios=[1.0])

@@ -1,6 +1,6 @@
 import tracemalloc
 import warnings
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, replace
 
 import numpy as np
 import pytest
@@ -11,12 +11,14 @@ from layerstates import inject_at_boundary, layer_states
 from maskoracle import masked_pruned_forward
 from pdrop import layout, toymodel
 from pdrop.errors import ConfigError, InputError
+from pdrop.harness import FixtureSpec, make_marker_sequence
 from pdrop.layout import MultimodalSequence, build_sequence
 from pdrop.numkernel import RngState, derive_seed, rmsnorm_rows, rope_rotate_rows, rope_table
 from pdrop.pruner import build_schedule, keep_all_schedule, rank_image_tokens
 from pdrop.toymodel import (
     ATTENTION_BLOCK_ROWS,
     TOY_CONFIG,
+    LayerWeights,
     ModelConfig,
     _causal_attention,
     _layer_forward,
@@ -130,6 +132,18 @@ class TestInit:
         # refused from the sizes alone, with nothing built
         with pytest.raises(ConfigError, match="model weights"):
             ModelConfig(10**18, 64, 4, 16, 172, 256)
+
+    def test_each_layer_charged_a_minimum(self):
+        # a layer of hidden size 2 and ffn_intermediate 1 holds 26 elements
+        # and is charged MIN_LAYER_ELEMENTS; the vocabulary's 2 x 2 x 2 are not
+        most = (layout.MAX_ELEMENTS - 8) // layout.MIN_LAYER_ELEMENTS
+        assert most == 8191
+        assert ModelConfig(most, 2, 1, 2, 1, 2).num_layers == most
+        charged = (most + 1) * layout.MIN_LAYER_ELEMENTS + 8
+        with pytest.raises(ConfigError, match=f"model weights: {charged} elements exceed"):
+            ModelConfig(most + 1, 2, 1, 2, 1, 2)
+        # a toy layer holds more than the minimum, so the toy count is exact
+        assert 4 * 64 * 64 + 3 * 64 * 172 + 2 * 64 == 49_536 > layout.MIN_LAYER_ELEMENTS
 
 
 class TestForwardFull:
@@ -712,3 +726,58 @@ class TestMarkerModel:
         with pytest.raises(ConfigError, match="flag"):
             build_marker_model(TOY_CONFIG, range(TOY_CONFIG.hidden_size))
 
+    @pytest.mark.parametrize("onset", [1, 4, 8])
+    def test_two_layers_shared_by_reference(self, onset):
+        layers = build_marker_model(TOY_CONFIG, (0, 1, 2, 3), onset).layers
+        silent, signalling = layers[0], layers[-1]
+        assert all(lw is silent for lw in layers[:onset - 1])
+        assert all(lw is signalling for lw in layers[onset - 1:])
+        zeros = signalling.w_v
+        assert not zeros.any() and signalling.w_q.any() and signalling.w_k.any()
+        for lw in (silent, signalling):
+            assert lw.w_v is lw.w_o is zeros
+            assert lw.w_gate is lw.w_up is signalling.w_gate and lw.w_down is signalling.w_down
+            assert lw.attn_gain is lw.ffn_gain is signalling.attn_gain
+        if onset > 1:
+            assert silent.w_q is silent.w_k is zeros
+
+    def test_every_array_read_only(self):
+        w = build_marker_model(TOY_CONFIG, (0, 1, 2, 3), 4)
+        arrays = [a for lw in w.layers for a in vars(lw).values()] + [w.embedding, w.head]
+        for a in arrays:
+            assert not a.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                a[0] = 1.0
+            with pytest.raises(ValueError, match="read-only"):
+                a *= 2.0
+        with pytest.raises(FrozenInstanceError):
+            w.layers[0].w_q = np.ones_like(w.layers[0].w_q)
+
+    @pytest.mark.parametrize("onset", [1, 4])
+    def test_shared_layers_match_per_layer_copies(self, onset):
+        shared = build_marker_model(TOY_CONFIG, (0, 1, 2, 3), onset)
+        copied = replace(
+            shared, embedding=np.copy(shared.embedding), head=np.copy(shared.head),
+            layers=[LayerWeights(**{k: np.copy(a) for k, a in vars(lw).items()}) for lw in shared.layers])
+        seq, _ = make_marker_sequence(TOY_CONFIG, FixtureSpec(marked_placement="random"), 5)
+        schedule = build_schedule(8, 4, 0.5, 64)
+        runs = []
+        for w in (shared, copied):
+            scores = []
+            trace = forward_pruned(w, seq, schedule, observe=lambda _l, _x, _p, s: scores.append(s.copy()))
+            runs.append((trace, scores))
+        (a, a_scores), (b, b_scores) = runs
+        assert [layer for layer, _ in a.kept_masks] == [layer for layer, _ in b.kept_masks] == [2, 4, 6]
+        assert all(np.array_equal(x[1], y[1]) for x, y in zip(a.kept_masks, b.kept_masks))
+        assert len(a_scores) == 3 and all(map(np.array_equal, a_scores, b_scores))
+        assert np.array_equal(a.hidden[-1], b.hidden[-1]) and np.array_equal(a.logits, b.logits)
+
+    def test_marker_model_allocates_under_one_megabyte(self):
+        # 3.44 MB when each of the toy model's 8 layers held its own 9 arrays
+        tracemalloc.start()
+        try:
+            build_marker_model(TOY_CONFIG, (0, 1, 2, 3), 4)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1e6
