@@ -7,7 +7,6 @@ unless --out is given. Exit codes: 0 success, 2 config error, 3 I/O error.
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import sys
 from dataclasses import fields
@@ -22,6 +21,7 @@ from .harness import (
     run_layer_sweep,
     run_single,
     strategy_from_json,
+    write_json,
     write_sweep_csv,
 )
 from .pruner import build_schedule
@@ -130,46 +130,36 @@ def main(argv=None) -> int:
     args = _PARSER.parse_args(argv)
     try:
         if args.command == "cost":
-            json.dump(_cmd_cost(args), sys.stdout, indent=2)
-            print()
+            write_json(_cmd_cost(args))
         elif args.command == "schedule":
             schedule = build_schedule(args.layers, args.stages, args.keep_ratio, args.tokens)
-            json.dump({
+            write_json({
                 "boundaries": list(schedule.boundary_layers),
                 "stage_layers": list(schedule.stage_layer_counts),
                 "stage_tokens": list(schedule.stage_token_counts),
                 "lambda": args.keep_ratio,
                 "stages": args.stages,
-            }, sys.stdout, indent=2)
-            print()
+            })
         elif args.command == "run":
             spec = load_spec(args.config)
             if args.seed is not None:
                 spec.seed = args.seed
             report = run_single(spec)
-            if args.emit_masks:
+            if args.emit_masks is not None:
                 emit_masks(report, args.emit_masks)
-            json.dump(report.to_json(), sys.stdout, indent=2)
-            print()
+            write_json(report.to_json())
         elif args.command == "sweep":
             spec = load_spec(args.config)
-            if args.layers:
+            if args.layers is not None:
                 spec.sweep_layers = _parse_layers(args.layers)
-            if args.ratios:
+            if args.ratios is not None:
                 spec.sweep_ratios = _parse_ratios(args.ratios)
             write_sweep_csv(run_layer_sweep(spec), args.out)
         elif args.command == "compare":
             spec = load_spec(args.config)
-            if args.strategies:
+            if args.strategies is not None:
                 spec.strategies = [strategy_from_json(s) for s in args.strategies.split(",")]
-            reports = [r.to_json() for r in run_compare(spec)]
-            if args.out:
-                with open(args.out, "w") as fh:
-                    json.dump(reports, fh, indent=2)
-                    fh.write("\n")
-            else:
-                json.dump(reports, sys.stdout, indent=2)
-                print()
+            write_json([r.to_json() for r in run_compare(spec)], args.out)
     except PdropError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

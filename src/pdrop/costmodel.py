@@ -6,6 +6,7 @@ pruning. Text tokens contribute zero by convention.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from math import floor, log10
 
 from .errors import ConfigError
 from .pruner import StageSchedule, Strategy
@@ -36,14 +37,15 @@ class CostReport:
         }
 
 
-def tera(flops: int, sig_figs: int = 3) -> float:
-    """FLOPs in units of 1e12, rounded to sig_figs significant figures
-    (the paper-table convention)."""
+TERA_SIG_FIGS = 3  # significant figures of a tera value, the paper-table convention
+
+
+def tera(flops: int) -> float:
+    """FLOPs in units of 1e12, rounded to TERA_SIG_FIGS significant figures."""
     t = flops / 1e12
     if t == 0:
         return 0.0
-    from math import floor, log10
-    return round(t, sig_figs - 1 - floor(log10(abs(t))))
+    return round(t, TERA_SIG_FIGS - 1 - floor(log10(abs(t))))
 
 
 def schedule_cost(schedule: StageSchedule, d: int, m: int) -> CostReport:

@@ -11,7 +11,9 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
+import sys
 from dataclasses import dataclass, field, fields, replace
+from operator import attrgetter
 
 import numpy as np
 
@@ -175,12 +177,12 @@ def spec_from_json(obj: dict) -> ExperimentSpec:
         raise ConfigError(f"bad model config: {exc}") from exc
     fixture = None
     fixture_path = None
-    fx = obj.get("fixture") or {}
+    fx = obj.get("fixture", {})
     if isinstance(fx, dict) and "path" in fx:
         fixture_path = _expect(fx["path"], str, "fixture path")
     else:
         fixture = _from_fields(FixtureSpec, fx, "fixture")
-    sweep = _expect(obj.get("sweep") or {}, dict, "sweep")
+    sweep = _expect(obj.get("sweep", {}), dict, "sweep")
     return ExperimentSpec(
         model=model,
         seed=_typed("int", obj.get("seed", 0), "seed"),
@@ -245,18 +247,16 @@ def make_marker_sequence(
 
 
 def prepare(spec: ExperimentSpec) -> tuple[DecoderWeights, MultimodalSequence, np.ndarray]:
-    """Resolve (weights, sequence, marked positions) for a run."""
-    if spec.fixture_path is not None:
-        seq = load_sequence(spec.fixture_path)  # the forward checks its width
-        weights = build_marker_model(
-            spec.model, FixtureSpec().marker_dims, margin_onset_layer=spec.margin_onset_layer
-        )
-        return weights, seq, np.empty(0, dtype=np.int64)
+    """Resolve (weights, sequence, marked positions) for a run. A file
+    fixture's model takes the default marker dims."""
     fixture = spec.fixture or FixtureSpec()
     # the model first, so that it rejects marker dims outside the hidden size
     weights = build_marker_model(
         spec.model, fixture.marker_dims, margin_onset_layer=spec.margin_onset_layer
     )
+    if spec.fixture_path is not None:
+        seq = load_sequence(spec.fixture_path)  # the forward checks its width
+        return weights, seq, np.empty(0, dtype=np.int64)
     seq, marked = make_marker_sequence(spec.model, fixture, spec.seed)
     return weights, seq, marked
 
@@ -374,22 +374,27 @@ def simulate_random_recall(
 
 # --- output ----------------------------------------------------------------
 
-SWEEP_COLUMNS = ["layer", "keep_ratio", "recall", "kept_count", "flops"]
+def write_json(obj, path=None) -> None:
+    """``obj`` as JSON indented by 2 with one trailing newline, to ``path``,
+    or to stdout when ``path`` is None."""
+    text = json.dumps(obj, indent=2) + "\n"
+    if path is None:
+        sys.stdout.write(text)
+    else:
+        with open(path, "w") as fh:
+            fh.write(text)
 
 
 def write_sweep_csv(rows: list[SweepRow], path) -> None:
     with open(path, "w", newline="") as fh:
+        columns = [f.name for f in fields(SweepRow)]
         writer = csv.writer(fh)
-        writer.writerow(SWEEP_COLUMNS)
-        for r in rows:
-            writer.writerow([r.layer, r.keep_ratio, r.recall, r.kept_count, r.flops])
+        writer.writerow(columns)
+        writer.writerows(map(attrgetter(*columns), rows))
 
 
 def emit_masks(report: RunReport, path) -> None:
     """Per-stage kept-index masks for retention-map plotting."""
     if not report.kept_masks:
         raise ConfigError("report has no drop stages to emit")
-    obj = {"stages": report.to_json()["stages"]}
-    with open(path, "w") as fh:
-        json.dump(obj, fh, indent=2)
-        fh.write("\n")
+    write_json({"stages": report.to_json()["stages"]}, path)

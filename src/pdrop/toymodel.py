@@ -9,7 +9,7 @@ rows; kept tokens keep their original position ids.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -85,16 +85,16 @@ class DecoderWeights:
     head: np.ndarray       # (d, vocab)
 
 
-@dataclass
+@dataclass(frozen=True)
 class ForwardTrace:
     """What one forward returns. ``hidden`` holds one array, the final
     layer's hidden states of the surviving tokens; earlier layers' states
     are not kept."""
 
-    hidden: list[np.ndarray] = field(default_factory=list)
-    logits: np.ndarray | None = None
-    kept_masks: list[tuple[int, np.ndarray]] = field(default_factory=list)
-    positions: np.ndarray | None = None  # original positions of surviving tokens
+    hidden: list[np.ndarray]
+    logits: np.ndarray
+    kept_masks: list[tuple[int, np.ndarray]]
+    positions: np.ndarray  # original positions of surviving tokens
 
 
 def init_model(cfg: ModelConfig, seed: int) -> DecoderWeights:
@@ -162,32 +162,32 @@ def _causal_attention(qh, kt, vh, out, scratch):
         block_out /= sums
 
 
-def _workspace_sizes(cfg: ModelConfig, n: int) -> tuple[int, int]:
-    """The elements of ``_workspace``'s two buffers."""
+def _workspace_elements(cfg: ModelConfig, n: int) -> int:
+    """The elements of ``_workspace(cfg, n)``."""
     d, m, hd = cfg.hidden_size, cfg.ffn_intermediate, cfg.head_dim
     shared = max(n * (hd + d + d // 2), cfg.num_heads * ATTENTION_BLOCK_ROWS * (n + 1))
-    return n * d, max(3 * n * d + shared, 2 * n * m)
+    return n * d + max(3 * n * d + shared, 2 * n * m)
 
 
 def forward_elements(cfg: ModelConfig, n: int) -> int:
     """The elements a forward over ``n`` tokens holds at most: its residual
     stream plus the larger of its workspace and its logits, which are
     built once the workspace is freed."""
-    return n * cfg.hidden_size + max(sum(_workspace_sizes(cfg, n)), n * cfg.vocab_size)
+    return n * cfg.hidden_size + max(_workspace_elements(cfg, n), n * cfg.vocab_size)
 
 
-def _workspace(cfg: ModelConfig, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """The block buffers of a forward whose widest layer has ``n`` rows: an
-    n x d buffer and one flat arena. During attention the arena holds an
-    n x d projection scratch (which then holds the values and the output
-    projection), the head-major queries and keys, and a shared region: the
-    rotary cos/sin table, the rotated rows and the rotary scratch while q
-    and k are rotated, the row sums and the score block after that. The
-    two n x m FFN buffers reuse the arena after attention. Every layer of
-    the forward works in views of them sized for its own, never larger,
-    row count."""
-    rows, arena = _workspace_sizes(cfg, n)
-    return np.empty(rows), np.empty(arena)
+def _workspace(cfg: ModelConfig, n: int) -> np.ndarray:
+    """The block buffer of a forward whose widest layer has ``n`` rows: one
+    flat array, an n x d rows buffer followed by an arena. During attention
+    the arena holds an n x d projection scratch (which then holds the
+    values and the output projection), the head-major queries and keys,
+    and a shared region: the rotary cos/sin table, the rotated rows and the
+    rotary scratch while q and k are rotated, the row sums and the score
+    block after that. The two n x m FFN buffers reuse the arena after
+    attention. Every layer of the forward works in views of it sized for
+    its own, never larger, row count; no view holds data from one layer to
+    the next, so the arena may start earlier as the row count shrinks."""
+    return np.empty(_workspace_elements(cfg, n))
 
 
 def _silu(gate, scratch):
@@ -211,8 +211,8 @@ def _layer_forward(lw: LayerWeights, cfg: ModelConfig, x: np.ndarray, positions:
     from the post-rotary q and kᵀ before the attention scales q in place."""
     n, d, m = x.shape[0], cfg.hidden_size, cfg.ffn_intermediate
     nh, hd = cfg.num_heads, cfg.head_dim
-    h = workspace[0][:n * d].reshape(n, d)
-    arena = workspace[1]
+    h = workspace[:n * d].reshape(n, d)
+    arena = workspace[n * d:]
     t = arena[:n * d].reshape(n, d)
     qh = arena[n * d:2 * n * d].reshape(nh, n, hd)
     kt = arena[2 * n * d:3 * n * d].reshape(nh, hd, n)
@@ -281,8 +281,7 @@ def forward_pruned(
     n_img = seq.num_image_tokens
     num_instruction = seq.instruction_ids.size
     boundaries = set(schedule.boundary_layers)
-    trace = ForwardTrace()
-    stage = 0
+    kept_masks = []
     for layer_no, lw in enumerate(w.layers, start=1):
         if layer_no not in boundaries:
             _layer_forward(lw, cfg, x, positions, workspace)
@@ -291,18 +290,15 @@ def forward_pruned(
                                 rank=(n_img + num_instruction - 1, n_img))
         if observe is not None:
             observe(layer_no, x, positions, scores)
+        stage = len(kept_masks)
         kept = decide(ranker(scores, stage), schedule, stage)
-        trace.kept_masks.append((layer_no, positions[kept]))
+        kept_masks.append((layer_no, positions[kept]))
         rows = np.concatenate([kept, np.arange(n_img, len(positions))])
         x = x[rows]
         positions = positions[rows]
         n_img = kept.size
-        stage += 1
     del workspace  # freed before the logits
-    trace.hidden.append(x)
-    trace.logits = x @ w.head
-    trace.positions = positions.copy()
-    return trace
+    return ForwardTrace([x], x @ w.head, kept_masks, positions.copy())
 
 
 # --- marker model ----------------------------------------------------------

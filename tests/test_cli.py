@@ -172,6 +172,9 @@ def test_run_missing_config_is_io_error(capsys, tmp_path):
     {"fixture": {"image_tokens": 16, "noise": True}},
     {"model": {**TOY_MODEL, "rope_theta": True}},
     {"sweep": {"ratios": [0.5, False]}},
+    # a section given but empty is refused, not replaced by its default
+    *({"fixture": empty} for empty in (0, False, [], "", None)),
+    *({"sweep": empty} for empty in (0, False, [], "", None)),
 ])
 def test_run_mistyped_config_value_is_config_error(capsys, tmp_path, override):
     path = tmp_path / "config.json"
@@ -403,14 +406,58 @@ def test_sweep_range_syntax(capsys, config_file, tmp_path):
 
 def test_compare(capsys, config_file, tmp_path):
     out_path = tmp_path / "compare.json"
-    code, _ = run_cli(capsys, "compare", "--config", config_file,
-                      "--strategies", "vanilla,pdrop,fastv,random", "--out", str(out_path))
+    argv = ["compare", "--config", config_file, "--strategies", "vanilla,pdrop,fastv,random"]
+    code, _ = run_cli(capsys, *argv, "--out", str(out_path))
     assert code == 0
+    # --out gets the bytes that stdout gets
+    assert run_cli(capsys, *argv) == (0, out_path.read_text())
     reports = json.loads(out_path.read_text())
     assert [r["strategy"] for r in reports] == ["vanilla", "pdrop", "fastv", "random"]
     by_name = {r["strategy"]: r for r in reports}
     assert by_name["pdrop"]["recall"] == 1.0
     assert by_name["pdrop"]["cost"]["total"] < by_name["vanilla"]["cost"]["total"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["cost", "--n", "576", "--layers", "32", "--d", "4096", "--m", "11008"],
+    ["schedule", "--layers", "32", "--stages", "4", "--lambda", "0.5", "--tokens", "576"],
+    ["run"],
+    ["compare"],
+], ids=lambda argv: argv[0])
+def test_json_output_is_indented_and_ends_in_one_newline(capsys, config_file, argv):
+    if argv[0] in ("run", "compare"):
+        argv = [*argv, "--config", config_file]
+    code, out = run_cli(capsys, *argv)
+    assert code == 0
+    assert out == json.dumps(json.loads(out), indent=2) + "\n"
+
+
+@pytest.mark.parametrize("argv, code, message", [
+    (["sweep", "--layers", ""], 2, "error: bad layer list ''\n"),
+    (["sweep", "--ratios", ""], 2, "error: bad ratio list ''\n"),
+    (["compare", "--strategies", ""], 2, "error: unknown strategy ''\n"),
+    (["run", "--emit-masks", ""], 3, "i/o error: "),
+    (["compare", "--out", ""], 3, "i/o error: "),
+], ids=["layers", "ratios", "strategies", "emit_masks", "out"])
+def test_flag_given_empty_is_refused(capsys, config_file, tmp_path, argv, code, message):
+    # an empty flag is not a missing one: it neither falls back to the
+    # config nor skips its output
+    if argv[0] == "sweep":
+        argv = [*argv, "--out", str(tmp_path / "sweep.csv")]
+    assert main([*argv, "--config", config_file]) == code
+    captured = capsys.readouterr()
+    assert captured.err.startswith(message) and captured.err.count("\n") == 1
+    assert not (tmp_path / "sweep.csv").exists()
+
+
+def test_model_checked_before_fixture_file_is_read(capsys, tmp_path):
+    # the marker model is built first for either fixture kind, so a bad
+    # margin onset is reported before a missing fixture file
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"model": TOY_MODEL, "margin_onset_layer": 9,
+                                "fixture": {"path": str(tmp_path / "missing.json")}}))
+    assert main(["run", "--config", str(path)]) == 2
+    assert capsys.readouterr().err == "error: margin onset layer 9 outside [1, 8]\n"
 
 
 def test_compare_same_seed_reproducible(capsys, config_file):

@@ -27,7 +27,7 @@ from pdrop.harness import (
     write_sweep_csv,
 )
 from pdrop.pruner import PyramidDrop, RandomDrop, SingleEarlyDrop, UniformCompression, Vanilla
-from pdrop.toymodel import TOY_CONFIG, forward_elements, forward_pruned
+from pdrop.toymodel import TOY_CONFIG, build_marker_model, forward_elements, forward_pruned
 
 
 def marker_spec(**overrides) -> ExperimentSpec:
@@ -153,6 +153,7 @@ class TestSweep:
         write_sweep_csv(rows, out)
         lines = out.read_text().strip().splitlines()
         assert lines[0] == "layer,keep_ratio,recall,kept_count,flops"
+        assert lines[0].split(",") == [f.name for f in dataclasses.fields(SweepRow)]
         assert len(lines) == 5
 
 
@@ -247,6 +248,29 @@ class TestRandomRecall:
         assert report.recall == sim
 
 
+class TestPrepare:
+    @pytest.mark.parametrize("from_file", [False, True], ids=["generated", "file"])
+    def test_builds_the_marker_model_once(self, tmp_path, monkeypatch, from_file):
+        built = []
+
+        def counted(cfg, dims, margin_onset_layer):
+            built.append(tuple(dims))
+            return build_marker_model(cfg, dims, margin_onset_layer=margin_onset_layer)
+
+        monkeypatch.setattr(harness, "build_marker_model", counted)
+        if from_file:
+            path = tmp_path / "fixture.json"
+            path.write_text(json.dumps({"image": [[0.0] * 64] * 4, "instruction": [1, 2]}))
+            spec = ExperimentSpec(model=TOY_CONFIG, fixture_path=str(path))
+        else:
+            spec = marker_spec(fixture=FixtureSpec(image_tokens=16, marker_dims=(5, 6)))
+        weights, seq, marked = prepare(spec)
+        # a file fixture's model takes the default marker dims
+        assert built == [(0, 1, 2, 3) if from_file else (5, 6)]
+        assert seq.num_image_tokens == (4 if from_file else 16)
+        assert marked.size == (0 if from_file else 4)
+
+
 class TestEmitMasks:
     def test_mask_file_shape(self, tmp_path):
         spec = marker_spec(strategy=PyramidDrop(4, 0.5),
@@ -254,7 +278,10 @@ class TestEmitMasks:
         report = run_single(spec)
         path = tmp_path / "masks.json"
         emit_masks(report, path)
-        obj = json.loads(path.read_text())
+        # the run report's stages, in the format of every JSON output
+        text = path.read_text()
+        assert text == json.dumps({"stages": report.to_json()["stages"]}, indent=2) + "\n"
+        obj = json.loads(text)
         sizes = [len(s["kept"]) for s in obj["stages"]]
         assert sizes == [8, 4, 2]
         assert [s["boundary"] for s in obj["stages"]] == [2, 4, 6]

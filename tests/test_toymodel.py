@@ -263,6 +263,14 @@ class TestForwardFull:
         assert peak < 10e6
 
 
+    def test_trace_is_frozen(self, toy_weights):
+        trace = forward_pruned(toy_weights, random_sequence(TOY_CONFIG, 16, seed=4),
+                               build_schedule(8, 4, 0.5, 16))
+        assert [layer for layer, _ in trace.kept_masks] == [2, 4, 6]
+        for name, value in vars(trace).items():
+            with pytest.raises(FrozenInstanceError):
+                setattr(trace, name, value)
+
     def test_forward_runs_in_one_workspace(self):
         # toy V0=1152 keep-all: 7.08 MB when each block allocated its arrays
         # afresh, 5.26 MB with one workspace sized for the first layer
@@ -289,10 +297,12 @@ class TestForwardFull:
     def test_forward_size_bound_checked_before_allocation(self, toy_weights, monkeypatch):
         seq = random_sequence(TOY_CONFIG, 6, seed=16)
         n = len(seq)
-        rows, arena = (b.size for b in toymodel._workspace(TOY_CONFIG, n))
-        # the residual stream plus the workspace, which outweighs the logits here
-        elements = n * TOY_CONFIG.hidden_size + rows + arena
-        assert elements == toymodel.forward_elements(TOY_CONFIG, n) > n * TOY_CONFIG.vocab_size
+        workspace = toymodel._workspace(TOY_CONFIG, n)  # one flat array
+        assert workspace.ndim == 1
+        # the residual stream plus the larger of the workspace and the logits
+        elements = n * TOY_CONFIG.hidden_size + max(workspace.size, n * TOY_CONFIG.vocab_size)
+        assert elements == toymodel.forward_elements(TOY_CONFIG, n)
+        assert workspace.size > n * TOY_CONFIG.vocab_size  # the workspace outweighs them here
         monkeypatch.setattr(layout, "MAX_ELEMENTS", elements)
         assert len(keep_all_forward(toy_weights, seq).hidden) == 1
         monkeypatch.setattr(layout, "MAX_ELEMENTS", elements - 1)
