@@ -35,9 +35,18 @@ from .toymodel import (
     ForwardTrace,
     ModelConfig,
     build_marker_model,
+    forward_plans,
     forward_pruned,
     init_model,
 )
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+# what the README, the demos and the benchmark use; the other names
+# imported above stay importable from here
+__all__ = [
+    "TOY_CONFIG", "ConfigError", "ForwardTrace", "ModelConfig", "PyramidDrop",
+    "RandomDrop", "RngState", "SingleEarlyDrop", "StageSchedule", "UniformCompression",
+    "Vanilla", "build_schedule", "decide", "forward_plans", "forward_pruned",
+    "init_model", "keep_all_schedule", "layer_flops", "rank_image_tokens",
+    "schedule_cost", "softmax_rows", "strategy_cost", "tera", "theoretical_saving",
+]
 __version__ = "0.1.0"

@@ -12,6 +12,7 @@ import csv
 import hashlib
 import json
 import sys
+from collections.abc import Callable
 from dataclasses import dataclass, field, fields, replace
 from operator import attrgetter
 
@@ -33,7 +34,15 @@ from .pruner import (
     decide,
     random_ranker,
 )
-from .toymodel import DecoderWeights, ModelConfig, build_marker_model, forward_elements, forward_pruned
+from .toymodel import (
+    DecoderWeights,
+    ForwardTrace,
+    ModelConfig,
+    build_marker_model,
+    forward_elements,
+    forward_plans,
+    forward_pruned,
+)
 
 
 @dataclass(frozen=True)
@@ -246,8 +255,26 @@ def make_marker_sequence(
     return build_sequence(emb, instruction, answer), marked.astype(np.int64)
 
 
-def prepare(spec: ExperimentSpec) -> tuple[DecoderWeights, MultimodalSequence, np.ndarray]:
-    """Resolve (weights, sequence, marked positions) for a run. A file
+@dataclass(frozen=True, eq=False)
+class Plan:
+    """What a command runs, resolved before its first forward: the weights,
+    the sequence, the marked positions, and one ``(strategy, schedule,
+    ranker)`` run per strategy. Unpacks as ``(weights, seq, marked)``, the
+    set-up alone, for callers written before it held runs."""
+
+    weights: DecoderWeights
+    seq: MultimodalSequence
+    marked: np.ndarray
+    runs: tuple[tuple[Strategy, StageSchedule, Callable], ...] = ()
+
+    def __iter__(self):
+        return iter((self.weights, self.seq, self.marked))
+
+
+def prepare(spec: ExperimentSpec, strategies=()) -> Plan:
+    """Resolve the plan of a command that runs ``strategies``: the weights,
+    the sequence, the marked positions, then each strategy's ranker and
+    schedule, so that a bad strategy fails before any forward runs. A file
     fixture's model takes the default marker dims."""
     fixture = spec.fixture or FixtureSpec()
     # the model first, so that it rejects marker dims outside the hidden size
@@ -256,9 +283,14 @@ def prepare(spec: ExperimentSpec) -> tuple[DecoderWeights, MultimodalSequence, n
     )
     if spec.fixture_path is not None:
         seq = load_sequence(spec.fixture_path)  # the forward checks its width
-        return weights, seq, np.empty(0, dtype=np.int64)
-    seq, marked = make_marker_sequence(spec.model, fixture, spec.seed)
-    return weights, seq, marked
+        marked = np.empty(0, dtype=np.int64)
+    else:
+        seq, marked = make_marker_sequence(spec.model, fixture, spec.seed)
+    runs = []
+    for strategy in strategies:
+        ranker = strategy.ranker(spec.seed)  # a cost-only strategy stops here
+        runs.append((strategy, strategy.schedule(spec.model.num_layers, seq.num_image_tokens), ranker))
+    return Plan(weights, seq, marked, tuple(runs))
 
 
 def marker_recall(kept: np.ndarray | None, marked: np.ndarray) -> float:
@@ -273,17 +305,10 @@ def marker_recall(kept: np.ndarray | None, marked: np.ndarray) -> float:
 # --- runs ------------------------------------------------------------------
 
 
-def run_strategy(
-    weights: DecoderWeights,
-    seq: MultimodalSequence,
-    strategy: Strategy,
-    marked: np.ndarray,
-    seed: int,
-) -> RunReport:
-    cfg = weights.config
-    v0 = seq.num_image_tokens
-    ranker = strategy.ranker(seed)  # a cost-only strategy stops here
-    trace = forward_pruned(weights, seq, strategy.schedule(cfg.num_layers, v0), ranker=ranker)
+def run_strategy(plan: Plan, strategy: Strategy, trace: ForwardTrace) -> RunReport:
+    """The report of ``strategy``'s run in ``plan``, from its forward's trace."""
+    cfg = plan.weights.config
+    v0 = plan.seq.num_image_tokens
     digest = hashlib.sha256(
         np.ascontiguousarray(trace.hidden[-1]).tobytes()
         + np.ascontiguousarray(trace.positions).tobytes()
@@ -291,23 +316,28 @@ def run_strategy(
     return RunReport(
         strategy=strategy.name,
         kept_masks=trace.kept_masks,
-        recall=marker_recall(trace.kept_masks[-1][1] if trace.kept_masks else None, marked),
+        recall=marker_recall(trace.kept_masks[-1][1] if trace.kept_masks else None, plan.marked),
         cost=strategy_cost(strategy, cfg.num_layers, v0, cfg.hidden_size, cfg.ffn_intermediate),
         digest=digest,
     )
 
 
+def run_plan(plan: Plan) -> list[RunReport]:
+    """One report per run of ``plan``, in order, from one forward of all its
+    runs (``forward_plans``)."""
+    traces = forward_plans(plan.weights, plan.seq, [run[1:] for run in plan.runs])
+    # each trace is freed before the next one's logits are built
+    return [run_strategy(plan, strategy, next(traces)) for strategy, _, _ in plan.runs]
+
+
 def run_single(spec: ExperimentSpec) -> RunReport:
-    weights, seq, marked = prepare(spec)
-    strategy = spec.strategy or PyramidDrop()
-    return run_strategy(weights, seq, strategy, marked, spec.seed)
+    return run_plan(prepare(spec, [spec.strategy or PyramidDrop()]))[0]
 
 
 def run_compare(spec: ExperimentSpec) -> list[RunReport]:
     if not spec.strategies:
         raise ConfigError("compare needs at least one strategy")
-    weights, seq, marked = prepare(spec)
-    return [run_strategy(weights, seq, s, marked, spec.seed) for s in spec.strategies]
+    return run_plan(prepare(spec, spec.strategies))
 
 
 def run_layer_sweep(spec: ExperimentSpec) -> list[SweepRow]:
@@ -321,7 +351,8 @@ def run_layer_sweep(spec: ExperimentSpec) -> list[SweepRow]:
     layer's scores."""
     if not spec.sweep_layers or not spec.sweep_ratios:
         raise ConfigError("sweep needs nonempty layer and ratio grids")
-    weights, seq, marked = prepare(spec)
+    plan = prepare(spec)
+    weights, seq, marked = plan.weights, plan.seq, plan.marked
     cfg = spec.model
     v0 = seq.num_image_tokens
     cells = []

@@ -13,6 +13,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from . import layout
 from .errors import ConfigError, InputError
 from .layout import MIN_LAYER_ELEMENTS, MultimodalSequence, check_elements, check_image_size
 from .numkernel import RngState, gaussian_init, rmsnorm_rows, rope_rotate_rows, rope_table, softmax_rows
@@ -169,11 +170,13 @@ def _workspace_elements(cfg: ModelConfig, n: int) -> int:
     return n * d + max(3 * n * d + shared, 2 * n * m)
 
 
-def forward_elements(cfg: ModelConfig, n: int) -> int:
-    """The elements a forward over ``n`` tokens holds at most: its residual
-    stream plus the larger of its workspace and its logits, which are
-    built once the workspace is freed."""
-    return n * cfg.hidden_size + max(_workspace_elements(cfg, n), n * cfg.vocab_size)
+def forward_elements(cfg: ModelConfig, n: int, plans: int = 1) -> int:
+    """The elements a forward of ``plans`` plans as one tree over ``n``
+    tokens holds at most: a residual stream per plan, since plans that
+    keep different sets hold their rows apart, plus the larger of its
+    workspace and one plan's logits, which are built once the workspace
+    is freed."""
+    return plans * n * cfg.hidden_size + max(_workspace_elements(cfg, n), n * cfg.vocab_size)
 
 
 def _workspace(cfg: ModelConfig, n: int) -> np.ndarray:
@@ -244,6 +247,97 @@ def _layer_forward(lw: LayerWeights, cfg: ModelConfig, x: np.ndarray, positions:
     return scores
 
 
+def forward_plans(w: DecoderWeights, seq: MultimodalSequence, plans, observe=None):
+    """The forward of one or several plans over one sequence, a plan being
+    a ``(schedule, ranker)`` pair. Yields one ``ForwardTrace`` per plan, in
+    plan order, bit-identical to that plan's own ``forward_pruned``. Plans
+    whose rows are still the same hold one hidden-row array, and each
+    layer runs once per array. At a boundary each plan that drops there
+    ranks its own copy of the scores, plans that keep the same set share
+    one gathered copy of the rows, and a plan with no boundary there keeps
+    its array. ``observe`` is called once per array at each boundary where
+    a plan holding it drops, before any of them ranks. Every plan and the
+    forward's size are checked when the first trace is asked for, before
+    any layer runs. The plans run as one tree, or, where their residual
+    streams together would pass ``MAX_ELEMENTS``, as consecutive trees of
+    as many plans as it admits, so a list of plans is refused only where
+    one plan's forward is. One workspace serves every array of a tree and
+    is freed before any logits are built; each trace's logits are built
+    when it is asked for, so a caller that drops each trace before asking
+    for the next holds one plan's logits at a time."""
+    cfg = w.config
+    for schedule, _ in plans:
+        if sum(schedule.stage_layer_counts) != cfg.num_layers:
+            raise ConfigError(
+                f"schedule built for {sum(schedule.stage_layer_counts)} layers, model has {cfg.num_layers}"
+            )
+        if schedule.stage_token_counts[0] != seq.num_image_tokens:
+            raise ConfigError(
+                f"schedule expects {schedule.stage_token_counts[0]} image tokens, "
+                f"sequence has {seq.num_image_tokens}"
+            )
+    if not plans:
+        return
+    check_image_size(seq.num_image_tokens, cfg.hidden_size)
+    n = len(seq)
+    per_tree = max((k for k in range(2, len(plans) + 1)
+                    if forward_elements(cfg, n, k) <= layout.MAX_ELEMENTS), default=1)
+    check_elements(f"a forward of {n} tokens", forward_elements(cfg, n, per_tree))
+    for start in range(0, len(plans), per_tree):
+        yield from _forward_tree(w, seq, plans[start:start + per_tree], observe)
+
+
+def _forward_tree(w: DecoderWeights, seq: MultimodalSequence, plans, observe):
+    """``forward_plans`` of checked ``plans`` that fit one tree."""
+    cfg = w.config
+    # each group: hidden rows, their original positions, and the plans
+    # (ascending) that hold them; no other name holds the embedding, so a
+    # drop at the first boundary frees it
+    groups = [(_embed(w, seq), np.arange(len(seq), dtype=np.int64), list(range(len(plans))))]
+    workspace = _workspace(cfg, len(seq))  # after the embedding: a wrong width allocates none
+    n_text = len(seq) - seq.num_image_tokens
+    num_instruction = seq.instruction_ids.size
+    boundaries = [set(schedule.boundary_layers) for schedule, _ in plans]
+    masks = [[] for _ in plans]  # each plan's kept masks
+    for layer_no, lw in enumerate(w.layers, start=1):
+        todo, groups = groups, []
+        while todo:
+            # popped, so that no list holds the rows a drop leaves behind
+            x, positions, members = todo.pop(0)
+            n_img = positions.size - n_text
+            dropping = [p for p in members if layer_no in boundaries[p]]
+            staying = [p for p in members if layer_no not in boundaries[p]]
+            rank = (n_img + num_instruction - 1, n_img) if dropping else None
+            scores = _layer_forward(lw, cfg, x, positions, workspace, rank=rank)
+            if staying:
+                groups.append((x, positions, staying))
+            if not dropping:
+                continue
+            if observe is not None:
+                observe(layer_no, x, positions, scores)
+            gathered = []  # (kept indices, the plans keeping them)
+            for p in dropping:
+                schedule, ranker = plans[p]
+                stage = len(masks[p])
+                kept = decide(ranker(scores.copy(), stage), schedule, stage)
+                masks[p].append((layer_no, positions[kept]))
+                sharing = next((s for k, s in gathered if np.array_equal(k, kept)), None)
+                if sharing is None:
+                    sharing = []
+                    gathered.append((kept, sharing))
+                sharing.append(p)
+            rows = [np.concatenate([kept, np.arange(n_img, positions.size)]) for kept, _ in gathered]
+            kept_x = [x[r] for r in rows]
+            del x  # the pre-drop rows are freed here, unless a plan stays on them
+            groups.extend(zip(kept_x, [positions[r] for r in rows], [sharing for _, sharing in gathered]))
+    del workspace  # freed before the logits
+    for p, kept_masks in enumerate(masks):
+        x, positions, members = next(group for group in groups if p in group[2])
+        # a plan whose final rows a later plan shares gets a copy of its own
+        hidden = x if p == members[-1] else x.copy()
+        yield ForwardTrace([hidden], hidden @ w.head, kept_masks, positions.copy())
+
+
 def forward_pruned(
     w: DecoderWeights,
     seq: MultimodalSequence,
@@ -251,54 +345,19 @@ def forward_pruned(
     ranker=identity_ranker,
     observe=None,
 ) -> ForwardTrace:
-    """The forward: image tokens dropped at the schedule's boundaries are
-    physically removed for all later layers; ``keep_all_schedule`` gives
-    the unpruned forward. The surviving image tokens always occupy the
-    first rows and the instruction tokens follow them; at each boundary
-    the block scores them once (``rank_image_tokens``) and the kept set is
-    the highest of ``ranker(scores, stage)``. Before that decision, a given
+    """The forward of one plan (``forward_plans``): image tokens dropped at
+    the schedule's boundaries are physically removed for all later layers;
+    ``keep_all_schedule`` gives the unpruned forward. The surviving image
+    tokens always occupy the first rows and the instruction tokens follow
+    them; at each boundary the block scores them once
+    (``rank_image_tokens``) and the kept set is the highest of
+    ``ranker(scores, stage)``. Before that decision, a given
     ``observe(layer, x, positions, scores)`` sees the boundary: its 1-based
     layer, the live hidden rows ``x`` (not a copy: a write into them
     carries into every later layer), their original positions, and the
     scores. The blocks run in one workspace allocated for the first,
     widest layer."""
-    cfg = w.config
-    if sum(schedule.stage_layer_counts) != cfg.num_layers:
-        raise ConfigError(
-            f"schedule built for {sum(schedule.stage_layer_counts)} layers, model has {cfg.num_layers}"
-        )
-    if schedule.stage_token_counts[0] != seq.num_image_tokens:
-        raise ConfigError(
-            f"schedule expects {schedule.stage_token_counts[0]} image tokens, "
-            f"sequence has {seq.num_image_tokens}"
-        )
-    check_image_size(seq.num_image_tokens, cfg.hidden_size)
-    check_elements(f"a forward of {len(seq)} tokens", forward_elements(cfg, len(seq)))
-
-    x = _embed(w, seq)  # first: a wrong embedding width allocates no workspace
-    workspace = _workspace(cfg, len(seq))
-    positions = np.arange(len(seq), dtype=np.int64)
-    n_img = seq.num_image_tokens
-    num_instruction = seq.instruction_ids.size
-    boundaries = set(schedule.boundary_layers)
-    kept_masks = []
-    for layer_no, lw in enumerate(w.layers, start=1):
-        if layer_no not in boundaries:
-            _layer_forward(lw, cfg, x, positions, workspace)
-            continue
-        scores = _layer_forward(lw, cfg, x, positions, workspace,
-                                rank=(n_img + num_instruction - 1, n_img))
-        if observe is not None:
-            observe(layer_no, x, positions, scores)
-        stage = len(kept_masks)
-        kept = decide(ranker(scores, stage), schedule, stage)
-        kept_masks.append((layer_no, positions[kept]))
-        rows = np.concatenate([kept, np.arange(n_img, len(positions))])
-        x = x[rows]
-        positions = positions[rows]
-        n_img = kept.size
-    del workspace  # freed before the logits
-    return ForwardTrace([x], x @ w.head, kept_masks, positions.copy())
+    return next(forward_plans(w, seq, [(schedule, ranker)], observe))
 
 
 # --- marker model ----------------------------------------------------------

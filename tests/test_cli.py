@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from pdrop import harness, layout, toymodel
 from pdrop.cli import main
-from pdrop.toymodel import TOY_CONFIG, forward_elements, forward_pruned, init_model
+from pdrop.toymodel import TOY_CONFIG, forward_elements, forward_plans, forward_pruned, init_model
 
 TOY_MODEL = {
     "num_layers": 8, "hidden_size": 64, "num_heads": 4,
@@ -360,7 +360,12 @@ def forward_calls(monkeypatch):
         calls.append(weights.config.num_layers)
         return forward_pruned(weights, *args, **kwargs)
 
+    def counted_plans(weights, *args, **kwargs):
+        calls.append(weights.config.num_layers)
+        return forward_plans(weights, *args, **kwargs)
+
     monkeypatch.setattr(harness, "forward_pruned", counted)
+    monkeypatch.setattr(harness, "forward_plans", counted_plans)
     return calls
 
 
@@ -404,6 +409,21 @@ def test_sweep_range_syntax(capsys, config_file, tmp_path):
     assert len(out_path.read_text().strip().splitlines()) == 5  # header + 4 ratios
 
 
+def test_compare_past_the_tree_bound_runs_in_parts(capsys, monkeypatch, tmp_path):
+    # a bound that admits one plan's forward of the 1065 tokens (and the
+    # toy weights) but not four plans' rows at once: the same bytes as with
+    # room for all four
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"model": TOY_MODEL, "seed": 7,
+                                "fixture": {"image_tokens": 64, "instruction_length": 1000}}))
+    argv = ["compare", "--config", str(path), "--strategies", "vanilla,pdrop,fastv,random"]
+    expected = run_cli(capsys, *argv)
+    assert expected[0] == 0
+    for bound in (forward_elements(TOY_CONFIG, 1065, 4) - 1, forward_elements(TOY_CONFIG, 1065)):
+        monkeypatch.setattr(layout, "MAX_ELEMENTS", bound)
+        assert run_cli(capsys, *argv) == expected
+
+
 def test_compare(capsys, config_file, tmp_path):
     out_path = tmp_path / "compare.json"
     argv = ["compare", "--config", config_file, "--strategies", "vanilla,pdrop,fastv,random"]
@@ -416,6 +436,34 @@ def test_compare(capsys, config_file, tmp_path):
     by_name = {r["strategy"]: r for r in reports}
     assert by_name["pdrop"]["recall"] == 1.0
     assert by_name["pdrop"]["cost"]["total"] < by_name["vanilla"]["cost"]["total"]
+
+
+def test_compare_runs_shared_layers_once(capsys, config_file, layer_forwards):
+    # vanilla, pdrop, fastv and random share layers 1-2, and pdrop and fastv
+    # layers 3-4: 24 layer forwards, not 4 x 8; one strategy runs 8
+    assert run_cli(capsys, "compare", "--config", config_file,
+                   "--strategies", "vanilla,pdrop,fastv,random")[0] == 0
+    assert len(layer_forwards) == 24
+    layer_forwards.clear()
+    assert run_cli(capsys, "run", "--config", config_file)[0] == 0
+    assert len(layer_forwards) == 8
+
+
+@pytest.mark.parametrize("strategies, argv, message", [
+    (["vanilla"], ["--strategies", "vanilla,pdrop,fastv,random,uniform"],
+     "uniform compression has no forward semantics; it is cost-only"),
+    (["vanilla", "pdrop", {"name": "fastv", "drop_layer": 9}], [],
+     "drop layer 9 must be in [1, 8)"),
+], ids=["uniform_last", "fastv_past_last_layer"])
+def test_compare_config_error_before_any_layer_forward(capsys, tmp_path, layer_forwards,
+                                                       strategies, argv, message):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"model": TOY_MODEL, "fixture": {"image_tokens": 64},
+                                "strategies": strategies}))
+    assert main(["compare", "--config", str(path), *argv]) == 2
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", f"error: {message}\n")
+    assert layer_forwards == []
 
 
 @pytest.mark.parametrize("argv", [

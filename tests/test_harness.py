@@ -160,7 +160,8 @@ class TestSweep:
 def per_cell_sweep(spec: ExperimentSpec) -> list[SweepRow]:
     """Reference route for ``run_layer_sweep``: one full forward per
     (layer, ratio) cell with that cell's single-drop schedule."""
-    weights, seq, marked = prepare(spec)
+    plan = prepare(spec)
+    weights, seq, marked = plan.weights, plan.seq, plan.marked
     cfg = spec.model
     v0 = seq.num_image_tokens
     rows = []
@@ -264,11 +265,22 @@ class TestPrepare:
             spec = ExperimentSpec(model=TOY_CONFIG, fixture_path=str(path))
         else:
             spec = marker_spec(fixture=FixtureSpec(image_tokens=16, marker_dims=(5, 6)))
-        weights, seq, marked = prepare(spec)
+        plan = prepare(spec)
         # a file fixture's model takes the default marker dims
         assert built == [(0, 1, 2, 3) if from_file else (5, 6)]
-        assert seq.num_image_tokens == (4 if from_file else 16)
-        assert marked.size == (0 if from_file else 4)
+        assert plan.seq.num_image_tokens == (4 if from_file else 16)
+        assert plan.marked.size == (0 if from_file else 4)
+
+    def test_resolves_every_strategy_before_any_forward(self, layer_forwards):
+        strategies = [Vanilla(), RandomDrop(4, 0.5, seed=1)]
+        plan = prepare(marker_spec(), strategies)
+        assert [(s, schedule) for s, schedule, _ in plan.runs] == \
+               [(s, s.schedule(8, 64)) for s in strategies]
+        with pytest.raises(ConfigError, match="cost-only"):
+            prepare(marker_spec(), [Vanilla(), UniformCompression(32)])
+        with pytest.raises(ConfigError, match="drop layer 9"):
+            prepare(marker_spec(), [Vanilla(), SingleEarlyDrop(drop_layer=9)])
+        assert layer_forwards == []
 
 
 class TestEmitMasks:

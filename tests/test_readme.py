@@ -1,6 +1,8 @@
 """The README's library quick start and experiment config must run as
-written, and the package must need no dependency but numpy."""
+written, the package must need no dependency but numpy, and ``pdrop``
+must export what the README, the demos and the benchmark import."""
 
+import ast
 import json
 import os
 import pathlib
@@ -8,6 +10,7 @@ import re
 import subprocess
 import sys
 
+import pdrop
 from pdrop.cli import main
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
@@ -38,3 +41,16 @@ def test_import_loads_no_scipy():
         env=env, capture_output=True, text=True, timeout=120)
     assert child.returncode == 0, child.stderr
     assert child.stdout == "False\n"
+
+
+def test_all_names_what_readme_demos_and_benchmark_import():
+    # every name the README's quick start, a demo or a benchmark module
+    # imports from pdrop is exported, and every exported name exists
+    (block,) = re.findall(r"```python\n(.*?)```", README.read_text(), re.S)
+    sources = [block] + [path.read_text() for d in ("demos", "perfbench")
+                         for path in (ROOT / d).glob("*.py")]
+    imported = {alias.name for text in sources for node in ast.walk(ast.parse(text))
+                if isinstance(node, ast.ImportFrom) and node.module == "pdrop"
+                for alias in node.names}
+    assert imported - {"cli", "harness", "layout", "toymodel"} <= set(pdrop.__all__)
+    assert all(hasattr(pdrop, name) for name in pdrop.__all__)

@@ -14,7 +14,16 @@ from pdrop.errors import ConfigError, InputError
 from pdrop.harness import FixtureSpec, make_marker_sequence
 from pdrop.layout import MultimodalSequence, build_sequence
 from pdrop.numkernel import RngState, derive_seed, rmsnorm_rows, rope_rotate_rows, rope_table
-from pdrop.pruner import build_schedule, keep_all_schedule, rank_image_tokens
+from pdrop.pruner import (
+    PyramidDrop,
+    RandomDrop,
+    SingleEarlyDrop,
+    Vanilla,
+    build_schedule,
+    identity_ranker,
+    keep_all_schedule,
+    rank_image_tokens,
+)
 from pdrop.toymodel import (
     ATTENTION_BLOCK_ROWS,
     TOY_CONFIG,
@@ -25,6 +34,7 @@ from pdrop.toymodel import (
     _silu,
     _workspace,
     build_marker_model,
+    forward_plans,
     forward_pruned,
     init_model,
 )
@@ -686,6 +696,108 @@ class TestInjection:
         inject_at_boundary(toy_weights, seq, schedule, 4, 20, np.zeros(TOY_CONFIG.hidden_size),
                            ranker=recording_ranker(seen))
         assert len(seen) == len(schedule.boundary_layers)
+
+
+def strategy_plans(strategies, v0, seed=5):
+    """Each strategy's ``(schedule, ranker)`` plan on the toy model."""
+    return [(s.schedule(TOY_CONFIG.num_layers, v0), s.ranker(seed)) for s in strategies]
+
+
+COMPARED = [Vanilla(), PyramidDrop(), SingleEarlyDrop(), RandomDrop()]
+
+
+class TestForwardPlans:
+    @pytest.mark.parametrize("v0", [64, 576])
+    @pytest.mark.parametrize("strategies", [COMPARED, [PyramidDrop(), PyramidDrop()]],
+                             ids=["compared", "repeated"])
+    def test_bit_identical_to_one_forward_per_plan(self, toy_weights, v0, strategies):
+        seq = random_sequence(TOY_CONFIG, v0, seed=20)
+        plans = strategy_plans(strategies, v0)
+        traces = list(forward_plans(toy_weights, seq, plans))
+        assert len(traces) == len(plans)
+        for (schedule, ranker), trace in zip(plans, traces):
+            alone = forward_pruned(toy_weights, seq, schedule, ranker)
+            assert np.array_equal(trace.logits, alone.logits)
+            assert np.array_equal(trace.hidden[-1], alone.hidden[-1])
+            assert np.array_equal(trace.positions, alone.positions)
+            assert [layer for layer, _ in trace.kept_masks] == [layer for layer, _ in alone.kept_masks]
+            assert all(np.array_equal(a, b) for (_, a), (_, b) in zip(trace.kept_masks,
+                                                                     alone.kept_masks))
+        # plans that end in the same rows still get arrays of their own
+        for i, a in enumerate(traces):
+            for b in traces[i + 1:]:
+                assert not np.shares_memory(a.hidden[-1], b.hidden[-1])
+                assert not np.shares_memory(a.positions, b.positions)
+
+    def test_shared_layers_run_once(self, toy_weights, layer_forwards):
+        seq = random_sequence(TOY_CONFIG, 64, seed=21)  # 69 rows
+        list(forward_plans(toy_weights, seq, strategy_plans(COMPARED, 64)))
+        # layers 1-2 once for all four; 3-4 for vanilla, for pdrop and fastv
+        # (the same 32 kept at layer 2) and for random; 5-8 for each
+        assert layer_forwards == ([69] * 2 + [69, 37, 37] * 2
+                                  + [69, 37, 21, 21] * 2 + [69, 37, 13, 13] * 2)
+        assert len(layer_forwards) == 24
+        layer_forwards.clear()
+        forward_pruned(toy_weights, seq, build_schedule(8, 4, 0.5, 64))
+        assert len(layer_forwards) == 8
+
+    def test_ranker_writing_into_its_scores_leaves_other_plans_alone(self, toy_weights):
+        def negating(scores, stage):
+            scores *= -1.0
+            return scores
+
+        seq = random_sequence(TOY_CONFIG, 16, seed=22)
+        schedule = build_schedule(8, 4, 0.5, 16)
+        negated, plain = forward_plans(toy_weights, seq, [(schedule, negating),
+                                                          (schedule, identity_ranker)])
+        for trace, ranker in ((negated, negating), (plain, identity_ranker)):
+            alone = forward_pruned(toy_weights, seq, schedule, ranker)
+            assert all(np.array_equal(a, b) for (_, a), (_, b) in zip(trace.kept_masks,
+                                                                     alone.kept_masks))
+        assert not np.array_equal(negated.kept_masks[0][1], plain.kept_masks[0][1])
+
+    def test_observe_called_once_per_group_at_each_boundary(self, toy_weights):
+        seq = random_sequence(TOY_CONFIG, 64, seed=23)  # 69 rows
+        seen = []
+        plans = strategy_plans([*COMPARED, PyramidDrop()], 64)
+        list(forward_plans(toy_weights, seq, plans,
+                           observe=lambda layer, x, positions, scores: seen.append((layer, x.shape[0]))))
+        # layer 2: all five plans' rows; layer 4: the pdrop group (pdrop,
+        # fastv, pdrop) and random; layer 6: the two pdrop and random; vanilla
+        # and fastv have no boundary past layer 2
+        assert seen == [(2, 69), (4, 37), (4, 37), (6, 21), (6, 21)]
+
+    def test_plans_past_the_bound_run_as_consecutive_trees(self, toy_weights, monkeypatch,
+                                                            layer_forwards):
+        seq = random_sequence(TOY_CONFIG, 6, seed=25)
+        n = len(seq)
+        plan = (build_schedule(8, 4, 0.5, 6), identity_ranker)
+        one = toymodel.forward_elements(TOY_CONFIG, n)
+        alone = forward_pruned(toy_weights, seq, *plan)
+        assert toymodel.forward_elements(TOY_CONFIG, n, 3) == one + 2 * n * TOY_CONFIG.hidden_size
+        # room for two plans' rows: three plans run as a tree of two, then one
+        monkeypatch.setattr(layout, "MAX_ELEMENTS", toymodel.forward_elements(TOY_CONFIG, n, 2))
+        layer_forwards.clear()
+        traces = list(forward_plans(toy_weights, seq, [plan] * 3))
+        assert len(layer_forwards) == 2 * 8
+        for trace in traces:
+            assert np.array_equal(trace.logits, alone.logits)
+            assert np.array_equal(trace.positions, alone.positions)
+        # no room for one plan: refused as one plan's forward, before any layer
+        monkeypatch.setattr(layout, "MAX_ELEMENTS", one - 1)
+        layer_forwards.clear()
+        with pytest.raises(InputError, match=f"^a forward of {n} tokens: {one} elements"):
+            list(forward_plans(toy_weights, seq, [plan] * 3))
+        assert layer_forwards == []
+
+    def test_every_plan_checked_before_the_first_layer(self, toy_weights, layer_forwards):
+        seq = random_sequence(TOY_CONFIG, 16, seed=24)
+        good = (build_schedule(8, 4, 0.5, 16), identity_ranker)
+        bad = (build_schedule(8, 4, 0.5, 17), identity_ranker)
+        with pytest.raises(ConfigError, match="schedule expects 17 image tokens, sequence has 16"):
+            list(forward_plans(toy_weights, seq, [good, good, bad]))
+        assert list(forward_plans(toy_weights, seq, [])) == []
+        assert layer_forwards == []
 
 
 class TestMarkerModel:
