@@ -5,7 +5,7 @@ pruning. Text tokens contribute zero by convention.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from math import floor, log10
 
 from .errors import ConfigError
@@ -48,23 +48,24 @@ def tera(flops: int) -> float:
     return round(t, TERA_SIG_FIGS - 1 - floor(log10(abs(t))))
 
 
+def _report(layers, tokens, num_layers: int, vanilla_tokens: int, d: int, m: int) -> CostReport:
+    """The one report builder: stage i runs layers[i] layers at tokens[i]
+    image tokens; the vanilla reference, num_layers at vanilla_tokens."""
+    if d < 1 or m < 1:
+        raise ConfigError(f"hidden size d and FFN size m must be positive, got d={d}, m={m}")
+    per_stage = tuple(k * layer_flops(n, d, m) for k, n in zip(layers, tokens))
+    total = sum(per_stage)
+    vanilla = num_layers * layer_flops(vanilla_tokens, d, m)
+    return CostReport(per_stage=per_stage, total=total, vanilla=vanilla,
+                      ratio=total / vanilla if vanilla else 1.0,
+                      avg_tokens=sum(k * n for k, n in zip(layers, tokens)) / sum(layers))
+
+
 def schedule_cost(schedule: StageSchedule, d: int, m: int) -> CostReport:
     """Per-stage and total cost of a schedule; the vanilla reference runs
     every layer at the first stage's width."""
-    if d < 1 or m < 1:
-        raise ConfigError(f"hidden size d and FFN size m must be positive, got d={d}, m={m}")
     layers, tokens = schedule.stage_layer_counts, schedule.stage_token_counts
-    num_layers = sum(layers)
-    per_stage = tuple(k * layer_flops(n, d, m) for k, n in zip(layers, tokens))
-    total = sum(per_stage)
-    vanilla = num_layers * layer_flops(tokens[0], d, m)
-    return CostReport(
-        per_stage=per_stage,
-        total=total,
-        vanilla=vanilla,
-        ratio=total / vanilla if vanilla else 1.0,
-        avg_tokens=sum(k * n for k, n in zip(layers, tokens)) / num_layers,
-    )
+    return _report(layers, tokens, sum(layers), tokens[0], d, m)
 
 
 def theoretical_saving(keep_ratio: float, num_stages: int) -> float:
@@ -80,9 +81,11 @@ def theoretical_saving(keep_ratio: float, num_stages: int) -> float:
 
 
 def strategy_cost(strategy: Strategy, num_layers: int, num_image_tokens: int, d: int, m: int) -> CostReport:
+    """Cost of a strategy's schedule. Consecutive stages of equal width are
+    reported as one, so S=4 at lambda=1 reports one stage; the vanilla
+    reference is always the uncompressed count, even for strategies (like
+    uniform compression) that never run at full width."""
     schedule = strategy.schedule(num_layers, num_image_tokens)
-    # merge consecutive stages of equal width for reporting, so that a
-    # schedule whose stages repeat a count (S=4 at lambda=1) reports one stage
     layers, tokens = [], []
     for k, n in zip(schedule.stage_layer_counts, schedule.stage_token_counts):
         if tokens and tokens[-1] == n:
@@ -90,8 +93,4 @@ def strategy_cost(strategy: Strategy, num_layers: int, num_image_tokens: int, d:
         else:
             layers.append(k)
             tokens.append(n)
-    report = schedule_cost(StageSchedule(tuple(layers), tuple(tokens)), d, m)
-    # the vanilla reference is always the uncompressed count, even for
-    # strategies (like uniform compression) that never run at full width
-    vanilla = num_layers * layer_flops(num_image_tokens, d, m)
-    return replace(report, vanilla=vanilla, ratio=report.total / vanilla if vanilla else 1.0)
+    return _report(layers, tokens, num_layers, num_image_tokens, d, m)

@@ -1,7 +1,11 @@
+import itertools
+import re
+
 import numpy as np
 import pytest
 
 from pdrop.costmodel import (
+    CostReport,
     layer_flops,
     schedule_cost,
     strategy_cost,
@@ -11,6 +15,7 @@ from pdrop.costmodel import (
 from pdrop.errors import ConfigError
 from pdrop.pruner import (
     PyramidDrop,
+    RandomDrop,
     SingleEarlyDrop,
     StageSchedule,
     UniformCompression,
@@ -126,6 +131,52 @@ class TestStrategyCost:
             report = strategy_cost(PyramidDrop(4, ratio), J7B, 576, D7B, M7B)
             assert report.total < report.vanilla
             assert 0.0 < report.ratio < 1.0
+
+
+def reference_report(stages, num_layers, v0, d, m):
+    """A report by the definitions, from (layers, tokens) stage pairs: the
+    vanilla reference runs num_layers layers at v0 tokens."""
+    per_stage = tuple(k * layer_flops(n, d, m) for k, n in stages)
+    total = sum(per_stage)
+    vanilla = num_layers * layer_flops(v0, d, m)
+    return CostReport(per_stage=per_stage, total=total, vanilla=vanilla,
+                      ratio=total / vanilla if vanilla else 1.0,
+                      avg_tokens=sum(k * n for k, n in stages) / num_layers)
+
+
+def merged(schedule):
+    """Equal consecutive token counts as one stage."""
+    pairs = zip(schedule.stage_layer_counts, schedule.stage_token_counts)
+    return [(sum(k for k, _ in group), n) for n, group in itertools.groupby(pairs, key=lambda p: p[1])]
+
+
+@pytest.mark.parametrize("num_layers", [1, 8, 32])
+@pytest.mark.parametrize("v0", [0, 1, 576, 5184])
+def test_reports_equal_the_definitions_bit_for_bit(num_layers, v0):
+    # README's Determinism promises bit-stable cost reports: the dataclass
+    # == compares every field, floats included, with ==
+    for stages, ratio in itertools.product(range(1, 9), (1 / 3, 0.5, 0.9, 1.0)):
+        if stages > num_layers:
+            continue
+        schedule = build_schedule(num_layers, stages, ratio, v0)
+        stage_pairs = list(zip(schedule.stage_layer_counts, schedule.stage_token_counts))
+        assert schedule_cost(schedule, D7B, M7B) == reference_report(stage_pairs, num_layers, v0, D7B, M7B)
+        strategies = [Vanilla(), PyramidDrop(stages, ratio), UniformCompression(int(ratio * v0)),
+                      RandomDrop(stages, ratio, seed=7)]
+        if num_layers > 1:
+            strategies.append(SingleEarlyDrop(min(stages, num_layers - 1), ratio))
+        for strategy in strategies:
+            expected = reference_report(merged(strategy.schedule(num_layers, v0)), num_layers, v0, D7B, M7B)
+            assert strategy_cost(strategy, num_layers, v0, D7B, M7B) == expected, strategy
+
+
+@pytest.mark.parametrize("strategy", [Vanilla(), PyramidDrop(), SingleEarlyDrop(), UniformCompression(),
+                                      RandomDrop()], ids=lambda s: s.name)
+@pytest.mark.parametrize("d, m", [(0, M7B), (D7B, -1)])
+def test_every_strategy_refuses_non_positive_d_or_m(strategy, d, m):
+    message = f"hidden size d and FFN size m must be positive, got d={d}, m={m}"
+    with pytest.raises(ConfigError, match=re.escape(message)):
+        strategy_cost(strategy, J7B, 576, d, m)
 
 
 def test_report_json_shape():
