@@ -9,12 +9,8 @@ ranked drop with a random drop at matched budget.
 
 import numpy as np
 
-from pdrop.harness import (
-    ExperimentSpec,
-    FixtureSpec,
-    run_layer_sweep,
-    simulate_random_recall,
-)
+from pdrop.harness import ExperimentSpec, FixtureSpec, run_compare, run_layer_sweep
+from pdrop.pruner import RandomDrop
 from pdrop.toymodel import TOY_CONFIG
 
 onset = TOY_CONFIG.num_layers // 2
@@ -33,8 +29,11 @@ print("layer  keep_ratio  recall  kept  flops")
 for r in rows:
     print(f"{r.layer:5d}  {r.keep_ratio:10.2f}  {r.recall:6.2f}  {r.kept_count:4d}  {r.flops}")
 
-marked = np.arange(60, 64)
-recalls = [simulate_random_recall(64, 4, 0.5, marked, seed) for seed in range(2000)]
-print(f"\nrandom-drop mean recall over 2000 seeds: {np.mean(recalls):.4f}"
-      f"  (chance level {8 / 64})")
+# a uniformly random kept set holds each token with the last stage's
+# share of the image tokens
+spec.strategies = [RandomDrop(4, 0.5, seed=seed) for seed in range(300)]
+chance = spec.strategies[0].schedule(TOY_CONFIG.num_layers, 64).stage_token_counts[-1] / 64
+recalls = [r.recall for r in run_compare(spec)]
+print(f"\nrandom-drop mean recall over 300 seeded runs: {np.mean(recalls):.4f}"
+      f"  (chance level {chance})")
 print("ranked drop on the same budget keeps recall at 1.0 once the signal exists")

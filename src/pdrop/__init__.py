@@ -1,22 +1,9 @@
 """Staged attention-ranked visual-token pruning in a toy multimodal
 decoder, with an exact FLOPs cost model and experiment harness."""
 
-from .costmodel import (
-    CostReport,
-    layer_flops,
-    schedule_cost,
-    strategy_cost,
-    tera,
-    theoretical_saving,
-)
-from .errors import BoundsError, ConfigError, InputError, PdropError, ShapeError
-from .layout import (
-    MultimodalSequence,
-    build_sequence,
-    load_sequence,
-    sequence_from_json,
-)
-from .numkernel import RngState, arg_topk, gaussian_init, softmax_rows
+from .costmodel import layer_flops, schedule_cost, strategy_cost, tera, theoretical_saving
+from .errors import ConfigError
+from .numkernel import RngState, softmax_rows
 from .pruner import (
     PyramidDrop,
     RandomDrop,
@@ -29,19 +16,10 @@ from .pruner import (
     keep_all_schedule,
     rank_image_tokens,
 )
-from .toymodel import (
-    TOY_CONFIG,
-    DecoderWeights,
-    ForwardTrace,
-    ModelConfig,
-    build_marker_model,
-    forward_plans,
-    forward_pruned,
-    init_model,
-)
+from .toymodel import TOY_CONFIG, ForwardTrace, ModelConfig, forward_plans, forward_pruned, init_model
 
-# what the README, the demos and the benchmark use; the other names
-# imported above stay importable from here
+# what the README, the demos and the benchmark use; every other name
+# stays importable from its own module
 __all__ = [
     "TOY_CONFIG", "ConfigError", "ForwardTrace", "ModelConfig", "PyramidDrop",
     "RandomDrop", "RngState", "SingleEarlyDrop", "StageSchedule", "UniformCompression",

@@ -5,17 +5,9 @@ class PdropError(Exception):
     """Base class for all library errors."""
 
 
-class ShapeError(PdropError, ValueError):
-    """Operand dimensions do not agree."""
-
-
 class ConfigError(PdropError, ValueError):
-    """Invalid configuration, schedule, or strategy parameters."""
+    """Invalid configuration, schedule, or strategy parameters, or a count out of range."""
 
 
 class InputError(PdropError, ValueError):
-    """Malformed sequence, fixture, or serialized data."""
-
-
-class BoundsError(PdropError, IndexError):
-    """Index or count outside the valid range."""
+    """Malformed sequence, fixture, or serialized data, or operands whose shapes disagree."""

@@ -30,9 +30,7 @@ from .pruner import (
     Strategy,
     UniformCompression,
     Vanilla,
-    build_schedule,
     decide,
-    random_ranker,
 )
 from .toymodel import (
     DecoderWeights,
@@ -150,14 +148,19 @@ def _expect(value, kind: type, what: str):
     return value
 
 
+def _known(obj, keys, what: str) -> dict:
+    """``obj``, a JSON object whose every key is one of ``keys``."""
+    unknown = sorted(set(_expect(obj, dict, what)) - set(keys))
+    if unknown:
+        raise ConfigError(f"{what}: unknown fields {unknown}")
+    return obj
+
+
 def _from_fields(cls, obj, what: str):
     """``cls`` built from a JSON object whose keys name its fields; each
     value is coerced to the type its field is annotated with."""
-    _expect(obj, dict, what)
     kinds = {f.name: f.type for f in fields(cls)}
-    unknown = sorted(set(obj) - set(kinds))
-    if unknown:
-        raise ConfigError(f"{what}: unknown fields {unknown}")
+    _known(obj, kinds, what)
     try:
         return cls(**{k: _typed(kinds[k], v, f"{what} {k}") for k, v in obj.items()})
     except TypeError as exc:  # a field without a default is missing
@@ -180,6 +183,9 @@ def strategy_from_json(obj) -> Strategy:
 
 
 def spec_from_json(obj: dict) -> ExperimentSpec:
+    """The spec of a JSON config; a key unknown at any level is an error."""
+    _known(obj, ("model", "seed", "fixture", "strategy", "strategies", "sweep",
+                 "margin_onset_layer"), "config")
     try:
         model = _from_fields(ModelConfig, obj["model"], "model")
     except (KeyError, TypeError) as exc:
@@ -188,10 +194,10 @@ def spec_from_json(obj: dict) -> ExperimentSpec:
     fixture_path = None
     fx = obj.get("fixture", {})
     if isinstance(fx, dict) and "path" in fx:
-        fixture_path = _expect(fx["path"], str, "fixture path")
+        fixture_path = _expect(_known(fx, ("path",), "fixture")["path"], str, "fixture path")
     else:
         fixture = _from_fields(FixtureSpec, fx, "fixture")
-    sweep = _expect(obj.get("sweep", {}), dict, "sweep")
+    sweep = _known(obj.get("sweep", {}), ("layers", "ratios"), "sweep")
     return ExperimentSpec(
         model=model,
         seed=_typed("int", obj.get("seed", 0), "seed"),
@@ -259,8 +265,9 @@ def make_marker_sequence(
 class Plan:
     """What a command runs, resolved before its first forward: the weights,
     the sequence, the marked positions, and one ``(strategy, schedule,
-    ranker)`` run per strategy. Unpacks as ``(weights, seq, marked)``, the
-    set-up alone, for callers written before it held runs."""
+    ranker)`` run per strategy. Unpacks as ``(weights, seq, marked)`` only
+    for ``perfbench/workloads.py`` (``Experiments.diagnostics``), until the
+    ROADMAP's benchmark housekeeping reads these fields by name."""
 
     weights: DecoderWeights
     seq: MultimodalSequence
@@ -272,8 +279,9 @@ class Plan:
 
 
 def prepare(spec: ExperimentSpec, strategies=()) -> Plan:
-    """Resolve the plan of a command that runs ``strategies``: the weights,
-    the sequence, the marked positions, then each strategy's ranker and
+    """Resolve the plan of a command that runs ``strategies`` (a run's one
+    strategy, a compare's list, or a sweep's cells): the weights, the
+    sequence, the marked positions, then each strategy's ranker and
     schedule, so that a bad strategy fails before any forward runs. A file
     fixture's model takes the default marker dims."""
     fixture = spec.fixture or FixtureSpec()
@@ -342,26 +350,19 @@ def run_compare(spec: ExperimentSpec) -> list[RunReport]:
 
 def run_layer_sweep(spec: ExperimentSpec) -> list[SweepRow]:
     """One row per (layer, ratio) cell in grid order, each the single
-    FastV-style cut ``SingleEarlyDrop(layer, ratio)``. A cell's row depends
-    only on the ranking scores at its drop layer, and the layers before
-    that drop run at full width in every cell. So every cell is validated
-    first, then one keep-all forward through the last sweep layer runs with
-    a boundary at each distinct sweep layer and records that boundary's
-    scores; each cell's kept set is the top ``floor(ratio * V0)`` of its
-    layer's scores."""
+    FastV-style cut ``SingleEarlyDrop(layer, ratio)``, resolved by
+    ``prepare`` as compare's strategies are. A cell's row depends only on
+    the ranking scores at its drop layer, and the layers before that drop
+    run at full width in every cell. So one keep-all forward through the
+    last sweep layer runs with a boundary at each distinct sweep layer and
+    records that boundary's scores; each cell's kept set is the decision
+    its own forward would make on its layer's scores."""
     if not spec.sweep_layers or not spec.sweep_ratios:
         raise ConfigError("sweep needs nonempty layer and ratio grids")
-    plan = prepare(spec)
-    weights, seq, marked = plan.weights, plan.seq, plan.marked
-    cfg = spec.model
+    plan = prepare(spec, [SingleEarlyDrop(drop_layer=layer, keep_ratio=ratio)
+                          for layer in spec.sweep_layers for ratio in spec.sweep_ratios])
+    weights, seq, cfg = plan.weights, plan.seq, spec.model
     v0 = seq.num_image_tokens
-    cells = []
-    for layer in spec.sweep_layers:
-        if layer >= cfg.num_layers:
-            raise ConfigError(f"sweep layer {layer} >= num_layers {cfg.num_layers}")
-        for ratio in spec.sweep_ratios:
-            strategy = SingleEarlyDrop(drop_layer=layer, keep_ratio=ratio)
-            cells.append((strategy, strategy.schedule(cfg.num_layers, v0)))
 
     boundaries = sorted(set(spec.sweep_layers))
     # no row reads a layer past the last sweep layer, nor the logits: run
@@ -375,32 +376,18 @@ def run_layer_sweep(spec: ExperimentSpec) -> list[SweepRow]:
                    observe=lambda layer, x, positions, s: scores.setdefault(layer, s))
 
     rows = []
-    for strategy, schedule in cells:
-        # the decision the cell's own forward makes at its one boundary
-        kept = decide(scores[strategy.drop_layer], schedule, 0)
+    for strategy, schedule, ranker in plan.runs:
+        # the call the cell's own forward makes at its one boundary
+        kept = decide(ranker(scores[strategy.drop_layer].copy(), 0), schedule, 0)
         cost = strategy_cost(strategy, cfg.num_layers, v0, cfg.hidden_size, cfg.ffn_intermediate)
         rows.append(SweepRow(
             layer=strategy.drop_layer,
             keep_ratio=strategy.keep_ratio,
-            recall=marker_recall(kept, marked),
+            recall=marker_recall(kept, plan.marked),
             kept_count=schedule.stage_token_counts[-1],
             flops=cost.total,
         ))
     return rows
-
-
-def simulate_random_recall(
-    v0: int, stages: int, keep_ratio: float, marked: np.ndarray, seed: int
-) -> float:
-    """Recall of a random-drop selection walk without running the model;
-    the selection path (random scores into decide) matches RandomDrop."""
-    schedule = build_schedule(stages, stages, keep_ratio, v0)
-    rank = random_ranker(seed)
-    surviving = np.arange(v0, dtype=np.int64)
-    for stage in range(stages - 1):
-        scores = rank(np.zeros(surviving.size), stage)  # reads only the count
-        surviving = surviving[decide(scores, schedule, stage)]
-    return marker_recall(surviving, marked)
 
 
 # --- output ----------------------------------------------------------------

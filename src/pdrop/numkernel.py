@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BoundsError, ConfigError, ShapeError
+from .errors import ConfigError, InputError
 
 _MASK64 = (1 << 64) - 1
 _GAMMA = np.uint64(0x9E3779B97F4A7C15)
@@ -98,7 +98,7 @@ def rmsnorm_rows(
     a = np.asarray(a, dtype=np.float64)
     gain = np.asarray(gain, dtype=np.float64)
     if a.ndim != 2 or a.shape[1] != gain.shape[0]:
-        raise ShapeError(f"rmsnorm_rows mismatch: {a.shape} vs gain {gain.shape}")
+        raise InputError(f"rmsnorm_rows mismatch: {a.shape} vs gain {gain.shape}")
     # np.mean's own steps, a sum then a division by the row width, without
     # its wrapper
     rms = np.add.reduce(np.multiply(a, a, out=out), axis=-1, keepdims=True)
@@ -167,7 +167,7 @@ def arg_topk(scores: np.ndarray, k: int) -> np.ndarray:
     """Indices of the k largest scores, ascending; ties go to the lower index."""
     scores = np.asarray(scores, dtype=np.float64)
     if k < 0 or k > scores.shape[0]:
-        raise BoundsError(f"k={k} out of range for {scores.shape[0]} scores")
+        raise ConfigError(f"k={k} out of range for {scores.shape[0]} scores")
     # stable sort of the negated scores keeps lower indices first among ties
     order = np.argsort(-scores, kind="stable")
     return np.sort(order[:k])

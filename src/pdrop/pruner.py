@@ -16,7 +16,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import ConfigError, InputError, ShapeError
+from .errors import ConfigError, InputError
 from .numkernel import RngState, arg_topk, derive_seed
 
 
@@ -87,9 +87,9 @@ def rank_image_tokens(q_last: np.ndarray, k_image: np.ndarray) -> np.ndarray:
     k_image = np.asarray(k_image, dtype=np.float64)
     if (q_last.ndim != 2 or k_image.ndim != 3 or q_last.shape[0] != k_image.shape[0]
             or q_last.shape[1] != k_image.shape[1]):
-        raise ShapeError(f"bad head shapes: q {q_last.shape}, k {k_image.shape}")
+        raise InputError(f"bad head shapes: q {q_last.shape}, k {k_image.shape}")
     if q_last.shape[0] == 0:
-        raise ShapeError("need at least one attention head")
+        raise InputError("need at least one attention head")
     return np.matmul(q_last[:, None, :], k_image)[:, 0].mean(axis=0) / math.sqrt(q_last.shape[1])
 
 

@@ -22,12 +22,12 @@ from pdrop.harness import (
     FixtureSpec,
     run_compare,
     run_layer_sweep,
-    simulate_random_recall,
 )
 from pdrop.layout import build_sequence
 from pdrop.numkernel import RngState, derive_seed
 from pdrop.pruner import (
     PyramidDrop,
+    RandomDrop,
     SingleEarlyDrop,
     UniformCompression,
     build_schedule,
@@ -211,11 +211,11 @@ def test_c11_decide_invariances():
 def test_c12_marker_recall():
     spec = ExperimentSpec(model=TOY_CONFIG, seed=7,
                           fixture=FixtureSpec(image_tokens=64, marked_count=4),
-                          strategies=[PyramidDrop(4, 0.5)])
-    assert run_compare(spec)[0].recall == 1.0
-    marked = np.array([60, 61, 62, 63])
-    recalls = [simulate_random_recall(64, 4, 0.5, marked, seed) for seed in range(1000)]
-    mean = float(np.mean(recalls))
+                          strategies=[PyramidDrop(4, 0.5),
+                                      *(RandomDrop(4, 0.5, seed=s) for s in range(1000))])
+    ranked, *random = run_compare(spec)
+    assert ranked.recall == 1.0
+    mean = float(np.mean([r.recall for r in random]))
     expected = 8 / 64
     assert abs(mean - expected) <= 0.03
     report("criterion 12",

@@ -175,6 +175,10 @@ def test_run_missing_config_is_io_error(capsys, tmp_path):
     # a section given but empty is refused, not replaced by its default
     *({"fixture": empty} for empty in (0, False, [], "", None)),
     *({"sweep": empty} for empty in (0, False, [], "", None)),
+    # a misspelled key at any level is refused, not ignored
+    {"stratgy": "fastv"},
+    {"sweep": {"layer": [2], "ratios": [0.5]}},
+    {"fixture": {"path": "fixture.json", "image_tokens": 16}},
 ])
 def test_run_mistyped_config_value_is_config_error(capsys, tmp_path, override):
     path = tmp_path / "config.json"
@@ -183,6 +187,8 @@ def test_run_mistyped_config_value_is_config_error(capsys, tmp_path, override):
     err = capsys.readouterr().err
     assert code == 2
     assert err.startswith("error: ") and err.count("\n") == 1
+    if override == {"stratgy": "fastv"}:
+        assert err == "error: config: unknown fields ['stratgy']\n"
 
 
 @pytest.mark.parametrize("ratios", ["0.1:0.9:0", "0.1:0.9:-0.2", "0.1:inf:0.2", "0.1:0.9", "a,b"])
@@ -370,7 +376,7 @@ def forward_calls(monkeypatch):
 
 
 @pytest.mark.parametrize("layers, ratios, message", [
-    ("2,8", "0.1,0.3,0.5,0.7,0.9", "sweep layer 8 >= num_layers 8"),
+    ("2,8", "0.1,0.3,0.5,0.7,0.9", "drop layer 8 must be in [1, 8)"),
     ("1,2,4,6", "0.1,0.3,0.5,0.7,1.5", "keep_ratio must be in [0, 1], got 1.5"),
 ], ids=["layer_past_last", "ratio_in_late_cell"])
 def test_sweep_bad_cell_rejected_before_any_forward(capsys, config_file, tmp_path,

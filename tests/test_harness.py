@@ -21,13 +21,12 @@ from pdrop.harness import (
     run_compare,
     run_layer_sweep,
     run_single,
-    simulate_random_recall,
     spec_from_json,
     strategy_from_json,
     write_sweep_csv,
 )
 from pdrop.pruner import PyramidDrop, RandomDrop, SingleEarlyDrop, UniformCompression, Vanilla
-from pdrop.toymodel import TOY_CONFIG, build_marker_model, forward_elements, forward_pruned
+from pdrop.toymodel import TOY_CONFIG, build_marker_model, forward_elements, forward_pruned, init_model
 
 
 def marker_spec(**overrides) -> ExperimentSpec:
@@ -234,19 +233,24 @@ def test_rope_distance_bias_pinned_at_9patch_geometry():
                        ("high", 1e4): 1.0, ("low", 1e6): 1.0}
 
 
-class TestRandomRecall:
-    def test_hypergeometric_expectation(self):
-        marked = np.array([60, 61, 62, 63])
-        recalls = [simulate_random_recall(64, 4, 0.5, marked, seed) for seed in range(1000)]
-        assert np.mean(recalls) == pytest.approx(8 / 64, abs=0.03)
+class TestRandomDrop:
+    def test_kept_sets_ignore_the_model(self):
+        # a random drop's kept sets come from its seeds alone: the marker
+        # model and random weights, which rank differently, keep the same
+        plan = prepare(marker_spec(), [RandomDrop(4, 0.5, seed=3)])
+        (_, schedule, ranker), = plan.runs
+        models = (plan.weights, init_model(TOY_CONFIG, 3))
 
-    def test_forward_and_simulation_agree(self):
-        # the seeded selection walk matches the full RandomDrop forward
-        spec = marker_spec(strategies=[RandomDrop(4, 0.5, seed=3)])
-        report = run_compare(spec)[0]
-        from pdrop.numkernel import derive_seed
-        sim = simulate_random_recall(64, 4, 0.5, np.arange(60, 64), derive_seed(spec.seed, 3))
-        assert report.recall == sim
+        def masks(**kwargs):
+            return [[(layer, kept.tolist()) for layer, kept in
+                     forward_pruned(weights, plan.seq, schedule, **kwargs).kept_masks]
+                    for weights in models]
+
+        ranked = masks()
+        assert ranked[0] != ranked[1]
+        random = masks(ranker=ranker)
+        assert random[0] == random[1]
+        assert [len(kept) for _, kept in random[0]] == [32, 16, 8]
 
 
 class TestPrepare:

@@ -9,7 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pdrop.cli import main
-from pdrop.errors import ConfigError, InputError, ShapeError
+from pdrop.errors import ConfigError, InputError
 from pdrop.numkernel import RngState
 from pdrop.pruner import (
     PyramidDrop,
@@ -130,13 +130,13 @@ class TestRanking:
         assert rank_image_tokens(q, k)[0] == pytest.approx(2.0)
 
     def test_shape_errors(self):
-        with pytest.raises(ShapeError):
+        with pytest.raises(InputError):
             rank_image_tokens(np.zeros((1, 4)), np.zeros((2, 4, 3)))
-        with pytest.raises(ShapeError):
+        with pytest.raises(InputError):
             rank_image_tokens(np.zeros((1, 4)), np.zeros((1, 2, 3)))
-        with pytest.raises(ShapeError):
+        with pytest.raises(InputError):
             rank_image_tokens(np.zeros((1, 4)), np.zeros((1, 3, 4)))  # (heads, V, head_dim)
-        with pytest.raises(ShapeError):
+        with pytest.raises(InputError):
             rank_image_tokens(np.zeros((0, 4)), np.zeros((0, 4, 3)))
 
 
