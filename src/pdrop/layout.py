@@ -59,7 +59,8 @@ class MultimodalSequence:
     """One prefill sequence: ``image_embeddings`` rows (positions
     ``0..V0-1``), then ``instruction_ids``, then ``answer_ids``. The
     instruction must hold at least one token, whose last one is the
-    ranking query, and image embeddings must be finite."""
+    ranking query, and image embeddings must be finite, each row's sum of
+    squares too."""
 
     image_embeddings: np.ndarray
     instruction_ids: np.ndarray
@@ -72,8 +73,17 @@ class MultimodalSequence:
             raise InputError("instruction and answer ids must be flat lists")
         if self.instruction_ids.size == 0:
             raise InputError("instruction must contain at least one token")
-        if not np.isfinite(self.image_embeddings).all():
-            raise InputError("image embeddings must be finite")
+        # each row's sum of squares as rmsnorm_rows computes it: not finite
+        # where the row holds NaN or inf, or where the sum passes the float64
+        # range, which would make the first norm zero the row
+        image = self.image_embeddings
+        with np.errstate(over="ignore"):
+            squares = np.add.reduce(np.multiply(image, image), axis=-1)
+        if not np.isfinite(squares).all():
+            if not np.isfinite(image).all():
+                raise InputError("image embeddings must be finite")
+            row = int(np.argmin(np.isfinite(squares)))
+            raise InputError(f"image embedding row {row}: its sum of squares overflows float64")
 
     def __len__(self) -> int:
         return self.num_image_tokens + self.instruction_ids.size + self.answer_ids.size

@@ -70,19 +70,37 @@ class RngState:
         return stddev * out[:count]
 
 
+# the largest score bound under which softmax_rows skips the row maximum:
+# every finite entry then lies in [-EXP_SAFE, EXP_SAFE], so exp neither
+# overflows nor underflows to 0 (e^300 is 1.9e130, e^-300 is 5.1e-131), and a
+# row sum of at most layout.MAX_ELEMENTS (2^25) such terms stays below 7e137. The
+# attention's P·V product of those weights stays finite as well: its values
+# are projections of RMS-normalised rows, so they are bounded by the weights
+# alone, not by the residual stream
+EXP_SAFE = 300.0
+
+
 def softmax_rows(
-    a: np.ndarray, out: np.ndarray | None = None, sums: np.ndarray | None = None
+    a: np.ndarray, out: np.ndarray | None = None, sums: np.ndarray | None = None,
+    bound: float | None = None,
 ) -> np.ndarray:
-    """Softmax over the last axis with max subtraction; -inf entries get
-    weight 0. ``out`` may be ``a`` itself to normalise in place. With
-    ``sums``, of the shape of ``a`` with a last axis of 1, the division is
-    left to the caller: each row is left as exp(a - max) and its sum is
-    written to ``sums``, which first holds the row maxima."""
+    """Softmax over the last axis; -inf entries get weight 0. ``out`` may
+    be ``a`` itself to normalise in place. With ``sums``, of the shape of
+    ``a`` with a last axis of 1, the division is left to the caller: each
+    row is left as its exponentials and their sum is written to ``sums``.
+    ``bound`` is the caller's promise that every finite entry of ``a`` lies
+    in [-bound, bound]. When it is at most EXP_SAFE the exponentials are
+    exp(a), unshifted; otherwise (no bound, a larger one, NaN or inf) they
+    are exp(a - max) with each row's maximum subtracted, and ``sums`` first
+    holds the row maxima."""
     a = np.asarray(a, dtype=np.float64)
-    # the reductions np.max and np.sum wrap, called without their wrappers
-    top = np.maximum.reduce(a, axis=-1, keepdims=True, out=sums)
-    out = np.subtract(a, top, out=out)
-    np.exp(out, out=out)
+    if bound is not None and bound <= EXP_SAFE:
+        out = np.exp(a, out=out)
+    else:
+        # the reductions np.max and np.sum wrap, called without their wrappers
+        top = np.maximum.reduce(a, axis=-1, keepdims=True, out=sums)
+        out = np.subtract(a, top, out=out)
+        np.exp(out, out=out)
     if sums is None:
         out /= np.add.reduce(out, axis=-1, keepdims=True)
     else:

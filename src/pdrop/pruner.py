@@ -81,8 +81,11 @@ def keep_all_schedule(num_layers: int, num_image_tokens: int) -> StageSchedule:
 def rank_image_tokens(q_last: np.ndarray, k_image: np.ndarray) -> np.ndarray:
     """Mean over heads of dot(q, k) / sqrt(head_dim) for the last-instruction
     query ``q_last`` (heads, head_dim) against the image keys ``k_image`` in
-    the attention kernel's kᵀ layout (heads, head_dim, V); no softmax, the
-    ranking only needs a monotone score."""
+    the attention kernel's kᵀ layout (heads, head_dim, V). It takes no
+    softmax. Within one head a softmax would keep the order, but the mean
+    over heads of per-head softmax weights is not monotone in the mean of
+    the logits, so this score may rank tokens otherwise than the
+    head-averaged attention weights of the paper's rule."""
     q_last = np.asarray(q_last, dtype=np.float64)
     k_image = np.asarray(k_image, dtype=np.float64)
     if (q_last.ndim != 2 or k_image.ndim != 3 or q_last.shape[0] != k_image.shape[0]

@@ -21,8 +21,8 @@ from .pruner import StageSchedule, decide, identity_ranker, rank_image_tokens
 
 INIT_STDDEV = 0.02
 # query rows per attention block: on 2 vCPUs with one BLAS thread, 32 is the
-# fastest on both benchmark prefills (16 ties at toy V0=1152) and 64 to 256
-# are progressively slower
+# fastest on both benchmark prefills (median op_ms of 3 runs at 16, 32 and 64
+# rows: 201, 187 and 214 ms at toy V0=1152, 833, 810 and 819 ms at mid V0=576)
 ATTENTION_BLOCK_ROWS = 32
 
 
@@ -146,11 +146,19 @@ def _causal_attention(qh, kt, vh, out, scratch):
     score block. Rows strictly ascend by position id (kept rows stay in
     order, image rows precede text rows), so query rows [r0, r1) see only
     keys [0, r1) and only the diagonal block needs a mask, its strict upper
-    triangle. The weights stay unnormalised through the value product, and
-    its rows x head_dim result, not the rows x r1 block, is divided by the
-    row sums."""
+    triangle. Every score is at most the largest scaled query norm times
+    the largest key norm over all heads in magnitude (Cauchy–Schwarz); that
+    bound, taken once from squared norms written into the front of
+    ``scratch``, goes to ``softmax_rows``, which skips the row maximum when
+    it is at most EXP_SAFE. The weights stay unnormalised through the value
+    product, and its rows x head_dim result, not the rows x r1 block, is
+    divided by the row sums."""
     nh, n, hd = qh.shape
     qh *= 1.0 / np.sqrt(hd)
+    norms = scratch[:nh * n].reshape(nh, n)
+    q_top = np.maximum.reduce(np.einsum("hnd,hnd->hn", qh, qh, out=norms), axis=None)
+    k_top = np.maximum.reduce(np.einsum("hdn,hdn->hn", kt, kt, out=norms), axis=None)
+    bound = np.sqrt(q_top * k_top)
     for r0 in range(0, n, ATTENTION_BLOCK_ROWS):
         r1 = min(r0 + ATTENTION_BLOCK_ROWS, n)
         rows = r1 - r0
@@ -159,7 +167,7 @@ def _causal_attention(qh, kt, vh, out, scratch):
         np.matmul(qh[:, r0:r1], kt[:, :, :r1], out=block)
         np.copyto(block[:, :, r0:], -np.inf, where=_ABOVE_DIAGONAL[:rows, :rows])
         block_out = out[:, r0:r1]
-        np.matmul(softmax_rows(block, out=block, sums=sums), vh[:, :r1], out=block_out)
+        np.matmul(softmax_rows(block, out=block, sums=sums, bound=bound), vh[:, :r1], out=block_out)
         block_out /= sums
 
 

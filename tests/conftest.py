@@ -16,3 +16,18 @@ def layer_forwards(monkeypatch):
 
     monkeypatch.setattr(toymodel, "_layer_forward", counted)
     return rows
+
+
+@pytest.fixture
+def softmax_bounds(monkeypatch):
+    """Records the ``bound`` of each ``softmax_rows`` call that the attention
+    kernel makes, one call per attention block."""
+    bounds = []
+    softmax_rows = toymodel.softmax_rows
+
+    def recorded(*args, **kwargs):
+        bounds.append(kwargs["bound"])
+        return softmax_rows(*args, **kwargs)
+
+    monkeypatch.setattr(toymodel, "softmax_rows", recorded)
+    return bounds

@@ -6,18 +6,23 @@ import tempfile
 import time
 import warnings
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pdrop import harness, layout, toymodel
+from pdrop import harness, layout, numkernel, toymodel
 from pdrop.cli import main
+from pdrop.numkernel import EXP_SAFE
 from pdrop.toymodel import TOY_CONFIG, forward_elements, forward_plans, forward_pruned, init_model
 
 TOY_MODEL = {
     "num_layers": 8, "hidden_size": 64, "num_heads": 4,
     "head_dim": 16, "ffn_intermediate": 172, "vocab_size": 256,
 }
+# the mid benchmark model's width, at which marker bounds pass EXP_SAFE
+D256_MODEL = {**TOY_MODEL, "hidden_size": 256, "num_heads": 8, "head_dim": 32,
+              "ffn_intermediate": 688}
 
 
 @pytest.fixture
@@ -345,6 +350,67 @@ def test_fixture_file_byte_size_bound(capsys, monkeypatch, tmp_path, extra, code
     if code:
         assert err == (f"error: fixture file {tmp_path / 'fixture.json'} holds {limit + 1} "
                        f"bytes, past the bound of {limit}\n")
+
+
+@pytest.mark.parametrize("route", ["generated", "file"])
+def test_image_row_whose_squares_overflow_is_input_error(capsys, tmp_path, forward_calls, route):
+    # finite entries whose squares pass the float64 range: the first RMS norm
+    # would zero the row, so the sequence refuses it, in one line, before any
+    # forward and without a RuntimeWarning
+    if route == "generated":  # marked rows 12..15 carry the amplitude
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({"model": TOY_MODEL,
+                                    "fixture": {"image_tokens": 16, "amplitude": 1e160}}))
+        path, row = str(path), 12
+    else:
+        image = [[0.0] * 64] * 3 + [[1e160] * 64]
+        path, row = fixture_config(tmp_path, json.dumps({"image": image, "instruction": [1, 2]})), 3
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["run", "--config", path]) == 2
+    assert capsys.readouterr().err == (
+        f"error: image embedding row {row}: its sum of squares overflows float64\n")
+    assert forward_calls == []
+
+
+def test_image_row_just_under_the_overflow_runs(capsys, tmp_path):
+    # 64 equal entries whose squares rmsnorm_rows sums to a finite value, 2e-12
+    # under the overflow
+    top = float(np.sqrt(np.finfo(float).max / 64) * (1 - 1e-12))
+    image = [[0.0] * 64] * 3 + [[top] * 64]
+    path = fixture_config(tmp_path, json.dumps({"image": image, "instruction": [1, 2]}))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["run", "--config", path]) == 0
+    assert capsys.readouterr().err == ""
+
+
+@pytest.mark.parametrize("model, fast", [(TOY_MODEL, True), (D256_MODEL, False)],
+                         ids=["toy", "d256"])
+def test_marker_outputs_do_not_depend_on_the_softmax_route(capsys, monkeypatch, tmp_path,
+                                                            softmax_bounds, model, fast):
+    # a marker model's bound is about 200 at the toy width (the unshifted
+    # route) and about 564 at d=256 (the shifted one) while the marked rows
+    # live, as they do through pdrop's run; its value blocks are zero, so
+    # run, compare and sweep print the same bytes by either route
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"model": model, "seed": 7, "fixture": {"image_tokens": 64}}))
+    swept = tmp_path / "sweep.csv"
+    commands = [["run", "--config", str(path)],
+                ["compare", "--config", str(path), "--strategies", "vanilla,pdrop,fastv,random"],
+                ["sweep", "--config", str(path), "--layers", "2,4", "--ratios", "0.25,0.5",
+                 "--out", str(swept)]]
+
+    def outputs():
+        return [run_cli(capsys, *argv) for argv in commands] + [swept.read_text()]
+
+    routed = outputs()
+    assert [code for code, _ in routed[:3]] == [0, 0, 0]
+    softmax_bounds.clear()
+    run_cli(capsys, *commands[0])
+    assert softmax_bounds and all((bound <= EXP_SAFE) == fast for bound in softmax_bounds)
+    monkeypatch.setattr(numkernel, "EXP_SAFE", -np.inf)  # every bound past it
+    assert outputs() == routed
 
 
 @pytest.mark.parametrize("text", [

@@ -4,6 +4,7 @@ import pytest
 from pdrop import layout, toymodel
 from pdrop.errors import InputError
 from pdrop.layout import MultimodalSequence, build_sequence, sequence_from_json
+from pdrop.numkernel import rmsnorm_rows
 from pdrop.pruner import build_schedule, rank_image_tokens
 from pdrop.toymodel import TOY_CONFIG, forward_pruned, init_model
 
@@ -36,6 +37,20 @@ def test_non_finite_image_embedding_rejected(bad):
     emb[1, 2] = bad
     with pytest.raises(InputError, match="finite"):
         build_sequence(emb, [1])
+
+
+def test_image_rows_sum_of_squares_checked_as_rmsnorm_rows_sums_them():
+    # 64 equal entries whose squares rmsnorm_rows sums to a finite value
+    # normalise to 1; 2e-12 larger, their sum is inf and they normalise to 0
+    top = np.sqrt(np.finfo(float).max / 64)
+    under = np.full((1, 64), top * (1 - 1e-12))
+    over = np.full((1, 64), top * (1 + 1e-12))
+    assert np.allclose(rmsnorm_rows(under, np.ones(64), 1e-6), 1.0, rtol=0.0, atol=1e-12)
+    build_sequence(np.concatenate([np.zeros((2, 64)), under]), [1])
+    with np.errstate(over="ignore"):
+        assert np.all(rmsnorm_rows(over, np.ones(64), 1e-6) == 0.0)
+    with pytest.raises(InputError, match="^image embedding row 2: its sum of squares overflows"):
+        build_sequence(np.concatenate([np.zeros((2, 64)), over]), [1])
 
 
 @pytest.mark.parametrize("shape", [(2, 4, 2), (4,), (0, 4, 2)])

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from pdrop.errors import ConfigError, InputError
 from pdrop.numkernel import (
+    EXP_SAFE,
     RngState,
     arg_topk,
     derive_seed,
@@ -101,7 +102,9 @@ class TestRmsnorm:
 class TestReductionsBitIdentical:
     """rmsnorm_rows and softmax_rows call np.add.reduce and np.maximum.reduce
     themselves and divide by the row width; their results equal, bit for
-    bit, the np.mean, np.max and np.sum formulas those calls replace."""
+    bit, the np.mean, np.max and np.sum formulas those calls replace, and
+    softmax_rows under a bound of at most EXP_SAFE equals np.exp and
+    np.sum."""
 
     @pytest.mark.parametrize("shape", [(1, 1), (1, 64), (5, 7), (69, 64), (33, 256)])
     def test_rmsnorm_rows(self, shape):
@@ -121,13 +124,34 @@ class TestReductionsBitIdentical:
         if rows.shape[0] > 2:
             rows[0, ::2] = -np.inf
             rows[1] = -np.inf  # fully masked: NaN by either route
-        with np.errstate(invalid="ignore"):
+        live = ~np.isneginf(a).all(axis=-1, keepdims=True)
+        top = np.abs(a[np.isfinite(a)]).max()
+        with np.errstate(invalid="ignore", divide="ignore"):
             weights = np.exp(a - np.max(a, axis=-1, keepdims=True))
             sums = np.sum(weights, axis=-1, keepdims=True)
-            got_sums = np.full(sums.shape, np.nan)
-            assert np.array_equal(softmax_rows(a), weights / sums, equal_nan=True)
-            assert np.array_equal(softmax_rows(a, sums=got_sums), weights, equal_nan=True)
-            assert np.array_equal(got_sums, sums, equal_nan=True)
+            # no bound, or one that does not prove exp safe: the shifted steps
+            for bound in (None, np.nextafter(EXP_SAFE, np.inf), 1e300, np.nan, np.inf):
+                got_sums = np.full(sums.shape, np.nan)
+                assert np.array_equal(softmax_rows(a, bound=bound), weights / sums, equal_nan=True)
+                assert np.array_equal(softmax_rows(a, sums=got_sums, bound=bound), weights,
+                                      equal_nan=True)
+                assert np.array_equal(got_sums, sums, equal_nan=True)
+            # a bound of at most EXP_SAFE: exp(a) and its sum, unshifted
+            unshifted = np.exp(a)
+            unshifted_sums = np.sum(unshifted, axis=-1, keepdims=True)
+            for bound in (top, EXP_SAFE):
+                got_sums = np.full(sums.shape, np.nan)
+                assert np.array_equal(softmax_rows(a, bound=bound), unshifted / unshifted_sums,
+                                      equal_nan=True)
+                assert np.array_equal(softmax_rows(a, sums=got_sums, bound=bound), unshifted)
+                assert np.array_equal(got_sums, unshifted_sums)
+            # either route's deferred division is the normalised softmax, to
+            # rounding, and a -inf entry of a row with a finite one weighs 0
+            for bound in (None, EXP_SAFE):
+                got_sums = np.full(sums.shape, np.nan)
+                deferred = softmax_rows(a, sums=got_sums, bound=bound) * (1.0 / got_sums)
+                assert np.allclose(deferred, weights / sums, rtol=0.0, atol=1e-15, equal_nan=True)
+                assert np.all(deferred[np.isneginf(a) & live] == 0.0)
 
 
 class TestRopeRotate:

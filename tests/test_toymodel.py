@@ -9,11 +9,11 @@ from hypothesis import strategies as st
 
 from layerstates import inject_at_boundary, layer_states
 from maskoracle import masked_pruned_forward
-from pdrop import layout, toymodel
+from pdrop import layout, numkernel, toymodel
 from pdrop.errors import ConfigError, InputError
 from pdrop.harness import FixtureSpec, make_marker_sequence
 from pdrop.layout import MultimodalSequence, build_sequence
-from pdrop.numkernel import RngState, derive_seed, rmsnorm_rows, rope_rotate_rows, rope_table
+from pdrop.numkernel import EXP_SAFE, RngState, derive_seed, rmsnorm_rows, rope_rotate_rows, rope_table
 from pdrop.pruner import (
     PyramidDrop,
     RandomDrop,
@@ -96,6 +96,14 @@ def check_against_oracle(weights, seq, schedule):
 def keep_all_forward(weights, seq):
     schedule = keep_all_schedule(weights.config.num_layers, seq.num_image_tokens)
     return forward_pruned(weights, seq, schedule)
+
+
+# the benchmark's prefill geometries: toy V0=1152 and mid V0=576
+BENCHMARK_GEOMETRIES = [
+    (TOY_CONFIG, 1152),
+    (ModelConfig(num_layers=16, hidden_size=256, num_heads=8, head_dim=32,
+                 ffn_intermediate=688, vocab_size=256), 576),
+]
 
 
 @pytest.fixture(scope="module")
@@ -449,11 +457,7 @@ class TestForwardPruned:
             off[row, col] += sign * 1e-6 * scale[row]
             assert not states_within_rounding(off, want)
 
-    @pytest.mark.parametrize("cfg, v0", [
-        (TOY_CONFIG, 1152),
-        (ModelConfig(num_layers=16, hidden_size=256, num_heads=8, head_dim=32,
-                     ffn_intermediate=688, vocab_size=256), 576),
-    ], ids=["toy1152", "mid576"])
+    @pytest.mark.parametrize("cfg, v0", BENCHMARK_GEOMETRIES, ids=["toy1152", "mid576"])
     def test_mask_oracle_at_benchmark_geometries(self, cfg, v0):
         # C8's check at the geometries the benchmark times, S=4 lambda=0.5
         weights = init_model(cfg, 11)
@@ -798,6 +802,41 @@ class TestForwardPlans:
             list(forward_plans(toy_weights, seq, [good, good, bad]))
         assert list(forward_plans(toy_weights, seq, [])) == []
         assert layer_forwards == []
+
+
+class TestSoftmaxRoute:
+    """The attention hands ``softmax_rows`` one Cauchy–Schwarz bound per
+    layer, which takes the unshifted route when it is at most EXP_SAFE."""
+
+    @pytest.mark.parametrize("cfg, v0", BENCHMARK_GEOMETRIES, ids=["toy1152", "mid576"])
+    def test_random_weight_forwards_take_the_fast_route(self, monkeypatch, layer_forwards,
+                                                        softmax_bounds, cfg, v0):
+        # the benchmark's weights and fixture at seed 1
+        weights = init_model(cfg, 1)
+        fixture = FixtureSpec(image_tokens=v0, marked_placement="random")
+        seq, _ = make_marker_sequence(cfg, fixture, 1)
+        schedule = build_schedule(cfg.num_layers, 4, 0.5, v0)
+        fast = forward_pruned(weights, seq, schedule)
+        blocks = sum(-(-rows // ATTENTION_BLOCK_ROWS) for rows in layer_forwards)
+        assert len(softmax_bounds) == blocks  # one call per attention block
+        assert all(bound <= EXP_SAFE for bound in softmax_bounds)
+        monkeypatch.setattr(numkernel, "EXP_SAFE", -np.inf)  # every bound past it
+        shifted = forward_pruned(weights, seq, schedule)
+        assert [k.tolist() for _, k in fast.kept_masks] == [k.tolist() for _, k in shifted.kept_masks]
+        assert np.abs(fast.logits - shifted.logits).max() <= 5e-15 * np.abs(shifted.logits).max()
+
+    def test_large_qk_weights_take_the_shifted_route(self, toy_weights, softmax_bounds):
+        # q and k weights 1e2 times the init's put the bound past EXP_SAFE and
+        # the largest scores past exp's range, where only the shifted route
+        # stays finite
+        weights = replace(toy_weights, layers=[replace(lw, w_q=1e2 * lw.w_q, w_k=1e2 * lw.w_k)
+                                               for lw in toy_weights.layers])
+        seq = random_sequence(TOY_CONFIG, 16, seed=30)
+        schedule = build_schedule(8, 4, 0.5, 16)
+        trace = forward_pruned(weights, seq, schedule)
+        assert softmax_bounds and all(bound > EXP_SAFE for bound in softmax_bounds)
+        assert np.isfinite(trace.logits).all() and np.isfinite(trace.hidden[-1]).all()
+        check_against_oracle(weights, seq, schedule)
 
 
 class TestMarkerModel:
