@@ -1,5 +1,5 @@
-"""Staged pruning core: schedules, similarity ranking, drop decisions,
-and the baseline strategies used for cost comparison.
+"""Staged pruning core: schedules, drop decisions, and the baseline
+strategies used for cost comparison.
 
 The drop count at the end of each stage is ceil((1 - keep_ratio) * count);
 the survivors feed the next stage, so the image-token count shrinks
@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import functools
 import itertools
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -78,24 +77,6 @@ def keep_all_schedule(num_layers: int, num_image_tokens: int) -> StageSchedule:
     return StageSchedule((num_layers,), (num_image_tokens,))
 
 
-def rank_image_tokens(q_last: np.ndarray, k_image: np.ndarray) -> np.ndarray:
-    """Mean over heads of dot(q, k) / sqrt(head_dim) for the last-instruction
-    query ``q_last`` (heads, head_dim) against the image keys ``k_image`` in
-    the attention kernel's kᵀ layout (heads, head_dim, V). It takes no
-    softmax. Within one head a softmax would keep the order, but the mean
-    over heads of per-head softmax weights is not monotone in the mean of
-    the logits, so this score may rank tokens otherwise than the
-    head-averaged attention weights of the paper's rule."""
-    q_last = np.asarray(q_last, dtype=np.float64)
-    k_image = np.asarray(k_image, dtype=np.float64)
-    if (q_last.ndim != 2 or k_image.ndim != 3 or q_last.shape[0] != k_image.shape[0]
-            or q_last.shape[1] != k_image.shape[1]):
-        raise InputError(f"bad head shapes: q {q_last.shape}, k {k_image.shape}")
-    if q_last.shape[0] == 0:
-        raise InputError("need at least one attention head")
-    return np.matmul(q_last[:, None, :], k_image)[:, 0].mean(axis=0) / math.sqrt(q_last.shape[1])
-
-
 def decide(scores: np.ndarray, schedule: StageSchedule, stage: int) -> np.ndarray:
     """Ascending indices of the scores kept at the drop boundary that ends
     ``stage``: the schedule's next count of highest scores, ties to the
@@ -119,9 +100,9 @@ class Strategy:
     """A strategy is its stage schedule,
     ``schedule(num_layers, num_image_tokens)``, plus ``ranker(seed)``, the
     ranker that picks the kept set at each drop boundary of a run. A ranker
-    is called as ``ranker(scores, stage)`` with the ``rank_image_tokens``
-    score of each surviving image token and returns one float64 score per
-    token; the boundary keeps the highest."""
+    is called as ``ranker(scores, stage)`` with the attention score of each
+    surviving image token (``toymodel.forward_pruned``) and returns one
+    float64 score per token; the boundary keeps the highest."""
 
     def ranker(self, seed: int):
         return identity_ranker

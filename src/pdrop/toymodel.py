@@ -17,7 +17,7 @@ from . import layout
 from .errors import ConfigError, InputError
 from .layout import MIN_LAYER_ELEMENTS, MultimodalSequence, check_elements, check_image_size
 from .numkernel import RngState, gaussian_init, rmsnorm_rows, rope_rotate_rows, rope_table, softmax_rows
-from .pruner import StageSchedule, decide, identity_ranker, rank_image_tokens
+from .pruner import StageSchedule, decide, identity_ranker
 
 INIT_STDDEV = 0.02
 # query rows per attention block: on 2 vCPUs with one BLAS thread, 32 is the
@@ -48,8 +48,9 @@ class ModelConfig:
             raise ConfigError(f"head_dim must be even for rotary positions, got {self.head_dim}")
         if min(self.num_heads, self.ffn_intermediate, self.vocab_size) < 1:
             raise ConfigError("heads, ffn_intermediate and vocab_size must be positive")
-        if self.rope_theta <= 0 or self.rmsnorm_eps <= 0:
-            raise ConfigError("rope_theta and rmsnorm_eps must be positive")
+        # NaN fails both comparisons
+        if not (0 < self.rope_theta < np.inf and 0 < self.rmsnorm_eps < np.inf):
+            raise ConfigError("rope_theta and rmsnorm_eps must be finite and positive")
         # the elements of init_model's weights, each layer charged at least
         # MIN_LAYER_ELEMENTS (exact for layers that hold that many); an upper
         # bound for build_marker_model's, whose layers share their blocks
@@ -136,7 +137,7 @@ def _embed(w: DecoderWeights, seq: MultimodalSequence) -> np.ndarray:
 _ABOVE_DIAGONAL = np.triu(np.ones((ATTENTION_BLOCK_ROWS, ATTENTION_BLOCK_ROWS), dtype=bool), 1)
 
 
-def _causal_attention(qh, kt, vh, out, scratch):
+def _causal_attention(qh, kt, vh, out, scratch, rank=None):
     """Causal attention of every head at once, ATTENTION_BLOCK_ROWS query
     rows at a time, into ``out`` (heads, n, head_dim). Takes the post-rotary
     queries ``qh`` (heads, n, head_dim), which it scales in place by
@@ -152,13 +153,17 @@ def _causal_attention(qh, kt, vh, out, scratch):
     ``scratch``, goes to ``softmax_rows``, which skips the row maximum when
     it is at most EXP_SAFE. The weights stay unnormalised through the value
     product, and its rows x head_dim result, not the rows x r1 block, is
-    divided by the row sums."""
+    divided by the row sums. With ``rank=(row, n_img)`` it returns the
+    ranking scores of the first ``n_img`` keys: the head mean of query
+    ``row``'s scaled logits, read from its block before the softmax
+    overwrites it (no image key is masked for that row, as n_img <= row)."""
     nh, n, hd = qh.shape
     qh *= 1.0 / np.sqrt(hd)
     norms = scratch[:nh * n].reshape(nh, n)
     q_top = np.maximum.reduce(np.einsum("hnd,hnd->hn", qh, qh, out=norms), axis=None)
     k_top = np.maximum.reduce(np.einsum("hdn,hdn->hn", kt, kt, out=norms), axis=None)
     bound = np.sqrt(q_top * k_top)
+    scores = None
     for r0 in range(0, n, ATTENTION_BLOCK_ROWS):
         r1 = min(r0 + ATTENTION_BLOCK_ROWS, n)
         rows = r1 - r0
@@ -166,9 +171,12 @@ def _causal_attention(qh, kt, vh, out, scratch):
         block = scratch[nh * rows:nh * rows * (r1 + 1)].reshape(nh, rows, r1)
         np.matmul(qh[:, r0:r1], kt[:, :, :r1], out=block)
         np.copyto(block[:, :, r0:], -np.inf, where=_ABOVE_DIAGONAL[:rows, :rows])
+        if rank is not None and r0 <= rank[0] < r1:
+            scores = block[:, rank[0] - r0, :rank[1]].mean(axis=0)
         block_out = out[:, r0:r1]
         np.matmul(softmax_rows(block, out=block, sums=sums, bound=bound), vh[:, :r1], out=block_out)
         block_out /= sums
+    return scores
 
 
 def _workspace_elements(cfg: ModelConfig, n: int) -> int:
@@ -218,8 +226,8 @@ def _layer_forward(lw: LayerWeights, cfg: ModelConfig, x: np.ndarray, positions:
     """One pre-norm block: adds both residual updates to ``x`` in place and
     writes every intermediate into views of ``workspace`` (see
     ``_workspace``). With ``rank=(row, n_img)`` it returns the ranking
-    scores of the first ``n_img`` keys against the query of ``row``, taken
-    from the post-rotary q and kᵀ before the attention scales q in place."""
+    scores of the first ``n_img`` keys against the query of ``row``, which
+    the attention reads from its own scores (``_causal_attention``)."""
     n, d, m = x.shape[0], cfg.hidden_size, cfg.ffn_intermediate
     nh, hd = cfg.num_heads, cfg.head_dim
     h = workspace[:n * d].reshape(n, d)
@@ -241,9 +249,8 @@ def _layer_forward(lw: LayerWeights, cfg: ModelConfig, x: np.ndarray, positions:
         rope_rotate_rows(t.reshape(n, nh, hd), table, out=rotated, scratch=scratch)
         np.copyto(head_major, rotated)
     del table, rotated, scratch  # dead: the score block overwrites them
-    scores = None if rank is None else rank_image_tokens(qh[:, rank[0]], kt[:, :, :rank[1]])
     values = np.matmul(h, lw.w_v, out=t).reshape(n, nh, hd).transpose(1, 0, 2)
-    _causal_attention(qh, kt, values, h.reshape(n, nh, hd).transpose(1, 0, 2), shared)
+    scores = _causal_attention(qh, kt, values, h.reshape(n, nh, hd).transpose(1, 0, 2), shared, rank)
     x += np.matmul(h, lw.w_o, out=t)
     rmsnorm_rows(x, lw.ffn_gain, cfg.rmsnorm_eps, out=h)
     gate = arena[:n * m].reshape(n, m)
@@ -357,9 +364,9 @@ def forward_pruned(
     the schedule's boundaries are physically removed for all later layers;
     ``keep_all_schedule`` gives the unpruned forward. The surviving image
     tokens always occupy the first rows and the instruction tokens follow
-    them; at each boundary the block scores them once
-    (``rank_image_tokens``) and the kept set is the highest of
-    ``ranker(scores, stage)``. Before that decision, a given
+    them; at each boundary the block's attention scores them once (the
+    head mean of the last instruction token's scaled logits) and the kept
+    set is the highest of ``ranker(scores, stage)``. Before that decision, a given
     ``observe(layer, x, positions, scores)`` sees the boundary: its 1-based
     layer, the live hidden rows ``x`` (not a copy: a write into them
     carries into every later layer), their original positions, and the

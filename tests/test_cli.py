@@ -184,6 +184,12 @@ def test_run_missing_config_is_io_error(capsys, tmp_path):
     {"stratgy": "fastv"},
     {"sweep": {"layer": [2], "ratios": [0.5]}},
     {"fixture": {"path": "fixture.json", "image_tokens": 16}},
+    # json reads NaN and Infinity; a NaN setting passed a `<= 0` test and
+    # gave an all-NaN forward that exited 0
+    {"model": {**TOY_MODEL, "rope_theta": float("nan")}, "strategy": "vanilla"},
+    {"model": {**TOY_MODEL, "rmsnorm_eps": float("nan")}, "strategy": "vanilla"},
+    {"model": {**TOY_MODEL, "rope_theta": float("inf")}, "strategy": "vanilla"},
+    {"model": {**TOY_MODEL, "rmsnorm_eps": float("inf")}, "strategy": "vanilla"},
 ])
 def test_run_mistyped_config_value_is_config_error(capsys, tmp_path, override):
     path = tmp_path / "config.json"

@@ -5,7 +5,7 @@ from pdrop import layout, toymodel
 from pdrop.errors import InputError
 from pdrop.layout import MultimodalSequence, build_sequence, sequence_from_json
 from pdrop.numkernel import rmsnorm_rows
-from pdrop.pruner import build_schedule, rank_image_tokens
+from pdrop.pruner import build_schedule
 from pdrop.toymodel import TOY_CONFIG, forward_pruned, init_model
 
 
@@ -74,13 +74,15 @@ def test_query_sees_every_image_token(monkeypatch):
     emb = 0.5 * np.ones((5, cfg.hidden_size))
     schedule = build_schedule(cfg.num_layers, 4, 0.5, 5)
     seen = []
+    attention = toymodel._causal_attention
 
-    def recording_scores(q_last, k_image):
-        # k_image is (heads, head_dim, V)
-        seen.append((q_last.copy(), k_image.shape[2]))
-        return rank_image_tokens(q_last, k_image)
+    def recording_attention(qh, kt, vh, out, scratch, rank=None):
+        # qh is (heads, n, head_dim); rank is (query row, image keys)
+        if rank is not None:
+            seen.append((qh[:, rank[0]].copy(), rank[1]))
+        return attention(qh, kt, vh, out, scratch, rank)
 
-    monkeypatch.setattr(toymodel, "rank_image_tokens", recording_scores)
+    monkeypatch.setattr(toymodel, "_causal_attention", recording_attention)
 
     def first_query(image, answer):
         seen.clear()

@@ -21,7 +21,6 @@ from pdrop.pruner import (
     build_schedule,
     decide,
     keep_all_schedule,
-    rank_image_tokens,
 )
 
 
@@ -110,34 +109,6 @@ class TestBuildSchedule:
             drop = math.ceil((1 - Fraction(ratio).limit_denominator(10**6)) * tokens[-1])
             tokens.append(tokens[-1] - drop)
         assert build_schedule(8, stages, ratio, v0).stage_token_counts == tuple(tokens)
-
-
-class TestRanking:
-    # keys are in the attention kernel's transposed layout (heads, head_dim, V)
-    def test_single_head_unit_dim(self):
-        scores = rank_image_tokens(np.array([[1.0]]), np.array([[[2.0, 0.0, -1.0]]]))
-        assert scores.dtype == np.float64
-        assert np.allclose(scores, [2.0, 0.0, -1.0])
-
-    def test_head_averaging(self):
-        q = np.array([[1.0], [1.0]])
-        k = np.array([[[1.0, 0.0]], [[0.0, 1.0]]])
-        assert np.allclose(rank_image_tokens(q, k), [0.5, 0.5])
-
-    def test_scale_by_sqrt_head_dim(self):
-        q = np.array([[1.0, 1.0, 1.0, 1.0]])
-        k = np.array([[[1.0], [1.0], [1.0], [1.0]]])
-        assert rank_image_tokens(q, k)[0] == pytest.approx(2.0)
-
-    def test_shape_errors(self):
-        with pytest.raises(InputError):
-            rank_image_tokens(np.zeros((1, 4)), np.zeros((2, 4, 3)))
-        with pytest.raises(InputError):
-            rank_image_tokens(np.zeros((1, 4)), np.zeros((1, 2, 3)))
-        with pytest.raises(InputError):
-            rank_image_tokens(np.zeros((1, 4)), np.zeros((1, 3, 4)))  # (heads, V, head_dim)
-        with pytest.raises(InputError):
-            rank_image_tokens(np.zeros((0, 4)), np.zeros((0, 4, 3)))
 
 
 class TestDecide:

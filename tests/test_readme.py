@@ -44,13 +44,20 @@ def test_import_loads_no_scipy():
 
 
 def test_all_names_what_readme_demos_and_benchmark_import():
-    # every name the README's quick start, a demo or a benchmark module
-    # imports from pdrop is exported, and every exported name exists
+    # pdrop exports exactly the names the README's quick start, a demo or
+    # a benchmark module takes from it, by ``from pdrop import`` or as a
+    # ``pdrop.<name>`` attribute (submodules and dunders aside), and every
+    # exported name exists
     (block,) = re.findall(r"```python\n(.*?)```", README.read_text(), re.S)
     sources = [block] + [path.read_text() for d in ("demos", "perfbench")
                          for path in (ROOT / d).glob("*.py")]
-    imported = {alias.name for text in sources for node in ast.walk(ast.parse(text))
-                if isinstance(node, ast.ImportFrom) and node.module == "pdrop"
-                for alias in node.names}
-    assert imported - {"cli", "harness", "layout", "toymodel"} <= set(pdrop.__all__)
+    used = set()
+    for text in sources:
+        for node in ast.walk(ast.parse(text)):
+            if isinstance(node, ast.ImportFrom) and node.module == "pdrop":
+                used.update(alias.name for alias in node.names)
+            elif (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                  and node.value.id == "pdrop" and not node.attr.startswith("__")):
+                used.add(node.attr)
+    assert used - {"cli", "harness", "layout", "toymodel"} == set(pdrop.__all__)
     assert all(hasattr(pdrop, name) for name in pdrop.__all__)

@@ -22,7 +22,6 @@ from pdrop.pruner import (
     build_schedule,
     identity_ranker,
     keep_all_schedule,
-    rank_image_tokens,
 )
 from pdrop.toymodel import (
     ATTENTION_BLOCK_ROWS,
@@ -56,6 +55,19 @@ def recording_ranker(seen):
         return scores
 
     return rank
+
+
+def block_row_scores(q, k, row, n_img):
+    """The ranking scores as the attention kernel reads them from post-rotary
+    ``q`` and ``k`` (n, heads, head_dim): the head mean of query ``row``'s
+    logits against the first ``n_img`` keys, taken from the score block of
+    the ATTENTION_BLOCK_ROWS query rows holding ``row``, q scaled first."""
+    qh = np.ascontiguousarray(q.transpose(1, 0, 2))
+    qh *= 1.0 / np.sqrt(q.shape[2])
+    kt = np.ascontiguousarray(k.transpose(1, 2, 0))
+    r0 = row - row % ATTENTION_BLOCK_ROWS
+    block = np.matmul(qh[:, r0:r0 + ATTENTION_BLOCK_ROWS], kt[:, :, :r0 + ATTENTION_BLOCK_ROWS])
+    return block[:, row - r0, :n_img].mean(axis=0)
 
 
 def scores_within_rounding(got, want, magnitude, head_dim):
@@ -136,6 +148,11 @@ class TestInit:
             replace(TOY_CONFIG, num_heads=8, head_dim=9, hidden_size=72)
         with pytest.raises(ConfigError, match="at least one layer"):
             replace(TOY_CONFIG, num_layers=0)
+        # NaN fails every comparison, so it is refused as well
+        for field in ("rope_theta", "rmsnorm_eps"):
+            for value in (float("nan"), float("inf"), -float("inf"), 0.0):
+                with pytest.raises(ConfigError, match="finite and positive"):
+                    replace(TOY_CONFIG, **{field: value})
 
     def test_weights_bound(self, monkeypatch):
         w = init_model(TOY_CONFIG, 0)
@@ -208,21 +225,15 @@ class TestForwardFull:
             layer_states(toy_weights, seq, keep_all, range(1, 9)),
             layer_states(toy_weights, seq, keep_all, range(1, 9))))
 
-    def test_layer_forward_bit_identical_to_inline_block(self, toy_weights, monkeypatch):
+    def test_layer_forward_bit_identical_to_inline_block(self, toy_weights):
         # the block as one inline expression per half, the FFN written as
         # (g / (1 + exp(-g))) * up without in-place operations: _layer_forward and
         # the per-layer states of a forward must both equal it bit for bit,
-        # and the score call must get its post-rotary query row and image
-        # keys, unscaled. Keep-all at V0=40, then S=4 lambda=0.5 at V0=70,
-        # whose layers after each drop run on 75, 40, 22 and 13 rows, across
-        # the 32-row attention block edge, in views of one workspace sized for 75
-        scored = []
-
-        def recording_scores(q_last, k_image):
-            scored.append((q_last.copy(), k_image.copy()))
-            return rank_image_tokens(q_last, k_image)
-
-        monkeypatch.setattr(toymodel, "rank_image_tokens", recording_scores)
+        # and the ranking scores must be the head mean of the ranking row of
+        # the kernel's own score block (block_row_scores). Keep-all at V0=40,
+        # then S=4 lambda=0.5 at V0=70, whose layers after each drop run on
+        # 75, 40, 22 and 13 rows, across the 32-row attention block edge, in
+        # views of one workspace sized for 75
         cfg = toy_weights.config
         nh, hd = cfg.num_heads, cfg.head_dim
         for v0, stages in [(40, 1), (70, 4)]:
@@ -239,7 +250,6 @@ class TestForwardFull:
                 got = x.copy()
                 got_scores = _layer_forward(lw, cfg, got, positions, workspace,
                                             rank=(n_img + 2, n_img))
-                got_q, got_k = scored[-1]
                 h = rmsnorm_rows(x, lw.attn_gain, cfg.rmsnorm_eps)
                 table = rope_table(positions[:, None], hd, cfg.rope_theta)
                 q = rope_rotate_rows((h @ lw.w_q).reshape(n, nh, hd), table)
@@ -254,9 +264,7 @@ class TestForwardFull:
                 hf = rmsnorm_rows(x, lw.ffn_gain, cfg.rmsnorm_eps)
                 gate = hf @ lw.w_gate
                 x = x + ((gate / (1.0 + np.exp(-gate))) * (hf @ lw.w_up)) @ lw.w_down
-                assert (np.array_equal(got_q, q[n_img + 2])
-                        and np.array_equal(got_k, k[:n_img].transpose(1, 2, 0)))
-                assert np.array_equal(got_scores, rank_image_tokens(got_q, got_k))
+                assert np.array_equal(got_scores, block_row_scores(q, k, n_img + 2, n_img))
                 assert np.array_equal(got, x)
                 assert np.array_equal(state, x)
                 if layer_no in kept:
@@ -467,20 +475,27 @@ class TestForwardPruned:
         assert [len(k) for k in oracle_kept] == list(schedule.stage_token_counts[1:])
 
     @pytest.mark.parametrize("rows", [ATTENTION_BLOCK_ROWS - 1, ATTENTION_BLOCK_ROWS,
-                                      ATTENTION_BLOCK_ROWS + 1, 2 * ATTENTION_BLOCK_ROWS + 1])
-    @pytest.mark.parametrize("case", ["keep_all", "s4_before_drop", "s4_after_drop"])
+                                      ATTENTION_BLOCK_ROWS + 1, 2 * ATTENTION_BLOCK_ROWS,
+                                      2 * ATTENTION_BLOCK_ROWS + 1])
+    @pytest.mark.parametrize("case", ["keep_all", "s4_before_drop", "s4_after_drop",
+                                      "rank_row_before_drop", "rank_row_after_drop"])
     def test_mask_oracle_at_block_edges(self, toy_weights, rows, case):
         # sequence lengths that land on the edges of the attention row blocks,
-        # before the first drop or right after it
-        text = 5  # three instruction tokens, two answer tokens
+        # before the first drop or right after it. In the rank_row cases the
+        # sequence ends with the ranking query, the last of three instruction
+        # tokens, so at the boundary it is row rows - 1: at 32, 33, 64 and 65
+        # rows the last or first row of its score block
+        instr, answer = 3, (0 if case.startswith("rank_row") else 2)
+        text = instr + answer
         if case == "keep_all":
             schedule = keep_all_schedule(8, rows - text)
-        elif case == "s4_before_drop":
+        elif case.endswith("before_drop"):
             schedule = build_schedule(8, 4, 0.5, rows - text)
         else:  # the first drop halves an even count exactly
             schedule = build_schedule(8, 4, 0.5, 2 * (rows - text))
             assert schedule.stage_token_counts[1] + text == rows
-        seq = random_sequence(TOY_CONFIG, schedule.stage_token_counts[0], seed=rows)
+        seq = random_sequence(TOY_CONFIG, schedule.stage_token_counts[0], seed=rows,
+                              instr=instr, answer=answer)
         check_against_oracle(toy_weights, seq, schedule)
 
     def test_paper_9patch_geometry_in_bounded_memory(self):
@@ -530,9 +545,36 @@ class TestForwardPruned:
                 out[..., 1::2] = t[..., 0::2] * sin + t[..., 1::2] * cos
                 rotated.append(out)
             q, k = rotated
-            kt = np.ascontiguousarray(k.transpose(1, 2, 0))  # the forward's kᵀ layout
-            assert np.array_equal(scores, rank_image_tokens(q[n_img + 2], kt[:, :, :n_img]))
+            assert np.array_equal(scores, block_row_scores(q, k, n_img + 2, n_img))
             survivors = kept
+
+    def test_boundary_scores_are_head_mean_of_scaled_logits(self):
+        # two heads of head_dim 4, whose q and k live in rotary pair 1 only:
+        # at rope_theta 1e300 that pair turns by 1e-150 rad per position, so
+        # its rotation is exact identity in float64. Each ±1 image row is its
+        # own RMS-normalised key, the all-ones query reads dims 2, 3, 6 and 7,
+        # so head h's logit is the sum of those two dims of head h over
+        # sqrt(4): the head mean of the scaled logits is exact, and each of
+        # head 0 alone, no scaling or a softmax would give other scores
+        cfg = ModelConfig(num_layers=2, hidden_size=8, num_heads=2, head_dim=4,
+                          ffn_intermediate=1, vocab_size=2, rope_theta=1e300, rmsnorm_eps=1e-30)
+        pair_1 = np.diag([0.0, 0.0, 1.0, 1.0] * 2)
+        zeros = np.zeros((8, 8))
+        lw = LayerWeights(pair_1, pair_1, zeros, zeros, np.zeros((8, 1)), np.zeros((8, 1)),
+                          np.zeros((1, 8)), np.ones(8), np.ones(8))
+        weights = toymodel.DecoderWeights(cfg, [lw, lw], np.ones((2, 8)), np.zeros((8, 2)))
+        image = np.array([[1, 1, 1, 1, 1, 1, -1, -1],    # heads 2, -2
+                          [1, 1, 1, -1, 1, 1, 1, 1],     # heads 0, 2
+                          [1, 1, 1, 1, 1, 1, 1, 1],      # heads 2, 2
+                          [1, 1, -1, -1, 1, 1, -1, -1]],  # heads -2, -2
+                         dtype=np.float64)
+        seen = []
+        trace = forward_pruned(weights, build_sequence(image, [1]), build_schedule(2, 2, 0.5, 4),
+                               ranker=recording_ranker(seen))
+        (scores,) = seen
+        assert scores.dtype == np.float64
+        assert np.array_equal(scores, [0.0, 0.5, 1.0, -1.0])
+        assert [kept.tolist() for _, kept in trace.kept_masks] == [[1, 2]]
 
     def test_boundary_qk_feeds_ranking(self, toy_weights):
         # one float64 score per surviving image token at each boundary; the
