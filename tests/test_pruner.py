@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from pdrop.cli import main
 from pdrop.errors import ConfigError, InputError
 from pdrop.numkernel import RngState
+from pdrop.toymodel import ATTENTION_BLOCK_ROWS, _causal_attention
 from pdrop.pruner import (
     PyramidDrop,
     RandomDrop,
@@ -109,6 +110,39 @@ class TestBuildSchedule:
             drop = math.ceil((1 - Fraction(ratio).limit_denominator(10**6)) * tokens[-1])
             tokens.append(tokens[-1] - drop)
         assert build_schedule(8, stages, ratio, v0).stage_token_counts == tuple(tokens)
+
+
+class TestRanking:
+    # the ranking scores come from the attention kernel: the head mean of the
+    # ranking query's scaled logits over the image keys. q is that query,
+    # (heads, head_dim); keys are in the kernel's transposed layout
+    # (heads, head_dim, V). The query is row V, after the V image rows, with a
+    # zero key of its own
+    @staticmethod
+    def kernel_scores(q, k):
+        nh, hd, v = k.shape
+        n = v + 1
+        qh = np.zeros((nh, n, hd))
+        qh[:, v] = q
+        kt = np.concatenate([k, np.zeros((nh, hd, 1))], axis=2)
+        out = np.empty((nh, n, hd))
+        scratch = np.empty(nh * ATTENTION_BLOCK_ROWS * (n + 1))
+        return _causal_attention(qh, kt, np.zeros((nh, n, hd)), out, scratch, rank=(v, v))
+
+    def test_single_head_unit_dim(self):
+        scores = self.kernel_scores(np.array([[1.0]]), np.array([[[2.0, 0.0, -1.0]]]))
+        assert scores.dtype == np.float64
+        assert np.allclose(scores, [2.0, 0.0, -1.0])
+
+    def test_head_averaging(self):
+        q = np.array([[1.0], [1.0]])
+        k = np.array([[[1.0, 0.0]], [[0.0, 1.0]]])
+        assert np.allclose(self.kernel_scores(q, k), [0.5, 0.5])
+
+    def test_scale_by_sqrt_head_dim(self):
+        q = np.array([[1.0, 1.0, 1.0, 1.0]])
+        k = np.array([[[1.0], [1.0], [1.0], [1.0]]])
+        assert self.kernel_scores(q, k)[0] == pytest.approx(2.0)
 
 
 class TestDecide:
