@@ -9,6 +9,10 @@ rows; kept tokens keep their original position ids.
 
 from __future__ import annotations
 
+import contextvars
+import os
+import threading
+from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -24,6 +28,13 @@ INIT_STDDEV = 0.02
 # fastest on both benchmark prefills (median op_ms of 3 runs at 16, 32 and 64
 # rows: 201, 187 and 214 ms at toy V0=1152, 833, 810 and 819 ms at mid V0=576)
 ATTENTION_BLOCK_ROWS = 32
+# layers of fewer rows attend in the calling thread alone. On 2 shared vCPUs
+# with one BLAS thread, median op_ms of 3 runs with head groups from 128, 256
+# and 512 rows and never: 163.8, 160.1, 158.0 and 179.9 ms at toy V0=1152,
+# 720.6, 730.5, 733.0 and 806.9 ms at mid V0=576. 128 to 512 differ by less
+# than the runs' spread; at 149 rows two groups took 1.0 to 2.1 times one
+# group's attention time at both widths, so 149-row layers stay in one
+HEAD_GROUPS_MIN_ROWS = 256
 
 
 @dataclass(frozen=True)
@@ -138,32 +149,69 @@ _ABOVE_DIAGONAL = np.triu(np.ones((ATTENTION_BLOCK_ROWS, ATTENTION_BLOCK_ROWS), 
 
 
 def _causal_attention(qh, kt, vh, out, scratch, rank=None):
-    """Causal attention of every head at once, ATTENTION_BLOCK_ROWS query
-    rows at a time, into ``out`` (heads, n, head_dim). Takes the post-rotary
-    queries ``qh`` (heads, n, head_dim), which it scales in place by
+    """Causal attention of every head, ATTENTION_BLOCK_ROWS query rows at a
+    time, into ``out`` (heads, n, head_dim). Takes the post-rotary queries
+    ``qh`` (heads, n, head_dim), which it scales in place by
     1/sqrt(head_dim), the keys ``kt`` (heads, head_dim, n) and the values
     ``vh`` (heads, n, head_dim); ``scratch`` is a flat buffer of at least
     heads * ATTENTION_BLOCK_ROWS * (n + 1) floats for the row sums and the
-    score block. Rows strictly ascend by position id (kept rows stay in
-    order, image rows precede text rows), so query rows [r0, r1) see only
-    keys [0, r1) and only the diagonal block needs a mask, its strict upper
-    triangle. Every score is at most the largest scaled query norm times
-    the largest key norm over all heads in magnitude (Cauchy–Schwarz); that
-    bound, taken once from squared norms written into the front of
-    ``scratch``, goes to ``softmax_rows``, which skips the row maximum when
-    it is at most EXP_SAFE. The weights stay unnormalised through the value
-    product, and its rows x head_dim result, not the rows x r1 block, is
-    divided by the row sums. With ``rank=(row, n_img)`` it returns the
-    ranking scores of the first ``n_img`` keys: the head mean of query
-    ``row``'s scaled logits, read from its block before the softmax
-    overwrites it (no image key is masked for that row, as n_img <= row)."""
+    score blocks. Every score is at most the largest scaled query norm
+    times the largest key norm over all heads in magnitude
+    (Cauchy–Schwarz); that bound, taken once from squared norms written
+    into the front of ``scratch``, goes to ``softmax_rows``, which skips
+    the row maximum when it is at most EXP_SAFE. The heads then split into
+    ``_head_groups`` contiguous groups, each with its own contiguous part
+    of ``scratch``: the calling thread runs the first through
+    ``_attend_heads`` and the worker pool the others, and the kernel waits
+    for every group, even when one raises, before it returns or re-raises.
+    Each head takes the same steps on the same shapes in any group, so the
+    result does not depend on the group count. With ``rank=(row, n_img)``
+    it returns the ranking scores of the first ``n_img`` keys: the head
+    mean of query ``row``'s scaled logits."""
     nh, n, hd = qh.shape
     qh *= 1.0 / np.sqrt(hd)
     norms = scratch[:nh * n].reshape(nh, n)
     q_top = np.maximum.reduce(np.einsum("hnd,hnd->hn", qh, qh, out=norms), axis=None)
     k_top = np.maximum.reduce(np.einsum("hdn,hdn->hn", kt, kt, out=norms), axis=None)
     bound = np.sqrt(q_top * k_top)
-    scores = None
+    rank_logits = None if rank is None else np.empty((nh, rank[1]))
+    groups = _head_groups(nh, n)
+    if groups == 1:
+        _attend_heads(qh, kt, vh, out, scratch, bound, rank, rank_logits)
+    else:
+        per_head = ATTENTION_BLOCK_ROWS * (n + 1)
+        edges = [nh * g // groups for g in range(groups + 1)]
+        tasks = [(qh[h0:h1], kt[h0:h1], vh[h0:h1], out[h0:h1], scratch[h0 * per_head:h1 * per_head],
+                  bound, rank, None if rank is None else rank_logits[h0:h1])
+                 for h0, h1 in zip(edges, edges[1:])]
+        pool = _workers()
+        # each worker runs in a copy of the caller's context, so numpy's
+        # error state (a context variable) is the same in every group
+        futures = [pool.submit(contextvars.copy_context().run, _attend_heads, *task)
+                   for task in tasks[1:]]
+        try:
+            _attend_heads(*tasks[0])
+        finally:
+            wait(futures)
+        for future in futures:
+            future.result()
+    return None if rank is None else rank_logits.mean(axis=0)
+
+
+def _attend_heads(qh, kt, vh, out, scratch, bound, rank, rank_logits):
+    """``_causal_attention``'s block loop over one group of heads, whose
+    scaled queries, keys, values, output and scratch (heads *
+    ATTENTION_BLOCK_ROWS * (n + 1) floats) it takes. Rows strictly ascend
+    by position id (kept rows stay in order, image rows precede text rows),
+    so query rows [r0, r1) see only keys [0, r1) and only the diagonal
+    block needs a mask, its strict upper triangle. The weights stay
+    unnormalised through the value product, and its rows x head_dim
+    result, not the rows x r1 block, is divided by the row sums. With
+    ``rank=(row, n_img)`` it copies query ``row``'s logits against the
+    first ``n_img`` keys into ``rank_logits`` (heads, n_img), from its
+    block before the softmax overwrites it (no image key is masked for
+    that row, as n_img <= row)."""
+    nh, n, _ = qh.shape
     for r0 in range(0, n, ATTENTION_BLOCK_ROWS):
         r1 = min(r0 + ATTENTION_BLOCK_ROWS, n)
         rows = r1 - r0
@@ -172,11 +220,48 @@ def _causal_attention(qh, kt, vh, out, scratch, rank=None):
         np.matmul(qh[:, r0:r1], kt[:, :, :r1], out=block)
         np.copyto(block[:, :, r0:], -np.inf, where=_ABOVE_DIAGONAL[:rows, :rows])
         if rank is not None and r0 <= rank[0] < r1:
-            scores = block[:, rank[0] - r0, :rank[1]].mean(axis=0)
+            np.copyto(rank_logits, block[:, rank[0] - r0, :rank[1]])
         block_out = out[:, r0:r1]
         np.matmul(softmax_rows(block, out=block, sums=sums, bound=bound), vh[:, :r1], out=block_out)
         block_out /= sums
-    return scores
+
+
+def _cpus() -> int:
+    """The CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # not on every platform
+        return os.cpu_count() or 1
+
+
+def _head_groups(num_heads: int, rows: int) -> int:
+    """How many groups ``_causal_attention`` splits the heads of a layer of
+    ``rows`` rows into: one per CPU the process may run on, at most one
+    per head, and one below HEAD_GROUPS_MIN_ROWS rows."""
+    return 1 if rows < HEAD_GROUPS_MIN_ROWS else min(_cpus(), num_heads)
+
+
+_pool = None  # the head groups' worker threads, made by the first layer that needs them
+_pool_lock = threading.Lock()  # so that forwards in two threads make one pool
+
+
+def _workers() -> ThreadPoolExecutor:
+    global _pool
+    with _pool_lock:
+        if _pool is None:
+            _pool = ThreadPoolExecutor(max(_cpus() - 1, 1), thread_name_prefix="pdrop-heads")
+        return _pool
+
+
+def _forget_workers():
+    global _pool, _pool_lock
+    # a forked child has none of its parent's threads, and a lock one of
+    # them held stays held
+    _pool, _pool_lock = None, threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_workers)
 
 
 def _workspace_elements(cfg: ModelConfig, n: int) -> int:

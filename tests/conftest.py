@@ -19,15 +19,16 @@ def layer_forwards(monkeypatch):
 
 
 @pytest.fixture
-def softmax_bounds(monkeypatch):
-    """Records the ``bound`` of each ``softmax_rows`` call that the attention
-    kernel makes, one call per attention block."""
-    bounds = []
+def softmax_calls(monkeypatch):
+    """Records the block shape (heads, rows, keys) and the ``bound`` of each
+    ``softmax_rows`` call that the attention kernel makes: one call per
+    attention block of each head group, from whichever thread runs it."""
+    calls = []
     softmax_rows = toymodel.softmax_rows
 
-    def recorded(*args, **kwargs):
-        bounds.append(kwargs["bound"])
-        return softmax_rows(*args, **kwargs)
+    def recorded(a, **kwargs):
+        calls.append((a.shape, kwargs["bound"]))
+        return softmax_rows(a, **kwargs)
 
     monkeypatch.setattr(toymodel, "softmax_rows", recorded)
-    return bounds
+    return calls

@@ -394,7 +394,7 @@ def test_image_row_just_under_the_overflow_runs(capsys, tmp_path):
 @pytest.mark.parametrize("model, fast", [(TOY_MODEL, True), (D256_MODEL, False)],
                          ids=["toy", "d256"])
 def test_marker_outputs_do_not_depend_on_the_softmax_route(capsys, monkeypatch, tmp_path,
-                                                            softmax_bounds, model, fast):
+                                                            softmax_calls, model, fast):
     # a marker model's bound is about 200 at the toy width (the unshifted
     # route) and about 564 at d=256 (the shifted one) while the marked rows
     # live, as they do through pdrop's run; its value blocks are zero, so
@@ -412,9 +412,9 @@ def test_marker_outputs_do_not_depend_on_the_softmax_route(capsys, monkeypatch, 
 
     routed = outputs()
     assert [code for code, _ in routed[:3]] == [0, 0, 0]
-    softmax_bounds.clear()
+    softmax_calls.clear()
     run_cli(capsys, *commands[0])
-    assert softmax_bounds and all((bound <= EXP_SAFE) == fast for bound in softmax_bounds)
+    assert softmax_calls and all((bound <= EXP_SAFE) == fast for _, bound in softmax_calls)
     monkeypatch.setattr(numkernel, "EXP_SAFE", -np.inf)  # every bound past it
     assert outputs() == routed
 

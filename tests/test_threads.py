@@ -1,7 +1,9 @@
 """What the BLAS thread count may change. A random-weight forward's logits
 and hidden states may differ in their last bits between one and two BLAS
 threads; its kept masks and its schedule may not, and neither may the
-`pdrop run` report of a marker-model config, digest included."""
+`pdrop run` report of a marker-model config, digest included. At a fixed
+BLAS thread count a forward repeats bit for bit, with the attention's head
+groups calling a threaded BLAS from two threads at once."""
 
 import json
 import os
@@ -26,12 +28,32 @@ print(json.dumps({"schedule": [schedule.stage_layer_counts, schedule.stage_token
 sys.exit(main(["run", "--config", sys.argv[1]]))
 """
 
+REPEAT = """
+import numpy as np
+from pdrop import TOY_CONFIG, ModelConfig, build_schedule, forward_pruned, init_model, toymodel
+from pdrop.harness import FixtureSpec, make_marker_sequence
 
-def start_with_threads(threads, config):
+mid = ModelConfig(num_layers=16, hidden_size=256, num_heads=8, head_dim=32,
+                  ffn_intermediate=688, vocab_size=256)
+for cfg, v0 in ((TOY_CONFIG, 1152), (mid, 576)):
+    weights = init_model(cfg, 1)
+    seq, _ = make_marker_sequence(cfg, FixtureSpec(image_tokens=v0, marked_placement="random"), 1)
+    schedule = build_schedule(cfg.num_layers, 4, 0.5, v0)
+    traces = []
+    # one head group, then two twice: two threads whatever the CPUs
+    for groups in (1, 2, 2):
+        toymodel._head_groups = lambda num_heads, rows: groups
+        traces.append(forward_pruned(weights, seq, schedule))
+    print(all(np.array_equal(t.logits, traces[0].logits)
+              and np.array_equal(t.hidden[-1], traces[0].hidden[-1]) for t in traces))
+"""
+
+
+def start_with_threads(threads, *args, script=CHILD):
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(SRC), os.environ.get("PYTHONPATH", "")]))
     env.update({var: str(threads) for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
                                               "MKL_NUM_THREADS")})
-    return subprocess.Popen([sys.executable, "-c", CHILD, str(config)], env=env,
+    return subprocess.Popen([sys.executable, "-c", script, *map(str, args)], env=env,
                             stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
 
 
@@ -58,3 +80,10 @@ def test_thread_count_changes_no_mask_schedule_or_marker_run(tmp_path):
     assert [len(kept) for _, kept in forward["kept"]] == [576, 288, 144]
     assert forward == json.loads(two[0])
     assert '"digest"' in one[1] and one[1] == two[1]
+
+
+def test_forwards_repeat_at_two_blas_threads_whatever_the_head_groups():
+    # toy V0=1152 and mid V0=576, S=4 lambda=0.5: each forward's head groups
+    # call OpenBLAS, itself allowed two threads, from two threads at once
+    child = start_with_threads(2, script=REPEAT)
+    assert output(child).split() == ["True", "True"]

@@ -1,5 +1,9 @@
+import multiprocessing
+import threading
+import time
 import tracemalloc
 import warnings
+from collections import Counter
 from dataclasses import FrozenInstanceError, replace
 
 import numpy as np
@@ -852,22 +856,30 @@ class TestSoftmaxRoute:
 
     @pytest.mark.parametrize("cfg, v0", BENCHMARK_GEOMETRIES, ids=["toy1152", "mid576"])
     def test_random_weight_forwards_take_the_fast_route(self, monkeypatch, layer_forwards,
-                                                        softmax_bounds, cfg, v0):
+                                                        softmax_calls, cfg, v0):
         # the benchmark's weights and fixture at seed 1
         weights = init_model(cfg, 1)
         fixture = FixtureSpec(image_tokens=v0, marked_placement="random")
         seq, _ = make_marker_sequence(cfg, fixture, 1)
         schedule = build_schedule(cfg.num_layers, 4, 0.5, v0)
         fast = forward_pruned(weights, seq, schedule)
-        blocks = sum(-(-rows // ATTENTION_BLOCK_ROWS) for rows in layer_forwards)
-        assert len(softmax_bounds) == blocks  # one call per attention block
-        assert all(bound <= EXP_SAFE for bound in softmax_bounds)
+        # each attention block's calls, one per head group, cover every head
+        # once; a block is known by its (rows, keys), as its last key is r1
+        want, got = Counter(), Counter()
+        for rows in layer_forwards:
+            for r0 in range(0, rows, ATTENTION_BLOCK_ROWS):
+                r1 = min(r0 + ATTENTION_BLOCK_ROWS, rows)
+                want[r1 - r0, r1] += cfg.num_heads
+        for (heads, rows, keys), _ in softmax_calls:
+            got[rows, keys] += heads
+        assert got == want
+        assert all(bound <= EXP_SAFE for _, bound in softmax_calls)
         monkeypatch.setattr(numkernel, "EXP_SAFE", -np.inf)  # every bound past it
         shifted = forward_pruned(weights, seq, schedule)
         assert [k.tolist() for _, k in fast.kept_masks] == [k.tolist() for _, k in shifted.kept_masks]
         assert np.abs(fast.logits - shifted.logits).max() <= 5e-15 * np.abs(shifted.logits).max()
 
-    def test_large_qk_weights_take_the_shifted_route(self, toy_weights, softmax_bounds):
+    def test_large_qk_weights_take_the_shifted_route(self, toy_weights, softmax_calls):
         # q and k weights 1e2 times the init's put the bound past EXP_SAFE and
         # the largest scores past exp's range, where only the shifted route
         # stays finite
@@ -876,9 +888,133 @@ class TestSoftmaxRoute:
         seq = random_sequence(TOY_CONFIG, 16, seed=30)
         schedule = build_schedule(8, 4, 0.5, 16)
         trace = forward_pruned(weights, seq, schedule)
-        assert softmax_bounds and all(bound > EXP_SAFE for bound in softmax_bounds)
+        assert softmax_calls and all(bound > EXP_SAFE for _, bound in softmax_calls)
         assert np.isfinite(trace.logits).all() and np.isfinite(trace.hidden[-1]).all()
         check_against_oracle(weights, seq, schedule)
+
+
+class TestHeadGroups:
+    """The attention kernel splits a layer's heads into ``_head_groups``
+    contiguous groups; the calling thread runs the first and a worker pool
+    the others. Each head takes the same steps in any group."""
+
+    D256 = ModelConfig(num_layers=8, hidden_size=256, num_heads=8, head_dim=32,
+                       ffn_intermediate=688, vocab_size=256)
+
+    @staticmethod
+    def split(monkeypatch, groups):
+        """Every layer splits its heads into ``groups(num_heads)`` groups,
+        whatever its row count and the CPUs."""
+        monkeypatch.setattr(toymodel, "_head_groups", lambda num_heads, rows: groups(num_heads))
+
+    @pytest.mark.parametrize("fixture", ["toy1152", "mid576", "marker_d256"])
+    def test_outputs_do_not_depend_on_the_group_count(self, monkeypatch, fixture):
+        if fixture == "marker_d256":
+            # a bound of about 564: the shifted softmax route
+            cfg, v0 = self.D256, 576
+            weights = build_marker_model(cfg, (0, 1, 2, 3))
+        else:
+            cfg, v0 = BENCHMARK_GEOMETRIES[fixture == "mid576"]
+            weights = init_model(cfg, 1)
+        seq, _ = make_marker_sequence(cfg, FixtureSpec(image_tokens=v0, marked_placement="random"), 1)
+        schedule = build_schedule(cfg.num_layers, 4, 0.5, v0)
+        runs = []
+        for groups in (lambda nh: 1, lambda nh: 2, lambda nh: nh):
+            self.split(monkeypatch, groups)
+            seen = []
+            trace = forward_pruned(weights, seq, schedule,
+                                   observe=lambda layer, x, positions, scores: seen.append(scores.copy()))
+            runs.append((trace, seen))
+        (one, one_seen), *others = runs
+        for trace, seen in others:
+            assert np.array_equal(trace.logits, one.logits)
+            assert np.array_equal(trace.hidden[-1], one.hidden[-1])
+            assert all(np.array_equal(a, b) for (_, a), (_, b) in zip(trace.kept_masks, one.kept_masks))
+            assert len(seen) == len(one_seen) == 3
+            assert all(np.array_equal(a, b) for a, b in zip(seen, one_seen))
+
+    def test_narrow_layers_run_in_the_calling_thread(self, monkeypatch, toy_weights):
+        # experiments_toy64's width, 69 rows, is under HEAD_GROUPS_MIN_ROWS
+        def no_pool():
+            raise AssertionError("the worker pool was asked for")
+
+        monkeypatch.setattr(toymodel, "_workers", no_pool)
+        seq = random_sequence(TOY_CONFIG, 64, seed=40)
+        forward_pruned(toy_weights, seq, build_schedule(8, 4, 0.5, 64))
+        assert toymodel._head_groups(TOY_CONFIG.num_heads, toymodel.HEAD_GROUPS_MIN_ROWS - 1) == 1
+
+    @pytest.mark.parametrize("raising", ["worker", "caller"])
+    def test_a_raising_group_is_raised_once_every_group_ends(self, monkeypatch, toy_weights, raising):
+        # the first softmax call of the raising side raises; the worker
+        # groups' other calls are slow, so a kernel that returned before
+        # they ended would leave one running
+        self.split(monkeypatch, lambda nh: nh)
+        softmax_rows = toymodel.softmax_rows
+        lock = threading.Lock()
+        state = {"active": 0, "calls": 0, "raised": False}
+
+        def flaky(*args, **kwargs):
+            in_worker = threading.current_thread() is not threading.main_thread()
+            with lock:
+                state["active"] += 1
+                state["calls"] += 1
+                raise_now = in_worker == (raising == "worker") and not state["raised"]
+                state["raised"] |= raise_now
+            try:
+                if raise_now:
+                    raise ValueError(f"softmax failed in the {raising}")
+                if in_worker:
+                    time.sleep(0.005)
+                return softmax_rows(*args, **kwargs)
+            finally:
+                with lock:
+                    state["active"] -= 1
+
+        monkeypatch.setattr(toymodel, "softmax_rows", flaky)
+        seq = random_sequence(TOY_CONFIG, 300, seed=41)  # 10 blocks a head group
+        with pytest.raises(ValueError, match=f"softmax failed in the {raising}"):
+            keep_all_forward(toy_weights, seq)
+        calls = state["calls"]
+        assert state["active"] == 0
+        time.sleep(0.1)
+        assert state["calls"] == calls  # no group still runs
+        # 4 groups of 10 blocks in the first layer: the raising group stops
+        # at its first call, the other three run every block
+        assert calls == 3 * 10 + 1
+
+    def test_workers_run_under_the_callers_numpy_error_state(self, monkeypatch, toy_weights):
+        self.split(monkeypatch, lambda nh: nh)
+        softmax_rows = toymodel.softmax_rows
+        modes = []
+
+        def recorded(*args, **kwargs):
+            modes.append((threading.current_thread() is threading.main_thread(), np.geterr()["divide"]))
+            return softmax_rows(*args, **kwargs)
+
+        monkeypatch.setattr(toymodel, "softmax_rows", recorded)
+        with np.errstate(divide="raise"):
+            keep_all_forward(toy_weights, random_sequence(TOY_CONFIG, 16, seed=42))
+        assert set(modes) == {(True, "raise"), (False, "raise")}
+
+    @pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(), reason="no fork")
+    @pytest.mark.filterwarnings("ignore::DeprecationWarning")  # forking a process with threads
+    def test_a_forked_child_makes_its_own_pool(self, monkeypatch, toy_weights):
+        self.split(monkeypatch, lambda nh: 2)
+        seq = random_sequence(TOY_CONFIG, 64, seed=43)
+        want = keep_all_forward(toy_weights, seq).logits
+        assert toymodel._pool is not None  # the parent's worker thread exists
+
+        def child():
+            assert np.array_equal(keep_all_forward(toy_weights, seq).logits, want)
+
+        process = multiprocessing.get_context("fork").Process(target=child)
+        process.start()
+        process.join(timeout=60)
+        hung = process.is_alive()
+        if hung:
+            process.kill()
+            process.join()
+        assert not hung and process.exitcode == 0
 
 
 class TestMarkerModel:
