@@ -9,10 +9,8 @@ rows; kept tokens keep their original position ids.
 
 from __future__ import annotations
 
-import contextvars
 import os
-import threading
-from concurrent.futures import ThreadPoolExecutor, wait
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -162,43 +160,54 @@ def _causal_attention(qh, kt, vh, out, scratch, rank=None):
     the row maximum when it is at most EXP_SAFE. The heads then split into
     ``_head_groups`` contiguous groups, each with its own contiguous part
     of ``scratch``: the calling thread runs the first through
-    ``_attend_heads`` and the worker pool the others, and the kernel waits
-    for every group, even when one raises, before it returns or re-raises.
-    Each head takes the same steps on the same shapes in any group, so the
-    result does not depend on the group count. With ``rank=(row, n_img)``
-    it returns the ranking scores of the first ``n_img`` keys: the head
-    mean of query ``row``'s scaled logits."""
+    ``_attend_heads`` and one worker thread each of the others, under the
+    caller's numpy error state, and the kernel waits for every group, even
+    when one raises, before it returns or re-raises. Each head takes the
+    same steps on the same shapes in any group, so the result does not
+    depend on the group count. With ``rank=(row, n_img)`` it returns the
+    ranking scores of the first ``n_img`` keys: the head mean of query
+    ``row``'s scaled logits."""
     nh, n, hd = qh.shape
     qh *= 1.0 / np.sqrt(hd)
     norms = scratch[:nh * n].reshape(nh, n)
     q_top = np.maximum.reduce(np.einsum("hnd,hnd->hn", qh, qh, out=norms), axis=None)
     k_top = np.maximum.reduce(np.einsum("hdn,hdn->hn", kt, kt, out=norms), axis=None)
     bound = np.sqrt(q_top * k_top)
-    rank_logits = None if rank is None else np.empty((nh, rank[1]))
     groups = _head_groups(nh, n)
     if groups == 1:
-        _attend_heads(qh, kt, vh, out, scratch, bound, rank, rank_logits)
-    else:
-        per_head = ATTENTION_BLOCK_ROWS * (n + 1)
-        edges = [nh * g // groups for g in range(groups + 1)]
-        tasks = [(qh[h0:h1], kt[h0:h1], vh[h0:h1], out[h0:h1], scratch[h0 * per_head:h1 * per_head],
-                  bound, rank, None if rank is None else rank_logits[h0:h1])
-                 for h0, h1 in zip(edges, edges[1:])]
-        pool = _workers()
-        # each worker runs in a copy of the caller's context, so numpy's
-        # error state (a context variable) is the same in every group
-        futures = [pool.submit(contextvars.copy_context().run, _attend_heads, *task)
-                   for task in tasks[1:]]
-        try:
-            _attend_heads(*tasks[0])
-        finally:
-            wait(futures)
-        for future in futures:
-            future.result()
+        return _attend_heads(qh, kt, vh, out, scratch, bound, rank)
+    return _attend_in_groups(groups, qh, kt, vh, out, scratch, bound, rank)
+
+
+def _attend_in_groups(groups, qh, kt, vh, out, scratch, bound, rank):
+    """``_causal_attention`` past the bound, its heads split into ``groups``
+    groups. A function of its own, so that the one-group path allocates
+    none of the closure cells its comprehension and worker function need
+    (15 cells, 600 bytes a call, which raised the V0=64 peak)."""
+    nh, n, _ = qh.shape
+    rank_logits = None if rank is None else np.empty((nh, rank[1]))
+    per_head = ATTENTION_BLOCK_ROWS * (n + 1)
+    edges = [nh * g // groups for g in range(groups + 1)]
+    tasks = [(qh[h0:h1], kt[h0:h1], vh[h0:h1], out[h0:h1], scratch[h0 * per_head:h1 * per_head],
+              bound, rank, None if rank is None else rank_logits[h0:h1])
+             for h0, h1 in zip(edges, edges[1:])]
+    errors, call = np.geterr(), np.geterrcall()
+
+    def attend(task):
+        # a new thread starts with numpy's default error state
+        with np.errstate(call=call, **errors):
+            _attend_heads(*task)
+
+    # leaving the block waits for every worker, also when the first group raises
+    with ThreadPoolExecutor(groups - 1) as pool:
+        futures = [pool.submit(attend, task) for task in tasks[1:]]
+        _attend_heads(*tasks[0])
+    for future in futures:
+        future.result()
     return None if rank is None else rank_logits.mean(axis=0)
 
 
-def _attend_heads(qh, kt, vh, out, scratch, bound, rank, rank_logits):
+def _attend_heads(qh, kt, vh, out, scratch, bound, rank, rank_logits=None):
     """``_causal_attention``'s block loop over one group of heads, whose
     scaled queries, keys, values, output and scratch (heads *
     ATTENTION_BLOCK_ROWS * (n + 1) floats) it takes. Rows strictly ascend
@@ -207,11 +216,13 @@ def _attend_heads(qh, kt, vh, out, scratch, bound, rank, rank_logits):
     block needs a mask, its strict upper triangle. The weights stay
     unnormalised through the value product, and its rows x head_dim
     result, not the rows x r1 block, is divided by the row sums. With
-    ``rank=(row, n_img)`` it copies query ``row``'s logits against the
-    first ``n_img`` keys into ``rank_logits`` (heads, n_img), from its
-    block before the softmax overwrites it (no image key is masked for
-    that row, as n_img <= row)."""
+    ``rank=(row, n_img)`` it reads query ``row``'s logits against the
+    first ``n_img`` keys from its block before the softmax overwrites it
+    (no image key is masked for that row, as n_img <= row) and returns
+    their head mean, or, given ``rank_logits`` (heads, n_img), copies them
+    there."""
     nh, n, _ = qh.shape
+    scores = None
     for r0 in range(0, n, ATTENTION_BLOCK_ROWS):
         r1 = min(r0 + ATTENTION_BLOCK_ROWS, n)
         rows = r1 - r0
@@ -220,10 +231,14 @@ def _attend_heads(qh, kt, vh, out, scratch, bound, rank, rank_logits):
         np.matmul(qh[:, r0:r1], kt[:, :, :r1], out=block)
         np.copyto(block[:, :, r0:], -np.inf, where=_ABOVE_DIAGONAL[:rows, :rows])
         if rank is not None and r0 <= rank[0] < r1:
-            np.copyto(rank_logits, block[:, rank[0] - r0, :rank[1]])
+            if rank_logits is None:
+                scores = block[:, rank[0] - r0, :rank[1]].mean(axis=0)
+            else:
+                np.copyto(rank_logits, block[:, rank[0] - r0, :rank[1]])
         block_out = out[:, r0:r1]
         np.matmul(softmax_rows(block, out=block, sums=sums, bound=bound), vh[:, :r1], out=block_out)
         block_out /= sums
+    return scores
 
 
 def _cpus() -> int:
@@ -234,34 +249,31 @@ def _cpus() -> int:
         return os.cpu_count() or 1
 
 
+def _blas_threads() -> int:
+    """The most threads numpy's BLAS may run one product on, as OpenBLAS
+    and MKL read it from the environment when they load: each its own
+    variable, else OMP_NUM_THREADS, else every CPU."""
+    cpus = _cpus()
+
+    def reading(var):
+        value = os.environ.get(var) or os.environ.get("OMP_NUM_THREADS") or ""
+        return int(value) if value.isdigit() and int(value) > 0 else cpus
+
+    return max(reading("OPENBLAS_NUM_THREADS"), reading("MKL_NUM_THREADS"))
+
+
 def _head_groups(num_heads: int, rows: int) -> int:
     """How many groups ``_causal_attention`` splits the heads of a layer of
-    ``rows`` rows into: one per CPU the process may run on, at most one
-    per head, and one below HEAD_GROUPS_MIN_ROWS rows."""
-    return 1 if rows < HEAD_GROUPS_MIN_ROWS else min(_cpus(), num_heads)
-
-
-_pool = None  # the head groups' worker threads, made by the first layer that needs them
-_pool_lock = threading.Lock()  # so that forwards in two threads make one pool
-
-
-def _workers() -> ThreadPoolExecutor:
-    global _pool
-    with _pool_lock:
-        if _pool is None:
-            _pool = ThreadPoolExecutor(max(_cpus() - 1, 1), thread_name_prefix="pdrop-heads")
-        return _pool
-
-
-def _forget_workers():
-    global _pool, _pool_lock
-    # a forked child has none of its parent's threads, and a lock one of
-    # them held stays held
-    _pool, _pool_lock = None, threading.Lock()
-
-
-if hasattr(os, "register_at_fork"):
-    os.register_at_fork(after_in_child=_forget_workers)
+    ``rows`` rows into: as many as the CPUs the process may run on hold
+    BLAS thread sets, at most one per head, and one below
+    HEAD_GROUPS_MIN_ROWS rows. Under a BLAS free to use every CPU, as by
+    default, that is one group: on 2 vCPUs, two groups each calling a
+    two-thread OpenBLAS took a toy V0=1152 prefill from 189.5 to 211.7 ms
+    and left mid V0=576 at 728.8 against 748.5 ms (medians of 12
+    interleaved rounds)."""
+    if rows < HEAD_GROUPS_MIN_ROWS:
+        return 1
+    return max(min(_cpus() // _blas_threads(), num_heads), 1)
 
 
 def _workspace_elements(cfg: ModelConfig, n: int) -> int:

@@ -895,8 +895,8 @@ class TestSoftmaxRoute:
 
 class TestHeadGroups:
     """The attention kernel splits a layer's heads into ``_head_groups``
-    contiguous groups; the calling thread runs the first and a worker pool
-    the others. Each head takes the same steps in any group."""
+    contiguous groups; the calling thread runs the first and one worker
+    thread each of the others. Each head takes the same steps in any group."""
 
     D256 = ModelConfig(num_layers=8, hidden_size=256, num_heads=8, head_dim=32,
                        ffn_intermediate=688, vocab_size=256)
@@ -935,13 +935,38 @@ class TestHeadGroups:
 
     def test_narrow_layers_run_in_the_calling_thread(self, monkeypatch, toy_weights):
         # experiments_toy64's width, 69 rows, is under HEAD_GROUPS_MIN_ROWS
-        def no_pool():
-            raise AssertionError("the worker pool was asked for")
+        def no_threads(*args, **kwargs):
+            raise AssertionError("a worker thread was asked for")
 
-        monkeypatch.setattr(toymodel, "_workers", no_pool)
+        monkeypatch.setattr(toymodel, "ThreadPoolExecutor", no_threads)
+        monkeypatch.setattr(toymodel, "_cpus", lambda: 4)
+        for var in ("OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "OMP_NUM_THREADS"):
+            monkeypatch.setenv(var, "1")
         seq = random_sequence(TOY_CONFIG, 64, seed=40)
         forward_pruned(toy_weights, seq, build_schedule(8, 4, 0.5, 64))
         assert toymodel._head_groups(TOY_CONFIG.num_heads, toymodel.HEAD_GROUPS_MIN_ROWS - 1) == 1
+        assert toymodel._head_groups(TOY_CONFIG.num_heads, toymodel.HEAD_GROUPS_MIN_ROWS) == 4
+
+    @pytest.mark.parametrize("cpus, env, heads, groups", [
+        (2, {}, 4, 1),  # by default the BLAS may use every CPU
+        (2, {"OPENBLAS_NUM_THREADS": "1", "MKL_NUM_THREADS": "1", "OMP_NUM_THREADS": "1"}, 4, 2),
+        (2, {"OMP_NUM_THREADS": "1"}, 4, 2),
+        (2, {"OPENBLAS_NUM_THREADS": "1"}, 4, 1),  # MKL would still use both CPUs
+        (2, {"OPENBLAS_NUM_THREADS": "2", "OMP_NUM_THREADS": "1"}, 4, 1),
+        (8, {"OMP_NUM_THREADS": "2"}, 4, 4),
+        (8, {"OMP_NUM_THREADS": "2"}, 2, 2),
+        (8, {"OMP_NUM_THREADS": "3"}, 8, 2),
+        (1, {"OMP_NUM_THREADS": "4"}, 4, 1),
+        (2, {"OMP_NUM_THREADS": "0"}, 4, 1),
+        (2, {"OMP_NUM_THREADS": "one"}, 4, 1),
+    ])
+    def test_groups_leave_each_a_cpu_per_blas_thread(self, monkeypatch, cpus, env, heads, groups):
+        for var in ("OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "OMP_NUM_THREADS"):
+            monkeypatch.delenv(var, raising=False)
+        for var, value in env.items():
+            monkeypatch.setenv(var, value)
+        monkeypatch.setattr(toymodel, "_cpus", lambda: cpus)
+        assert toymodel._head_groups(heads, toymodel.HEAD_GROUPS_MIN_ROWS) == groups
 
     @pytest.mark.parametrize("raising", ["worker", "caller"])
     def test_a_raising_group_is_raised_once_every_group_ends(self, monkeypatch, toy_weights, raising):
@@ -997,12 +1022,11 @@ class TestHeadGroups:
         assert set(modes) == {(True, "raise"), (False, "raise")}
 
     @pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(), reason="no fork")
-    @pytest.mark.filterwarnings("ignore::DeprecationWarning")  # forking a process with threads
-    def test_a_forked_child_makes_its_own_pool(self, monkeypatch, toy_weights):
+    def test_a_forked_child_finishes_a_grouped_forward(self, monkeypatch, toy_weights):
+        # the parent's head groups have run BLAS products in a worker thread
         self.split(monkeypatch, lambda nh: 2)
         seq = random_sequence(TOY_CONFIG, 64, seed=43)
         want = keep_all_forward(toy_weights, seq).logits
-        assert toymodel._pool is not None  # the parent's worker thread exists
 
         def child():
             assert np.array_equal(keep_all_forward(toy_weights, seq).logits, want)
