@@ -167,7 +167,3 @@ def main(argv=None) -> int:
         print(f"i/o error: {exc}", file=sys.stderr)
         return EXIT_IO
     return 0
-
-
-if __name__ == "__main__":
-    sys.exit(main())

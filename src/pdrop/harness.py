@@ -377,8 +377,7 @@ def run_layer_sweep(spec: ExperimentSpec) -> list[SweepRow]:
 
     rows = []
     for strategy, schedule, ranker in plan.runs:
-        # the call the cell's own forward makes at its one boundary
-        kept = decide(ranker(scores[strategy.drop_layer].copy(), 0), schedule, 0)
+        kept = decide(scores[strategy.drop_layer], schedule, 0, ranker)
         cost = strategy_cost(strategy, cfg.num_layers, v0, cfg.hidden_size, cfg.ffn_intermediate)
         rows.append(SweepRow(
             layer=strategy.drop_layer,

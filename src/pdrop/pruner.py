@@ -77,14 +77,21 @@ def keep_all_schedule(num_layers: int, num_image_tokens: int) -> StageSchedule:
     return StageSchedule((num_layers,), (num_image_tokens,))
 
 
-def decide(scores: np.ndarray, schedule: StageSchedule, stage: int) -> np.ndarray:
-    """Ascending indices of the scores kept at the drop boundary that ends
-    ``stage``: the schedule's next count of highest scores, ties to the
-    lower index."""
+def identity_ranker(scores, stage):
+    """Default ranker: the paper's rule keeps the highest attention scores."""
+    return scores
+
+
+def decide(scores: np.ndarray, schedule: StageSchedule, stage: int,
+           ranker=identity_ranker) -> np.ndarray:
+    """Ascending indices of the tokens kept at the drop boundary that ends
+    ``stage``: the schedule's next count of highest ``ranker(copy, stage)``,
+    ties to the lower index. The ranker gets a float64 copy of ``scores``,
+    so it may keep or write into its argument."""
     num_stages = len(schedule.stage_token_counts)
     if not 0 <= stage < num_stages - 1:
         raise ConfigError(f"stage {stage} has no drop boundary (S={num_stages})")
-    scores = np.asarray(scores, dtype=np.float64)
+    scores = np.asarray(ranker(np.array(scores, dtype=np.float64), stage), dtype=np.float64)
     expected = schedule.stage_token_counts[stage]
     if scores.shape != (expected,):
         raise ConfigError(f"{scores.shape} scores at stage {stage}, schedule expects {expected}")
@@ -179,8 +186,3 @@ def random_ranker(seed: int):
         return RngState(derive_seed(seed, stage)).uniforms(scores.size)
 
     return rank
-
-
-def identity_ranker(scores, stage):
-    """Default ranker: the paper's rule keeps the highest attention scores."""
-    return scores

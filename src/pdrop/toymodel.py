@@ -431,7 +431,7 @@ def _forward_tree(w: DecoderWeights, seq: MultimodalSequence, plans, observe):
             for p in dropping:
                 schedule, ranker = plans[p]
                 stage = len(masks[p])
-                kept = decide(ranker(scores.copy(), stage), schedule, stage)
+                kept = decide(scores, schedule, stage, ranker)
                 masks[p].append((layer_no, positions[kept]))
                 sharing = next((s for k, s in gathered if np.array_equal(k, kept)), None)
                 if sharing is None:

@@ -2,6 +2,10 @@ import contextlib
 import io
 import json
 import os
+import pathlib
+import shutil
+import subprocess
+import sys
 import tempfile
 import time
 import warnings
@@ -141,6 +145,20 @@ def test_cost_nonpositive_geometry_is_config_error(capsys, geometry, strategy):
     captured = capsys.readouterr()
     assert code == 2 and captured.out == ""
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize("strategy", [
+    ["vanilla"], ["pdrop", "--lambda", "0.5", "--stages", "4"],
+    ["fastv", "--drop-layer", "2", "--lambda", "0.5"], ["uniform", "--tokens", "288"],
+    ["random", "--lambda", "0.5", "--stages", "4"],
+], ids=lambda strategy: strategy[0])
+def test_cost_zero_ffn_size_is_config_error_for_every_strategy(capsys, strategy):
+    # each strategy with the flags it takes, at 7B geometry
+    code = main(["cost", "--n", "576", "--layers", "32", "--d", "4096", "--m", "0",
+                 "--strategy", *strategy])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == "error: hidden size d and FFN size m must be positive, got d=4096, m=0\n"
 
 
 def test_run_with_masks(capsys, config_file, tmp_path):
@@ -320,6 +338,18 @@ def test_deep_tiny_model_refused(capsys, tmp_path):
         "error: model weights: 33554440 elements exceed the bound of 33554432\n")
 
 
+def test_huge_vocabulary_refused_before_any_weight_is_built(capsys, monkeypatch, tmp_path):
+    # 2**26 vocabulary rows at the toy width, against the real MAX_ELEMENTS:
+    # the embedding and head alone would hold 2**33 elements (64 GiB)
+    assert layout.MAX_ELEMENTS == 1 << 25
+    monkeypatch.setattr(harness, "build_marker_model", None)  # reached only past the check
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"model": {**TOY_MODEL, "vocab_size": 1 << 26}}))
+    assert main(["run", "--config", str(path)]) == 2
+    assert capsys.readouterr().err == (
+        "error: model weights: 8590330880 elements exceed the bound of 33554432\n")
+
+
 def test_long_fixture_text_refused_before_the_forward_allocates(capsys, monkeypatch, tmp_path):
     # a 0.3 MB fixture of 100,000 instruction ids passes the file and id
     # checks; at the toy width its forward would hold 47M elements
@@ -412,6 +442,7 @@ def test_marker_outputs_do_not_depend_on_the_softmax_route(capsys, monkeypatch, 
 
     routed = outputs()
     assert [code for code, _ in routed[:3]] == [0, 0, 0]
+    assert json.loads(routed[0][1])["recall"] == 1.0
     softmax_calls.clear()
     run_cli(capsys, *commands[0])
     assert softmax_calls and all((bound <= EXP_SAFE) == fast for _, bound in softmax_calls)
@@ -591,6 +622,40 @@ def test_compare_same_seed_reproducible(capsys, config_file):
     code2, out2 = run_cli(capsys, "compare", "--config", config_file)
     assert code == code2 == 0
     assert out1 == out2
+
+
+# --- entry points -------------------------------------------------------------
+
+SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
+ENTRY_POINTS = {
+    "module": [sys.executable, "-m", "pdrop"],
+    # the console script pyproject.toml installs, where it is installed
+    "script": [shutil.which("pdrop")],
+}
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["cost", "--n", "576", "--layers", "32", "--d", "4096", "--m", "11008",
+      "--lambda", "0.5", "--stages", "4"], 0),
+    (["cost", "--n", "16", "--layers", "8", "--d", "-4", "--m", "16", "--lambda", "0.5"], 2),
+    (["run", "--config", "missing.json"], 3),
+], ids=["ok", "config_error", "io_error"])
+@pytest.mark.parametrize("entry", ENTRY_POINTS)
+def test_entry_point_exit_code(tmp_path, entry, argv, code):
+    # the process exits with main()'s code; an error is one stderr line,
+    # never a traceback
+    if ENTRY_POINTS[entry][0] is None:
+        pytest.skip("no pdrop console script on PATH")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(SRC), os.environ.get("PYTHONPATH", "")]))
+    done = subprocess.run([*ENTRY_POINTS[entry], *argv], cwd=tmp_path, env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == code
+    if code:
+        assert done.stderr.startswith(("error: ", "i/o error: ")) and done.stderr.count("\n") == 1
+        assert "Traceback" not in done.stderr and done.stdout == ""
+    else:
+        assert done.stderr == ""
+        assert round(json.loads(done.stdout)["total"] / 1e12, 2) == 1.78
 
 
 # --- whole-run fuzz -----------------------------------------------------------

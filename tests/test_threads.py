@@ -3,13 +3,17 @@ and hidden states may differ in their last bits between one and two BLAS
 threads; its kept masks and its schedule may not, and neither may the
 `pdrop run` report of a marker-model config, digest included. At a fixed
 BLAS thread count a forward repeats bit for bit, with the attention's head
-groups calling a threaded BLAS from two threads at once."""
+groups calling a threaded BLAS from two threads at once. Nor may the CPUs
+the process may run on, which set the attention's head groups, change a
+marker-model `compare` report."""
 
 import json
 import os
 import pathlib
 import subprocess
 import sys
+
+import pytest
 
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
 CHILD = """
@@ -47,6 +51,18 @@ for cfg, v0 in ((TOY_CONFIG, 1152), (mid, 576)):
     print(all(np.array_equal(t.logits, traces[0].logits)
               and np.array_equal(t.hidden[-1], traces[0].hidden[-1]) for t in traces))
 """
+
+PINNED = """
+import os, sys
+if sys.argv[2] == "one":  # pinned before numpy and its BLAS load
+    os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
+from pdrop import toymodel
+from pdrop.cli import main
+
+print(toymodel._head_groups(4, 581))  # the toy model's heads, a V0=576 forward's rows
+sys.exit(main(["compare", "--config", sys.argv[1], "--strategies", "vanilla,pdrop,fastv,random"]))
+"""
+CPUS = os.sched_getaffinity(0) if hasattr(os, "sched_getaffinity") else set()
 
 
 def start_with_threads(threads, *args, script=CHILD):
@@ -87,3 +103,19 @@ def test_forwards_repeat_at_two_blas_threads_whatever_the_head_groups():
     # call OpenBLAS, itself allowed two threads, from two threads at once
     child = start_with_threads(2, script=REPEAT)
     assert output(child).split() == ["True", "True"]
+
+
+@pytest.mark.skipif(len(CPUS) < 2, reason="needs 2 CPUs to split the heads")
+def test_cpu_set_changes_no_compare_report(tmp_path):
+    # toy marker model at V0=576, one BLAS thread: pinned to one CPU the
+    # attention runs one head group, on every CPU it splits the heads
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({
+        "model": {"num_layers": 8, "hidden_size": 64, "num_heads": 4, "head_dim": 16,
+                  "ffn_intermediate": 172, "vocab_size": 256},
+        "fixture": {"image_tokens": 576},
+    }))
+    children = [start_with_threads(1, config, cpus, script=PINNED) for cpus in ("one", "all")]
+    (one_groups, one), (all_groups, every) = (output(child).split("\n", 1) for child in children)
+    assert int(one_groups) == 1 and int(all_groups) >= 2
+    assert json.loads(one) and one == every
