@@ -215,10 +215,12 @@ def spec_from_json(obj: dict) -> ExperimentSpec:
 
 
 def load_spec(path) -> ExperimentSpec:
-    with open(path) as fh:
+    with open(path, encoding="utf-8") as fh:
         try:
             obj = json.load(fh)
-        except json.JSONDecodeError as exc:
+        # besides bad syntax: bytes that are not UTF-8, an integer past
+        # Python's digit limit, or arrays nested past the recursion limit
+        except (ValueError, RecursionError) as exc:
             raise ConfigError(f"{path}: invalid JSON: {exc}") from exc
     return spec_from_json(obj)
 

@@ -139,9 +139,11 @@ def load_sequence(path) -> MultimodalSequence:
     size, bound = os.path.getsize(path), FIXTURE_BYTES_PER_ELEMENT * MAX_IMAGE_ELEMENTS
     if size > bound:
         raise InputError(f"fixture file {path} holds {size} bytes, past the bound of {bound}")
-    with open(path) as fh:
+    with open(path, encoding="utf-8") as fh:
         try:
             obj = json.load(fh)
-        except json.JSONDecodeError as exc:
+        # besides bad syntax: bytes that are not UTF-8, an integer past
+        # Python's digit limit, or arrays nested past the recursion limit
+        except (ValueError, RecursionError) as exc:
             raise InputError(f"{path}: invalid JSON: {exc}") from exc
     return sequence_from_json(obj)

@@ -22,7 +22,7 @@ def layer_forwards(monkeypatch):
 def softmax_calls(monkeypatch):
     """Records the block shape (heads, rows, keys) and the ``bound`` of each
     ``softmax_rows`` call that the attention kernel makes: one call per
-    attention block of each head group, from whichever thread runs it."""
+    attention block, over every head."""
     calls = []
     softmax_rows = toymodel.softmax_rows
 

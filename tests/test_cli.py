@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 
 from pdrop import harness, layout, numkernel, toymodel
 from pdrop.cli import main
+from pdrop.errors import ConfigError
 from pdrop.numkernel import EXP_SAFE
 from pdrop.toymodel import TOY_CONFIG, forward_elements, forward_plans, forward_pruned, init_model
 
@@ -292,7 +293,7 @@ def test_image_size_bound(capsys, monkeypatch, tmp_path, command, image_tokens, 
 
 def fixture_config(tmp_path, fixture_text):
     fixture = tmp_path / "fixture.json"
-    fixture.write_text(fixture_text)
+    fixture.write_bytes(fixture_text if isinstance(fixture_text, bytes) else fixture_text.encode())
     path = tmp_path / "config.json"
     path.write_text(json.dumps({"model": TOY_MODEL, "fixture": {"path": str(fixture)}}))
     return str(path)
@@ -450,14 +451,30 @@ def test_marker_outputs_do_not_depend_on_the_softmax_route(capsys, monkeypatch, 
     assert outputs() == routed
 
 
+# JSON that json.load refuses with an error other than JSONDecodeError
+UNREADABLE_JSON = [b'\xff{}', "[" * 100_000, '{"seed": ' + "1" * 5000 + "}"]
+UNREADABLE_IDS = ["not_utf8", "deep_arrays", "long_int"]
+
+
 @pytest.mark.parametrize("text", [
     "{", "[1, 2]", '{"image": [], "instruction": "ab"}', '{"image": [], "instruction": [[1]]}',
-    '{"image": [], "instruction": [1e30]}',
-], ids=["invalid_json", "not_object", "string_ids", "nested_ids", "huge_id"])
+    '{"image": [], "instruction": [1e30]}', *UNREADABLE_JSON,
+], ids=["invalid_json", "not_object", "string_ids", "nested_ids", "huge_id", *UNREADABLE_IDS])
 def test_malformed_fixture_file_is_input_error(capsys, tmp_path, text):
     assert main(["run", "--config", fixture_config(tmp_path, text)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("text", ["{", *UNREADABLE_JSON], ids=["invalid_json", *UNREADABLE_IDS])
+def test_malformed_config_file_is_config_error(capsys, tmp_path, text):
+    path = tmp_path / "config.json"
+    path.write_bytes(text if isinstance(text, bytes) else text.encode())
+    assert main(["run", "--config", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}: invalid JSON: ") and err.count("\n") == 1
+    with pytest.raises(ConfigError):
+        harness.load_spec(path)
 
 
 @pytest.fixture

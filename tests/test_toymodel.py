@@ -1,9 +1,6 @@
-import multiprocessing
 import threading
-import time
 import tracemalloc
 import warnings
-from collections import Counter
 from dataclasses import FrozenInstanceError, replace
 
 import numpy as np
@@ -623,6 +620,19 @@ class TestForwardPruned:
         for scores, then in zip(held, copies):
             assert np.array_equal(scores, then)
 
+    def test_no_forward_starts_a_thread(self, monkeypatch, toy_weights):
+        # 305-row layers with every BLAS thread variable at 1: where a
+        # kernel that split its heads across the CPUs would start threads
+        def no_threads(thread):
+            raise AssertionError(f"a forward started {thread.name}")
+
+        monkeypatch.setattr(threading.Thread, "start", no_threads)
+        for var in ("OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "OMP_NUM_THREADS"):
+            monkeypatch.setenv(var, "1")
+        seq = random_sequence(TOY_CONFIG, 300, seed=40)
+        trace = forward_pruned(toy_weights, seq, build_schedule(8, 4, 0.5, 300))
+        assert [kept.size for _, kept in trace.kept_masks] == [150, 75, 37]
+
 
 class TestObserveHook:
     def test_called_at_each_boundary_before_the_decision(self, toy_weights):
@@ -863,16 +873,12 @@ class TestSoftmaxRoute:
         seq, _ = make_marker_sequence(cfg, fixture, 1)
         schedule = build_schedule(cfg.num_layers, 4, 0.5, v0)
         fast = forward_pruned(weights, seq, schedule)
-        # each attention block's calls, one per head group, cover every head
-        # once; a block is known by its (rows, keys), as its last key is r1
-        want, got = Counter(), Counter()
-        for rows in layer_forwards:
-            for r0 in range(0, rows, ATTENTION_BLOCK_ROWS):
-                r1 = min(r0 + ATTENTION_BLOCK_ROWS, rows)
-                want[r1 - r0, r1] += cfg.num_heads
-        for (heads, rows, keys), _ in softmax_calls:
-            got[rows, keys] += heads
-        assert got == want
+        # one call per attention block, in order, over every head; a block
+        # of rows [r0, r1) holds keys [0, r1)
+        want = [(cfg.num_heads, min(r0 + ATTENTION_BLOCK_ROWS, rows) - r0,
+                 min(r0 + ATTENTION_BLOCK_ROWS, rows))
+                for rows in layer_forwards for r0 in range(0, rows, ATTENTION_BLOCK_ROWS)]
+        assert [shape for shape, _ in softmax_calls] == want
         assert all(bound <= EXP_SAFE for _, bound in softmax_calls)
         monkeypatch.setattr(numkernel, "EXP_SAFE", -np.inf)  # every bound past it
         shifted = forward_pruned(weights, seq, schedule)
@@ -891,154 +897,6 @@ class TestSoftmaxRoute:
         assert softmax_calls and all(bound > EXP_SAFE for _, bound in softmax_calls)
         assert np.isfinite(trace.logits).all() and np.isfinite(trace.hidden[-1]).all()
         check_against_oracle(weights, seq, schedule)
-
-
-class TestHeadGroups:
-    """The attention kernel splits a layer's heads into ``_head_groups``
-    contiguous groups; the calling thread runs the first and one worker
-    thread each of the others. Each head takes the same steps in any group."""
-
-    D256 = ModelConfig(num_layers=8, hidden_size=256, num_heads=8, head_dim=32,
-                       ffn_intermediate=688, vocab_size=256)
-
-    @staticmethod
-    def split(monkeypatch, groups):
-        """Every layer splits its heads into ``groups(num_heads)`` groups,
-        whatever its row count and the CPUs."""
-        monkeypatch.setattr(toymodel, "_head_groups", lambda num_heads, rows: groups(num_heads))
-
-    @pytest.mark.parametrize("fixture", ["toy1152", "mid576", "marker_d256"])
-    def test_outputs_do_not_depend_on_the_group_count(self, monkeypatch, fixture):
-        if fixture == "marker_d256":
-            # a bound of about 564: the shifted softmax route
-            cfg, v0 = self.D256, 576
-            weights = build_marker_model(cfg, (0, 1, 2, 3))
-        else:
-            cfg, v0 = BENCHMARK_GEOMETRIES[fixture == "mid576"]
-            weights = init_model(cfg, 1)
-        seq, _ = make_marker_sequence(cfg, FixtureSpec(image_tokens=v0, marked_placement="random"), 1)
-        schedule = build_schedule(cfg.num_layers, 4, 0.5, v0)
-        runs = []
-        for groups in (lambda nh: 1, lambda nh: 2, lambda nh: nh):
-            self.split(monkeypatch, groups)
-            seen = []
-            trace = forward_pruned(weights, seq, schedule,
-                                   observe=lambda layer, x, positions, scores: seen.append(scores.copy()))
-            runs.append((trace, seen))
-        (one, one_seen), *others = runs
-        for trace, seen in others:
-            assert np.array_equal(trace.logits, one.logits)
-            assert np.array_equal(trace.hidden[-1], one.hidden[-1])
-            assert all(np.array_equal(a, b) for (_, a), (_, b) in zip(trace.kept_masks, one.kept_masks))
-            assert len(seen) == len(one_seen) == 3
-            assert all(np.array_equal(a, b) for a, b in zip(seen, one_seen))
-
-    def test_narrow_layers_run_in_the_calling_thread(self, monkeypatch, toy_weights):
-        # experiments_toy64's width, 69 rows, is under HEAD_GROUPS_MIN_ROWS
-        def no_threads(*args, **kwargs):
-            raise AssertionError("a worker thread was asked for")
-
-        monkeypatch.setattr(toymodel, "ThreadPoolExecutor", no_threads)
-        monkeypatch.setattr(toymodel, "_cpus", lambda: 4)
-        for var in ("OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "OMP_NUM_THREADS"):
-            monkeypatch.setenv(var, "1")
-        seq = random_sequence(TOY_CONFIG, 64, seed=40)
-        forward_pruned(toy_weights, seq, build_schedule(8, 4, 0.5, 64))
-        assert toymodel._head_groups(TOY_CONFIG.num_heads, toymodel.HEAD_GROUPS_MIN_ROWS - 1) == 1
-        assert toymodel._head_groups(TOY_CONFIG.num_heads, toymodel.HEAD_GROUPS_MIN_ROWS) == 4
-
-    @pytest.mark.parametrize("cpus, env, heads, groups", [
-        (2, {}, 4, 1),  # by default the BLAS may use every CPU
-        (2, {"OPENBLAS_NUM_THREADS": "1", "MKL_NUM_THREADS": "1", "OMP_NUM_THREADS": "1"}, 4, 2),
-        (2, {"OMP_NUM_THREADS": "1"}, 4, 2),
-        (2, {"OPENBLAS_NUM_THREADS": "1"}, 4, 1),  # MKL would still use both CPUs
-        (2, {"OPENBLAS_NUM_THREADS": "2", "OMP_NUM_THREADS": "1"}, 4, 1),
-        (8, {"OMP_NUM_THREADS": "2"}, 4, 4),
-        (8, {"OMP_NUM_THREADS": "2"}, 2, 2),
-        (8, {"OMP_NUM_THREADS": "3"}, 8, 2),
-        (1, {"OMP_NUM_THREADS": "4"}, 4, 1),
-        (2, {"OMP_NUM_THREADS": "0"}, 4, 1),
-        (2, {"OMP_NUM_THREADS": "one"}, 4, 1),
-    ])
-    def test_groups_leave_each_a_cpu_per_blas_thread(self, monkeypatch, cpus, env, heads, groups):
-        for var in ("OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "OMP_NUM_THREADS"):
-            monkeypatch.delenv(var, raising=False)
-        for var, value in env.items():
-            monkeypatch.setenv(var, value)
-        monkeypatch.setattr(toymodel, "_cpus", lambda: cpus)
-        assert toymodel._head_groups(heads, toymodel.HEAD_GROUPS_MIN_ROWS) == groups
-
-    @pytest.mark.parametrize("raising", ["worker", "caller"])
-    def test_a_raising_group_is_raised_once_every_group_ends(self, monkeypatch, toy_weights, raising):
-        # the first softmax call of the raising side raises; the worker
-        # groups' other calls are slow, so a kernel that returned before
-        # they ended would leave one running
-        self.split(monkeypatch, lambda nh: nh)
-        softmax_rows = toymodel.softmax_rows
-        lock = threading.Lock()
-        state = {"active": 0, "calls": 0, "raised": False}
-
-        def flaky(*args, **kwargs):
-            in_worker = threading.current_thread() is not threading.main_thread()
-            with lock:
-                state["active"] += 1
-                state["calls"] += 1
-                raise_now = in_worker == (raising == "worker") and not state["raised"]
-                state["raised"] |= raise_now
-            try:
-                if raise_now:
-                    raise ValueError(f"softmax failed in the {raising}")
-                if in_worker:
-                    time.sleep(0.005)
-                return softmax_rows(*args, **kwargs)
-            finally:
-                with lock:
-                    state["active"] -= 1
-
-        monkeypatch.setattr(toymodel, "softmax_rows", flaky)
-        seq = random_sequence(TOY_CONFIG, 300, seed=41)  # 10 blocks a head group
-        with pytest.raises(ValueError, match=f"softmax failed in the {raising}"):
-            keep_all_forward(toy_weights, seq)
-        calls = state["calls"]
-        assert state["active"] == 0
-        time.sleep(0.1)
-        assert state["calls"] == calls  # no group still runs
-        # 4 groups of 10 blocks in the first layer: the raising group stops
-        # at its first call, the other three run every block
-        assert calls == 3 * 10 + 1
-
-    def test_workers_run_under_the_callers_numpy_error_state(self, monkeypatch, toy_weights):
-        self.split(monkeypatch, lambda nh: nh)
-        softmax_rows = toymodel.softmax_rows
-        modes = []
-
-        def recorded(*args, **kwargs):
-            modes.append((threading.current_thread() is threading.main_thread(), np.geterr()["divide"]))
-            return softmax_rows(*args, **kwargs)
-
-        monkeypatch.setattr(toymodel, "softmax_rows", recorded)
-        with np.errstate(divide="raise"):
-            keep_all_forward(toy_weights, random_sequence(TOY_CONFIG, 16, seed=42))
-        assert set(modes) == {(True, "raise"), (False, "raise")}
-
-    @pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(), reason="no fork")
-    def test_a_forked_child_finishes_a_grouped_forward(self, monkeypatch, toy_weights):
-        # the parent's head groups have run BLAS products in a worker thread
-        self.split(monkeypatch, lambda nh: 2)
-        seq = random_sequence(TOY_CONFIG, 64, seed=43)
-        want = keep_all_forward(toy_weights, seq).logits
-
-        def child():
-            assert np.array_equal(keep_all_forward(toy_weights, seq).logits, want)
-
-        process = multiprocessing.get_context("fork").Process(target=child)
-        process.start()
-        process.join(timeout=60)
-        hung = process.is_alive()
-        if hung:
-            process.kill()
-            process.join()
-        assert not hung and process.exitcode == 0
 
 
 class TestMarkerModel:
