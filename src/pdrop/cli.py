@@ -7,15 +7,13 @@ unless --out is given. Exit codes: 0 success, 2 config error, 3 I/O error.
 from __future__ import annotations
 
 import argparse
-import math
 import sys
 from dataclasses import fields
 
 from .costmodel import strategy_cost
-from .errors import ConfigError, PdropError
+from .errors import ConfigError, PdropError, quoted
 from .harness import (
     STRATEGIES,
-    emit_masks,
     load_spec,
     run_compare,
     run_layer_sweep,
@@ -28,36 +26,14 @@ from .pruner import build_schedule
 
 EXIT_CONFIG = 2
 EXIT_IO = 3
-# a ratio range may span at most this many steps; a tiny step would
-# otherwise build an unbounded list before any forward runs
-MAX_RANGE_STEPS = 1000
 
 
-def _parse_layers(text: str) -> list[int]:
+def _parse_list(text: str, kind: type, what: str) -> list:
+    """A comma list of ``kind`` values, e.g. layers '2,8,16' or ratios '0.1,0.5'."""
     try:
-        return [int(x) for x in text.split(",")]
+        return [kind(x) for x in text.split(",")]
     except ValueError as exc:
-        raise ConfigError(f"bad layer list {text!r}") from exc
-
-
-def _parse_ratios(text: str) -> list[float]:
-    """Either a comma list '0.1,0.5,1.0' or an inclusive range 'a:b:step'."""
-    try:
-        if ":" not in text:
-            return [float(x) for x in text.split(",")]
-        start, stop, step = (float(x) for x in text.split(":"))
-    except ValueError as exc:
-        raise ConfigError(f"bad ratio list {text!r}") from exc
-    if step <= 0 or not all(map(math.isfinite, (start, stop, step))):
-        raise ConfigError(f"ratio range {text!r} needs finite bounds and a positive step")
-    if (stop - start) / step > MAX_RANGE_STEPS:
-        raise ConfigError(f"ratio range {text!r} has more than {MAX_RANGE_STEPS} steps")
-    out = []
-    v = start
-    while v <= stop + 1e-12:
-        out.append(round(v, 12))
-        v += step
-    return out
+        raise ConfigError(f"bad {what} list {quoted(text)}") from exc
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -69,7 +45,7 @@ def _build_parser() -> argparse.ArgumentParser:
     cost.add_argument("--layers", type=int, required=True)
     cost.add_argument("--d", type=int, required=True, help="hidden size")
     cost.add_argument("--m", type=int, required=True, help="FFN intermediate size")
-    cost.add_argument("--lambda", "--keep-ratio", dest="keep_ratio", type=float,
+    cost.add_argument("--lambda", dest="keep_ratio", type=float,
                       help="keep ratio; without --strategy, selects pdrop")
     cost.add_argument("--stages", type=int, help="pdrop and random stage count")
     cost.add_argument("--strategy", help="vanilla | pdrop | fastv | uniform | random")
@@ -85,12 +61,11 @@ def _build_parser() -> argparse.ArgumentParser:
     run = sub.add_parser("run", help="run one strategy, print RunReport JSON")
     run.add_argument("--config", required=True)
     run.add_argument("--seed", type=int, default=None)
-    run.add_argument("--emit-masks", default=None)
 
     sweep = sub.add_parser("sweep", help="single-drop layer/ratio sweep to CSV")
     sweep.add_argument("--config", required=True)
     sweep.add_argument("--layers", default=None, help="comma list, e.g. 2,8,16,24")
-    sweep.add_argument("--ratios", default=None, help="comma list or start:stop:step")
+    sweep.add_argument("--ratios", default=None, help="comma list, e.g. 0.1,0.5,0.9")
     sweep.add_argument("--out", required=True)
 
     compare = sub.add_parser("compare", help="run several strategies on one fixture")
@@ -107,7 +82,7 @@ _PARSER = _build_parser()
 
 
 # each strategy field that a cost flag sets (its dest), and the flag as typed
-_COST_FLAGS = {"stages": "--stages", "keep_ratio": "--lambda/--keep-ratio",
+_COST_FLAGS = {"stages": "--stages", "keep_ratio": "--lambda",
                "drop_layer": "--drop-layer", "token_count": "--tokens"}
 
 
@@ -144,16 +119,13 @@ def main(argv=None) -> int:
             spec = load_spec(args.config)
             if args.seed is not None:
                 spec.seed = args.seed
-            report = run_single(spec)
-            if args.emit_masks is not None:
-                emit_masks(report, args.emit_masks)
-            write_json(report.to_json())
+            write_json(run_single(spec).to_json())
         elif args.command == "sweep":
             spec = load_spec(args.config)
             if args.layers is not None:
-                spec.sweep_layers = _parse_layers(args.layers)
+                spec.sweep_layers = _parse_list(args.layers, int, "layer")
             if args.ratios is not None:
-                spec.sweep_ratios = _parse_ratios(args.ratios)
+                spec.sweep_ratios = _parse_list(args.ratios, float, "ratio")
             write_sweep_csv(run_layer_sweep(spec), args.out)
         elif args.command == "compare":
             spec = load_spec(args.config)

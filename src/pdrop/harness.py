@@ -19,8 +19,9 @@ from operator import attrgetter
 import numpy as np
 
 from .costmodel import CostReport, strategy_cost
-from .errors import ConfigError
-from .layout import MultimodalSequence, build_sequence, check_elements, check_image_size, load_sequence
+from .errors import ConfigError, quoted
+from .layout import (MultimodalSequence, build_sequence, check_elements, check_image_size,
+                     load_sequence, read_json)
 from .numkernel import RngState, derive_seed
 from .pruner import (
     PyramidDrop,
@@ -103,11 +104,10 @@ class RunReport:
 # --- spec / strategy parsing ----------------------------------------------
 
 
-# name -> strategy class; "pyramiddrop" and "qformer" are aliases
+# name -> strategy class
 STRATEGIES = {
     cls.name: cls for cls in (Vanilla, PyramidDrop, SingleEarlyDrop, UniformCompression, RandomDrop)
 }
-STRATEGIES.update(pyramiddrop=PyramidDrop, qformer=UniformCompression)
 
 
 def _int(value) -> int:
@@ -139,12 +139,12 @@ def _typed(kind: str, value, what: str):
     try:
         return _COERCE[kind](value)
     except (TypeError, ValueError, OverflowError) as exc:
-        raise ConfigError(f"{what}: expected {kind}, got {value!r}") from exc
+        raise ConfigError(f"{what}: expected {kind}, got {quoted(value)}") from exc
 
 
 def _expect(value, kind: type, what: str):
     if not isinstance(value, kind):
-        raise ConfigError(f"{what}: expected {kind.__name__}, got {value!r}")
+        raise ConfigError(f"{what}: expected {kind.__name__}, got {quoted(value)}")
     return value
 
 
@@ -152,7 +152,7 @@ def _known(obj, keys, what: str) -> dict:
     """``obj``, a JSON object whose every key is one of ``keys``."""
     unknown = sorted(set(_expect(obj, dict, what)) - set(keys))
     if unknown:
-        raise ConfigError(f"{what}: unknown fields {unknown}")
+        raise ConfigError(f"{what}: unknown fields {quoted(unknown)}")
     return obj
 
 
@@ -175,10 +175,10 @@ def strategy_from_json(obj) -> Strategy:
     try:
         name = obj["name"]
     except (KeyError, TypeError) as exc:
-        raise ConfigError(f"strategy needs a name: {obj!r}") from exc
+        raise ConfigError(f"strategy needs a name: {quoted(obj)}") from exc
     cls = STRATEGIES.get(name) if isinstance(name, str) else None
     if cls is None:
-        raise ConfigError(f"unknown strategy {name!r}")
+        raise ConfigError(f"unknown strategy {quoted(name)}")
     return _from_fields(cls, {k: v for k, v in obj.items() if k != "name"}, f"strategy {name!r}")
 
 
@@ -214,15 +214,14 @@ def spec_from_json(obj: dict) -> ExperimentSpec:
     )
 
 
+# config file bytes past which no config is parsed: 1 MiB, over a
+# thousand times the largest config in the repo
+MAX_CONFIG_BYTES = 1 << 20
+
+
 def load_spec(path) -> ExperimentSpec:
-    with open(path, encoding="utf-8") as fh:
-        try:
-            obj = json.load(fh)
-        # besides bad syntax: bytes that are not UTF-8, an integer past
-        # Python's digit limit, or arrays nested past the recursion limit
-        except (ValueError, RecursionError) as exc:
-            raise ConfigError(f"{path}: invalid JSON: {exc}") from exc
-    return spec_from_json(obj)
+    """The spec of the config file at ``path``, refused unparsed past MAX_CONFIG_BYTES."""
+    return spec_from_json(read_json(path, "config", MAX_CONFIG_BYTES, ConfigError))
 
 
 # --- fixtures --------------------------------------------------------------
@@ -255,7 +254,7 @@ def make_marker_sequence(
     elif fixture.marked_placement == "random":
         marked = np.sort(np.argsort(rng.uniforms(v0), kind="stable")[:km])
     else:
-        raise ConfigError(f"unknown placement {fixture.marked_placement!r}")
+        raise ConfigError(f"unknown placement {quoted(fixture.marked_placement)}")
     for p in marked:
         emb[p, list(fixture.marker_dims)] += fixture.amplitude
     instruction = 1 + np.arange(fixture.instruction_length) % (cfg.vocab_size - 1)
@@ -410,10 +409,3 @@ def write_sweep_csv(rows: list[SweepRow], path) -> None:
         writer = csv.writer(fh)
         writer.writerow(columns)
         writer.writerows(map(attrgetter(*columns), rows))
-
-
-def emit_masks(report: RunReport, path) -> None:
-    """Per-stage kept-index masks for retention-map plotting."""
-    if not report.kept_masks:
-        raise ConfigError("report has no drop stages to emit")
-    write_json({"stages": report.to_json()["stages"]}, path)

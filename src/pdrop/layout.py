@@ -134,16 +134,22 @@ def sequence_from_json(obj: dict) -> MultimodalSequence:
     return build_sequence(image, instruction, answer)
 
 
-def load_sequence(path) -> MultimodalSequence:
-    """The fixture at ``path``, refused unparsed if its size is past the bound."""
-    size, bound = os.path.getsize(path), FIXTURE_BYTES_PER_ELEMENT * MAX_IMAGE_ELEMENTS
-    if size > bound:
-        raise InputError(f"fixture file {path} holds {size} bytes, past the bound of {bound}")
+def read_json(path, what: str, max_bytes: int, error):
+    """The UTF-8 JSON value in the ``what`` file at ``path``, refused with
+    ``error`` unparsed if the file holds more than ``max_bytes`` bytes."""
+    size = os.path.getsize(path)
+    if size > max_bytes:
+        raise error(f"{what} file {path} holds {size} bytes, past the bound of {max_bytes}")
     with open(path, encoding="utf-8") as fh:
         try:
-            obj = json.load(fh)
+            return json.load(fh)
         # besides bad syntax: bytes that are not UTF-8, an integer past
         # Python's digit limit, or arrays nested past the recursion limit
         except (ValueError, RecursionError) as exc:
-            raise InputError(f"{path}: invalid JSON: {exc}") from exc
-    return sequence_from_json(obj)
+            raise error(f"{path}: invalid JSON: {exc}") from exc
+
+
+def load_sequence(path) -> MultimodalSequence:
+    """The fixture at ``path``, refused unparsed if its size is past the bound."""
+    bound = FIXTURE_BYTES_PER_ELEMENT * MAX_IMAGE_ELEMENTS
+    return sequence_from_json(read_json(path, "fixture", bound, InputError))

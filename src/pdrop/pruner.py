@@ -18,6 +18,10 @@ import numpy as np
 from .errors import ConfigError, InputError
 from .numkernel import RngState, arg_topk, derive_seed
 
+# stages past which no schedule is built, as each of its lists is that
+# long; a forward's model has fewer than 8192 layers (layout.MAX_ELEMENTS)
+MAX_STAGES = 1 << 16
+
 
 @dataclass(frozen=True)
 class StageSchedule:
@@ -63,8 +67,9 @@ def _keep_counts(keep_ratio: float, num_image_tokens: int, num_drops: int) -> tu
 def build_schedule(num_layers: int, num_stages: int, keep_ratio: float, num_image_tokens: int) -> StageSchedule:
     """Split layers into stages as evenly as possible (remainder goes to the
     last stage) and iterate the ceiling-drop recurrence on token counts."""
-    if num_layers < 1 or num_stages < 1 or num_stages > num_layers:
-        raise ConfigError(f"need 1 <= stages <= layers, got S={num_stages}, J={num_layers}")
+    if not 1 <= num_stages <= min(num_layers, MAX_STAGES):
+        raise ConfigError(f"need 1 <= stages <= layers and {MAX_STAGES}, "
+                          f"got S={num_stages}, J={num_layers}")
     if not 0.0 < keep_ratio <= 1.0:
         raise ConfigError(f"keep_ratio must be in (0, 1], got {keep_ratio}")
     base = num_layers // num_stages

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pdrop import harness, layout, numkernel, toymodel
+from pdrop import harness, layout, numkernel, pruner, toymodel
 from pdrop.cli import main
 from pdrop.errors import ConfigError
 from pdrop.numkernel import EXP_SAFE
@@ -64,7 +64,7 @@ def test_cost_pyramid(capsys):
 def test_cost_strategy(capsys):
     code, out = run_cli(capsys, "cost", "--n", "576", "--layers", "32",
                         "--d", "4096", "--m", "11008",
-                        "--strategy", "fastv", "--drop-layer", "2", "--keep-ratio", "0.5")
+                        "--strategy", "fastv", "--drop-layer", "2", "--lambda", "0.5")
     assert code == 0
     assert round(json.loads(out)["total"] / 1e12, 2) == 2.01
 
@@ -77,7 +77,7 @@ def test_cost_vanilla_default(capsys):
 
 
 def test_cost_strategy_default_keep_ratio(capsys):
-    # --lambda (alias --keep-ratio) defaults to None; leaving it unset must
+    # --lambda defaults to None; leaving it unset must
     # not hand the strategy a ratio of None
     code, out = run_cli(capsys, "cost", "--n", "576", "--layers", "32",
                         "--d", "4096", "--m", "11008", "--strategy", "pdrop")
@@ -113,7 +113,7 @@ def test_cost_flag_the_strategy_lacks_is_config_error(capsys, flags):
 @pytest.mark.parametrize("flags, named", [
     (["--lambda", "0.5", "--tokens", "64"], "'pdrop' takes no --tokens"),
     (["--strategy", "fastv", "--stages", "7"], "'fastv' takes no --stages"),
-    (["--strategy", "vanilla", "--keep-ratio", "0.5"], "'vanilla' takes no --lambda/--keep-ratio"),
+    (["--strategy", "vanilla", "--lambda", "0.5"], "'vanilla' takes no --lambda"),
     (["--strategy", "uniform", "--drop-layer", "2", "--stages", "3"],
      "'uniform' takes no --stages, --drop-layer"),
 ])
@@ -136,6 +136,28 @@ def test_schedule_config_error_exit_code(capsys):
     code, _ = run_cli(capsys, "schedule", "--layers", "4", "--stages", "8",
                       "--lambda", "0.5", "--tokens", "16")
     assert code == 2
+
+
+@pytest.mark.parametrize("command", [
+    ["schedule", "--lambda", "0.5", "--tokens", "1"],
+    ["cost", "--lambda", "0.5", "--n", "1", "--d", "64", "--m", "172"],
+], ids=lambda command: command[0])
+@pytest.mark.parametrize("past", [0, 1], ids=["at_bound", "past_bound"])
+def test_stage_count_bound(capsys, command, past):
+    # a schedule's lists are as long as its stage count, so a count past
+    # the bound is refused before any of them is built
+    stages = str(pruner.MAX_STAGES + past)
+    start = time.perf_counter()
+    code = main([*command, "--layers", stages, "--stages", stages])
+    assert time.perf_counter() - start < 1.0
+    captured = capsys.readouterr()
+    assert code == 2 * past
+    if past:
+        assert captured.out == ""
+        assert captured.err == (f"error: need 1 <= stages <= layers and {pruner.MAX_STAGES}, "
+                                f"got S={stages}, J={stages}\n")
+    else:
+        assert captured.err == "" and json.loads(captured.out)
 
 
 @pytest.mark.parametrize("geometry", [["--d", "-4", "--m", "16"], ["--d", "0", "--m", "16"],
@@ -162,15 +184,13 @@ def test_cost_zero_ffn_size_is_config_error_for_every_strategy(capsys, strategy)
     assert captured.err == "error: hidden size d and FFN size m must be positive, got d=4096, m=0\n"
 
 
-def test_run_with_masks(capsys, config_file, tmp_path):
-    masks = tmp_path / "masks.json"
-    code, out = run_cli(capsys, "run", "--config", config_file,
-                        "--seed", "11", "--emit-masks", str(masks))
+def test_run_with_masks(capsys, config_file):
+    code, out = run_cli(capsys, "run", "--config", config_file, "--seed", "11")
     assert code == 0
     report = json.loads(out)
     assert report["strategy"] == "pdrop"
     assert report["recall"] == 1.0
-    assert [len(s["kept"]) for s in json.loads(masks.read_text())["stages"]] == [32, 16, 8]
+    assert [len(s["kept"]) for s in report["stages"]] == [32, 16, 8]
 
 
 def test_run_missing_config_is_io_error(capsys, tmp_path):
@@ -221,6 +241,34 @@ def test_run_mistyped_config_value_is_config_error(capsys, tmp_path, override):
         assert err == "error: config: unknown fields ['stratgy']\n"
 
 
+LONG = "a" * 100_000
+
+
+@pytest.mark.parametrize("entry, argv", [
+    ('"seed": ' + "[" * 900 + "]" * 900, ["run"]),
+    (f'"seed": "{LONG}"', ["run"]),
+    (f'"strategy": "{LONG}"', ["run"]),
+    (f'"{LONG}": 0', ["run"]),
+    (f'"fixture": {{"marked_placement": "{LONG}"}}', ["run"]),
+    (None, ["compare", "--strategies", LONG]),
+    (None, ["sweep", "--ratios", "0.5", "--layers", "1," + LONG]),
+    (None, ["sweep", "--layers", "1", "--ratios", "0.5," + LONG]),
+], ids=["nested_seed", "long_seed", "long_strategy_name", "long_unknown_key", "long_placement",
+        "long_strategies_flag", "long_layers_flag", "long_ratios_flag"])
+def test_long_bad_value_is_quoted_cut(capsys, tmp_path, entry, argv):
+    # an error quotes a bad value in at most errors.QUOTED_CHARS characters,
+    # however long or deeply nested it is; ``entry`` is a config entry's JSON
+    text = json.dumps({"model": TOY_MODEL})
+    path = tmp_path / "config.json"
+    path.write_text(text if entry is None else f"{text[:-1]}, {entry}}}")
+    if argv[0] == "sweep":
+        argv = [*argv, "--out", str(tmp_path / "sweep.csv")]
+    assert main([*argv, "--config", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert len(err) <= 200 and "..." in err
+
+
 @pytest.mark.parametrize("ratios", ["0.1:0.9:0", "0.1:0.9:-0.2", "0.1:inf:0.2", "0.1:0.9", "a,b"])
 def test_sweep_bad_ratios_are_config_errors(capsys, config_file, tmp_path, ratios):
     code = main(["sweep", "--config", config_file, "--layers", "2",
@@ -251,16 +299,6 @@ def test_run_coerces_fixture_fields(capsys, tmp_path):
 def test_sweep_bad_layers_is_config_error(capsys, config_file, tmp_path):
     code = main(["sweep", "--config", config_file, "--layers", "a",
                  "--ratios", "0.5", "--out", str(tmp_path / "sweep.csv")])
-    err = capsys.readouterr().err
-    assert code == 2
-    assert err.startswith("error: ") and err.count("\n") == 1
-
-
-def test_sweep_tiny_ratio_step_is_rejected_at_once(capsys, config_file, tmp_path):
-    start = time.perf_counter()
-    code = main(["sweep", "--config", config_file, "--layers", "2",
-                 "--ratios", "0:1:1e-9", "--out", str(tmp_path / "sweep.csv")])
-    assert time.perf_counter() - start < 5.0
     err = capsys.readouterr().err
     assert code == 2
     assert err.startswith("error: ") and err.count("\n") == 1
@@ -387,6 +425,24 @@ def test_fixture_file_byte_size_bound(capsys, monkeypatch, tmp_path, extra, code
     if code:
         assert err == (f"error: fixture file {tmp_path / 'fixture.json'} holds {limit + 1} "
                        f"bytes, past the bound of {limit}\n")
+
+
+@pytest.mark.parametrize("extra, code", [(0, 0), (1, 2)], ids=["at_bound", "past_bound"])
+def test_config_file_byte_size_bound(capsys, monkeypatch, tmp_path, extra, code):
+    # the bound shrunk to the size of a small config: one byte more is
+    # refused before json.load runs, however little its padding holds
+    text = json.dumps({"model": TOY_MODEL, "fixture": {"image_tokens": 16}})
+    limit = len(text) + 10
+    monkeypatch.setattr(harness, "MAX_CONFIG_BYTES", limit)
+    path = tmp_path / "config.json"
+    path.write_text(text.ljust(limit + extra))
+    loaded = []
+    monkeypatch.setattr(json, "load", lambda fh: loaded.append(fh) or json.loads(fh.read()))
+    assert main(["run", "--config", str(path)]) == code
+    assert len(loaded) == 1 - extra
+    if code:
+        assert capsys.readouterr().err == (
+            f"error: config file {path} holds {limit + 1} bytes, past the bound of {limit}\n")
 
 
 @pytest.mark.parametrize("route", ["generated", "file"])
@@ -527,14 +583,6 @@ def test_sweep_csv(capsys, config_file, tmp_path):
     assert len(lines) == 5
 
 
-def test_sweep_range_syntax(capsys, config_file, tmp_path):
-    out_path = tmp_path / "sweep.csv"
-    code, _ = run_cli(capsys, "sweep", "--config", config_file,
-                      "--layers", "2", "--ratios", "0.25:1.0:0.25", "--out", str(out_path))
-    assert code == 0
-    assert len(out_path.read_text().strip().splitlines()) == 5  # header + 4 ratios
-
-
 def test_compare_past_the_tree_bound_runs_in_parts(capsys, monkeypatch, tmp_path):
     # a bound that admits one plan's forward of the 1065 tokens (and the
     # toy weights) but not four plans' rows at once: the same bytes as with
@@ -610,9 +658,8 @@ def test_json_output_is_indented_and_ends_in_one_newline(capsys, config_file, ar
     (["sweep", "--layers", ""], 2, "error: bad layer list ''\n"),
     (["sweep", "--ratios", ""], 2, "error: bad ratio list ''\n"),
     (["compare", "--strategies", ""], 2, "error: unknown strategy ''\n"),
-    (["run", "--emit-masks", ""], 3, "i/o error: "),
     (["compare", "--out", ""], 3, "i/o error: "),
-], ids=["layers", "ratios", "strategies", "emit_masks", "out"])
+], ids=["layers", "ratios", "strategies", "out"])
 def test_flag_given_empty_is_refused(capsys, config_file, tmp_path, argv, code, message):
     # an empty flag is not a missing one: it neither falls back to the
     # config nor skips its output
@@ -622,6 +669,37 @@ def test_flag_given_empty_is_refused(capsys, config_file, tmp_path, argv, code, 
     captured = capsys.readouterr()
     assert captured.err.startswith(message) and captured.err.count("\n") == 1
     assert not (tmp_path / "sweep.csv").exists()
+
+
+@pytest.mark.parametrize("argv, config, message", [
+    (["cost", "--n", "576", "--layers", "32", "--d", "4096", "--m", "11008",
+      "--strategy", "fastv", "--keep-ratio", "0.5"], None, None),
+    (["run", "--emit-masks", "masks.json"], None, None),
+    (["run"], {"strategy": "pyramiddrop"}, "unknown strategy 'pyramiddrop'"),
+    (["run"], {"strategy": {"name": "qformer", "token_count": 64}}, "unknown strategy 'qformer'"),
+    (["compare", "--strategies", "vanilla,pyramiddrop"], None, "unknown strategy 'pyramiddrop'"),
+    (["compare", "--strategies", "qformer"], None, "unknown strategy 'qformer'"),
+    (["sweep", "--layers", "2", "--ratios", "0.1:0.9:0.2"], None, "bad ratio list '0.1:0.9:0.2'"),
+], ids=["keep_ratio", "emit_masks", "pyramiddrop_config", "qformer_config",
+        "pyramiddrop_flag", "qformer_flag", "ratio_range"])
+def test_removed_form_exits_2(capsys, config_file, tmp_path, argv, config, message):
+    # each input has one spelling: a removed flag is argparse's usage error,
+    # a removed strategy name or ratio range one error line
+    if argv[0] != "cost":
+        if config is not None:
+            config_file = tmp_path / "removed.json"
+            config_file.write_text(json.dumps({"model": TOY_MODEL, **config}))
+        argv = [*argv, "--config", str(config_file)]
+    if argv[0] == "sweep":
+        argv += ["--out", str(tmp_path / "sweep.csv")]
+    if message is None:
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        assert exit_info.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+    else:
+        assert main(argv) == 2
+        assert capsys.readouterr() == ("", f"error: {message}\n")
 
 
 def test_model_checked_before_fixture_file_is_read(capsys, tmp_path):
@@ -699,7 +777,7 @@ def strategies(layers):
         "random": {"stages": stages, "keep_ratio": keep, "seed": st.integers(0, 99)},
     }
     return st.one_of(
-        st.sampled_from([*fields, "pyramiddrop", "qformer"]),
+        st.sampled_from(list(fields)),
         st.sampled_from(sorted(fields)).flatmap(
             lambda name: st.fixed_dictionaries({"name": st.just(name), **fields[name]})),
     )
@@ -766,18 +844,17 @@ def configs(draw, fixture_path):
 
 
 FUZZ_FLAGS = {
-    "run": ["--seed", "--emit-masks"],
+    "run": ["--seed"],
     "compare": ["--strategies", "--out"],
     "sweep": ["--layers", "--ratios"],
 }
 FLAG_VALUES = {
     "--seed": st.integers(0, 2**40).map(str),
-    "--emit-masks": st.just("masks.json"),
     "--strategies": st.lists(st.sampled_from(["vanilla", "pdrop", "fastv", "random", "uniform",
                                               "x"]), min_size=1, max_size=3).map(",".join),
     "--out": st.just("compare.json"),
     "--layers": st.sampled_from(["1", "2,1", "0", "-1", "9", "a", "1,,2"]),
-    "--ratios": st.sampled_from(["0.5", "0,1", "0.1:0.9:0.4", "1:0:0.5", "nan", "0.2:0.4"]),
+    "--ratios": st.sampled_from(["0.5", "0,1", "nan"]),
 }
 
 
@@ -811,3 +888,41 @@ def test_whole_run_ends_with_a_code_and_a_line(data):
         assert err.getvalue().count("\n") == 1
     else:
         assert err.getvalue() == "" and "NaN" not in out.getvalue()
+
+
+# counts from a few to 2**40, past pruner.MAX_STAGES and any model's layers
+COUNT = st.one_of(st.integers(-1, 9), st.integers(0, 2**40)).map(str)
+RATIO = st.one_of(st.floats(-0.5, 1.5), st.sampled_from([0.0, 1.0, float("nan"), float("inf")]))
+COST_FLAGS = {
+    "--lambda": RATIO.map(str), "--stages": COUNT, "--drop-layer": COUNT, "--tokens": COUNT,
+    "--strategy": st.sampled_from(["vanilla", "pdrop", "fastv", "uniform", "random", "x"]),
+}
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_cost_and_schedule_end_with_a_code_and_a_line(data):
+    # every generated cost or schedule, at stage and layer counts up to
+    # 2**40, returns 0 or 2 without raising or warning; 2 comes with one
+    # error line. Each value is joined to its flag, so that argparse takes
+    # "-1e-05" as a value
+    if data.draw(st.booleans()):
+        command = "schedule"
+        flags = {"--layers": data.draw(COUNT), "--stages": data.draw(COUNT),
+                 "--lambda": str(data.draw(RATIO)), "--tokens": data.draw(COUNT)}
+    else:
+        command = "cost"
+        flags = {flag: data.draw(COUNT) for flag in ("--n", "--layers", "--d", "--m")}
+        for flag in data.draw(st.lists(st.sampled_from(sorted(COST_FLAGS)), unique=True)):
+            flags[flag] = data.draw(COST_FLAGS[flag])
+    argv = [command, *(f"{flag}={value}" for flag, value in flags.items())]
+    out, err = io.StringIO(), io.StringIO()
+    with (warnings.catch_warnings(), contextlib.redirect_stdout(out),
+          contextlib.redirect_stderr(err)):
+        warnings.simplefilter("error")
+        code = main(argv)
+    assert code in (0, 2)
+    if code:
+        assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1
+    else:
+        assert err.getvalue() == "" and json.loads(out.getvalue())

@@ -14,7 +14,6 @@ from pdrop.harness import (
     ExperimentSpec,
     FixtureSpec,
     SweepRow,
-    emit_masks,
     make_marker_sequence,
     marker_recall,
     prepare,
@@ -288,27 +287,20 @@ class TestPrepare:
 
 
 class TestEmitMasks:
-    def test_mask_file_shape(self, tmp_path):
+    """A run report emits its kept masks as its ``stages``."""
+
+    def test_mask_file_shape(self):
         spec = marker_spec(strategy=PyramidDrop(4, 0.5),
                            fixture=FixtureSpec(image_tokens=16, marked_count=2))
-        report = run_single(spec)
-        path = tmp_path / "masks.json"
-        emit_masks(report, path)
-        # the run report's stages, in the format of every JSON output
-        text = path.read_text()
-        assert text == json.dumps({"stages": report.to_json()["stages"]}, indent=2) + "\n"
-        obj = json.loads(text)
-        sizes = [len(s["kept"]) for s in obj["stages"]]
-        assert sizes == [8, 4, 2]
-        assert [s["boundary"] for s in obj["stages"]] == [2, 4, 6]
-        kept_sets = [set(s["kept"]) for s in obj["stages"]]
+        stages = run_single(spec).to_json()["stages"]
+        assert [len(s["kept"]) for s in stages] == [8, 4, 2]
+        assert [s["boundary"] for s in stages] == [2, 4, 6]
+        kept_sets = [set(s["kept"]) for s in stages]
         for smaller, larger in zip(kept_sets[1:], kept_sets):
             assert smaller <= larger
 
     def test_vanilla_report_has_no_masks(self):
-        report = run_single(marker_spec(strategy=Vanilla()))
-        with pytest.raises(ConfigError):
-            emit_masks(report, "/dev/null")
+        assert run_single(marker_spec(strategy=Vanilla())).to_json()["stages"] == []
 
 
 class TestSpecParsing:
@@ -317,8 +309,6 @@ class TestSpecParsing:
         assert strategy_from_json({"name": "pdrop", "stages": 3, "keep_ratio": 0.4}) == \
                PyramidDrop(3, 0.4)
         assert strategy_from_json({"name": "fastv"}) == SingleEarlyDrop(2, 0.5)
-        assert strategy_from_json({"name": "pyramiddrop", "stages": "3"}) == PyramidDrop(3, 0.5)
-        assert strategy_from_json({"name": "qformer", "token_count": 64}) == UniformCompression(64)
         assert strategy_from_json({"name": "random", "seed": 2, "keep_ratio": 1}) == \
                RandomDrop(4, 1.0, seed=2)
         for bad in ({"name": "tome"}, {"name": ["pdrop"]}, {"stages": 4},

@@ -1,12 +1,13 @@
-"""The README's library quick start and experiment config must run as
-written, the package must need no dependency but numpy, and ``pdrop``
-must export what the README, the demos and the benchmark import."""
+"""The README's library quick start, CLI examples and experiment config
+must run as written, the package must need no dependency but numpy, and
+``pdrop`` must export what the README, the demos and the benchmark import."""
 
 import ast
 import json
 import os
 import pathlib
 import re
+import shlex
 import subprocess
 import sys
 
@@ -31,6 +32,22 @@ def test_experiment_config_runs(capsys, tmp_path):
     path.write_text(block)
     assert main(["run", "--config", str(path)]) == 0
     assert json.loads(capsys.readouterr().out)["strategy"] == "pdrop"
+
+
+def test_cli_examples_run(capsys, monkeypatch, tmp_path):
+    # every pdrop line of the shell block that shows `pdrop cost`, its
+    # continuation lines joined, run beside the README's config
+    (block,) = [b for b in re.findall(r"```sh\n(.*?)```", README.read_text(), re.S)
+                if "pdrop cost" in b]
+    (config,) = re.findall(r"```json\n(.*?)```", README.read_text(), re.S)
+    (tmp_path / "experiment.json").write_text(config)
+    monkeypatch.chdir(tmp_path)
+    commands = [shlex.split(line, comments=True) for line in block.replace("\\\n", "").splitlines()]
+    commands = [argv for argv in commands if argv[:1] == ["pdrop"]]
+    assert len(commands) == 6
+    for argv in commands:
+        assert main(argv[1:]) == 0, argv
+        assert capsys.readouterr().err == ""
 
 
 def test_import_loads_no_scipy():
