@@ -136,6 +136,8 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except OSError as exc:
-        print(f"i/o error: {exc}", file=sys.stderr)
+        # the file name may come from a config, so it is quoted cut
+        where = "" if exc.filename is None else f": {quoted(exc.filename)}"
+        print(f"i/o error: {exc.strerror or exc}{where}", file=sys.stderr)
         return EXIT_IO
     return 0

@@ -235,16 +235,16 @@ def make_marker_sequence(
     positions."""
     v0, km = fixture.image_tokens, fixture.marked_count
     if not 0 <= km <= v0:
-        raise ConfigError(f"cannot mark {km} of {v0} image tokens")
+        raise ConfigError(f"cannot mark {quoted(km)} of {quoted(v0)} image tokens")
     if fixture.answer_length < 0:
-        raise ConfigError(f"negative answer length {fixture.answer_length}")
+        raise ConfigError(f"negative answer length {quoted(fixture.answer_length)}")
     if cfg.vocab_size < 2:  # the text ids run over 1 .. vocab_size - 1
-        raise ConfigError(f"a generated fixture needs vocab_size >= 2, got {cfg.vocab_size}")
+        raise ConfigError(f"a generated fixture needs vocab_size >= 2, got {quoted(cfg.vocab_size)}")
     d = cfg.hidden_size
     check_image_size(v0, d)
     # refused as its forward would be, before any embedding or id is built
     n = v0 + max(fixture.instruction_length, 0) + fixture.answer_length
-    check_elements(f"a forward of {n} tokens", forward_elements(cfg, n))
+    check_elements(f"a forward of {quoted(n)} tokens", forward_elements(cfg, n))
     rng = RngState(derive_seed(seed, 101))
     emb = fixture.noise * rng.normals(v0 * d).reshape(v0, d) if v0 else np.zeros((0, d))
     if fixture.marked_placement == "high":

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InputError
+from .errors import InputError, quoted
 
 
 # image tokens x hidden size past which no sequence is built or run: 2**22
@@ -25,8 +25,8 @@ MAX_IMAGE_ELEMENTS = 1 << 22
 # elements past which no model weights, token ids or forward buffers are
 # built: 2**25 float64 elements, 256 MiB. The mid benchmark model's weights
 # are about 12.8M elements; a forward at MAX_IMAGE_ELEMENTS with a short
-# text holds about 31M at the toy and mid widths, so this bound refuses no
-# image the image bound admits there
+# text holds about 29.4M at the toy width and 25.7M at the mid width, so
+# this bound refuses no image the image bound admits there
 MAX_ELEMENTS = 1 << 25
 # the least a model layer is charged against MAX_ELEMENTS: a layer costs its
 # objects and a forward's per-layer calls beyond its elements, so at a tiny
@@ -42,7 +42,7 @@ def check_image_size(num_image_tokens: int, hidden_size: int) -> None:
     more than MAX_IMAGE_ELEMENTS image-embedding elements."""
     if num_image_tokens * hidden_size > MAX_IMAGE_ELEMENTS:
         raise InputError(
-            f"{num_image_tokens} image tokens x hidden size {hidden_size} exceeds "
+            f"{quoted(num_image_tokens)} image tokens x hidden size {quoted(hidden_size)} exceeds "
             f"the bound of {MAX_IMAGE_ELEMENTS} elements"
         )
 
@@ -51,7 +51,7 @@ def check_elements(what: str, elements: int, error=InputError) -> None:
     """Refuse, before it is allocated, ``what`` of more than MAX_ELEMENTS
     elements."""
     if elements > MAX_ELEMENTS:
-        raise error(f"{what}: {elements} elements exceed the bound of {MAX_ELEMENTS}")
+        raise error(f"{what}: {quoted(elements)} elements exceed the bound of {MAX_ELEMENTS}")
 
 
 @dataclass

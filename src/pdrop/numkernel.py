@@ -160,7 +160,8 @@ def rope_rotate_rows(
     the pairs of ``x``. ``out``, of the shape of ``x`` and not overlapping
     it, may be any strided view; ``scratch``, of the shape of the pairs,
     holds one product, so the rotation allocates nothing when both are
-    given."""
+    given. That product comes after the last read of ``x``'s even half,
+    so ``scratch`` may be ``x[..., 0::2]``, which it then overwrites."""
     x = np.asarray(x, dtype=np.float64)
     cos, sin = table
     if x.shape[-1] != 2 * cos.shape[-1]:

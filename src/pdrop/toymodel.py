@@ -14,7 +14,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import layout
-from .errors import ConfigError, InputError
+from .errors import ConfigError, InputError, quoted
 from .layout import MIN_LAYER_ELEMENTS, MultimodalSequence, check_elements, check_image_size
 from .numkernel import RngState, gaussian_init, rmsnorm_rows, rope_rotate_rows, rope_table, softmax_rows
 from .pruner import StageSchedule, decide, identity_ranker
@@ -24,6 +24,14 @@ INIT_STDDEV = 0.02
 # fastest on both benchmark prefills (median op_ms of 3 runs at 16, 32 and 64
 # rows: 201, 187 and 214 ms at toy V0=1152, 833, 810 and 819 ms at mid V0=576)
 ATTENTION_BLOCK_ROWS = 32
+# FFN rows whose gate and up buffers the workspace always holds; a wider
+# layer runs its FFN in the fewest balanced row chunks that fit the arena,
+# each of at least FFN_CHUNK_ROWS / 2 rows. At one thread, OpenBLAS 0.3.31
+# rounds a product of at most 90 rows at the toy FFN shape (64 x 172)
+# differently from the same rows of the whole-matrix product, and one of 91
+# or more rows alike, so chunks this tall leave the FFN's outputs
+# bit-identical to the unchunked FFN's there
+FFN_CHUNK_ROWS = 256
 
 
 @dataclass(frozen=True)
@@ -39,13 +47,12 @@ class ModelConfig:
 
     def __post_init__(self):
         if self.num_layers < 1:
-            raise ConfigError(f"need at least one layer, got {self.num_layers}")
+            raise ConfigError(f"need at least one layer, got {quoted(self.num_layers)}")
         if self.hidden_size != self.num_heads * self.head_dim:
-            raise ConfigError(
-                f"hidden_size {self.hidden_size} != heads {self.num_heads} x head_dim {self.head_dim}"
-            )
+            raise ConfigError(f"hidden_size {quoted(self.hidden_size)} != heads {quoted(self.num_heads)} "
+                              f"x head_dim {quoted(self.head_dim)}")
         if self.head_dim % 2 != 0:
-            raise ConfigError(f"head_dim must be even for rotary positions, got {self.head_dim}")
+            raise ConfigError(f"head_dim must be even for rotary positions, got {quoted(self.head_dim)}")
         if min(self.num_heads, self.ffn_intermediate, self.vocab_size) < 1:
             raise ConfigError("heads, ffn_intermediate and vocab_size must be positive")
         # NaN fails both comparisons
@@ -183,8 +190,8 @@ def _causal_attention(qh, kt, vh, out, scratch, rank=None):
 def _workspace_elements(cfg: ModelConfig, n: int) -> int:
     """The elements of ``_workspace(cfg, n)``."""
     d, m, hd = cfg.hidden_size, cfg.ffn_intermediate, cfg.head_dim
-    shared = max(n * (hd + d + d // 2), cfg.num_heads * ATTENTION_BLOCK_ROWS * (n + 1))
-    return n * d + max(3 * n * d + shared, 2 * n * m)
+    shared = max(n * (hd + d), cfg.num_heads * ATTENTION_BLOCK_ROWS * (n + 1))
+    return n * d + max(3 * n * d + shared, 2 * min(n, FFN_CHUNK_ROWS) * m)
 
 
 def forward_elements(cfg: ModelConfig, n: int, plans: int = 1) -> int:
@@ -201,13 +208,25 @@ def _workspace(cfg: ModelConfig, n: int) -> np.ndarray:
     flat array, an n x d rows buffer followed by an arena. During attention
     the arena holds an n x d projection scratch (which then holds the
     values and the output projection), the head-major queries and keys,
-    and a shared region: the rotary cos/sin table, the rotated rows and the
-    rotary scratch while q and k are rotated, the row sums and the score
-    block after that. The two n x m FFN buffers reuse the arena after
-    attention. Every layer of the forward works in views of it sized for
-    its own, never larger, row count; no view holds data from one layer to
-    the next, so the arena may start earlier as the row count shrinks."""
+    and a shared region: the rotary cos/sin table and the rotated rows
+    while q and k are rotated (the rotation's scratch is the projection's
+    own even half), the row sums and the score block after that. The FFN's
+    gate and up buffers reuse the arena after attention, r x m each for a
+    chunk of r rows (``_ffn_chunks``): the arena holds them for at least
+    min(n, FFN_CHUNK_ROWS) rows, so the attention, not the FFN, sets its
+    size once n is past FFN_CHUNK_ROWS. Every layer of the forward works in
+    views of it sized for its own, never larger, row count; no view holds
+    data from one layer to the next, so the arena may start earlier as the
+    row count shrinks."""
     return np.empty(_workspace_elements(cfg, n))
+
+
+def _ffn_chunks(n: int, rows: int):
+    """The fewest balanced row ranges [a, b) over ``n`` rows that each hold
+    at most ``rows`` rows; their sizes differ by at most one."""
+    chunks = -(-n // rows)
+    bounds = [i * n // chunks for i in range(chunks + 1)]
+    return list(zip(bounds, bounds[1:]))
 
 
 def _silu(gate, scratch):
@@ -242,24 +261,27 @@ def _layer_forward(lw: LayerWeights, cfg: ModelConfig, x: np.ndarray, positions:
     table = rope_table(positions[:, None], hd, cfg.rope_theta,
                        out=shared[:n * hd].reshape(2, n, 1, hd // 2))
     rotated = shared[n * hd:n * (hd + d)].reshape(n, nh, hd)
-    scratch = shared[n * (hd + d):n * (hd + d + d // 2)].reshape(n, nh, hd // 2)
+    projected = t.reshape(n, nh, hd)
     for w_proj, head_major in ((lw.w_q, qh.transpose(1, 0, 2)), (lw.w_k, kt.transpose(2, 0, 1))):
         np.matmul(h, w_proj, out=t)
         # rotating into rows and copying them into q or kᵀ at once beats
-        # writing each product through the head-major view
-        rope_rotate_rows(t.reshape(n, nh, hd), table, out=rotated, scratch=scratch)
+        # writing each product through the head-major view; the rotation's
+        # last product overwrites the even half it has read for the last time
+        rope_rotate_rows(projected, table, out=rotated, scratch=projected[..., 0::2])
         np.copyto(head_major, rotated)
-    del table, rotated, scratch  # dead: the score block overwrites them
+    del table, rotated  # dead: the score block overwrites them
     values = np.matmul(h, lw.w_v, out=t).reshape(n, nh, hd).transpose(1, 0, 2)
     scores = _causal_attention(qh, kt, values, h.reshape(n, nh, hd).transpose(1, 0, 2), shared, rank)
     x += np.matmul(h, lw.w_o, out=t)
     rmsnorm_rows(x, lw.ffn_gain, cfg.rmsnorm_eps, out=h)
-    gate = arena[:n * m].reshape(n, m)
-    up = arena[n * m:2 * n * m].reshape(n, m)
-    # SiLU(gate) * up, with the up buffer holding SiLU's denominator first
-    _silu(np.matmul(h, lw.w_gate, out=gate), up)
-    gate *= np.matmul(h, lw.w_up, out=up)
-    x += np.matmul(gate, lw.w_down, out=h)
+    for a, b in _ffn_chunks(n, arena.size // (2 * m)):
+        r = b - a
+        gate = arena[:r * m].reshape(r, m)
+        up = arena[r * m:2 * r * m].reshape(r, m)
+        # SiLU(gate) * up, with the up buffer holding SiLU's denominator first
+        _silu(np.matmul(h[a:b], lw.w_gate, out=gate), up)
+        gate *= np.matmul(h[a:b], lw.w_up, out=up)
+        x[a:b] += np.matmul(gate, lw.w_down, out=h[a:b])
     return scores
 
 

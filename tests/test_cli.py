@@ -269,6 +269,50 @@ def test_long_bad_value_is_quoted_cut(capsys, tmp_path, entry, argv):
     assert len(err) <= 200 and "..." in err
 
 
+# a JSON integer of 4,000 digits, under Python's digit limit for parsing
+HUGE = int("9" * 4000)
+
+
+@pytest.mark.parametrize("override", [
+    {"strategy": {"name": "pdrop", "stages": HUGE}},
+    {"strategy": {"name": "fastv", "drop_layer": HUGE}},
+    {"model": {**TOY_MODEL, "num_layers": HUGE}},
+    {"model": {**TOY_MODEL, "num_layers": -HUGE}},
+    {"model": {**TOY_MODEL, "head_dim": HUGE}},
+    {"fixture": {"image_tokens": HUGE}},
+    {"fixture": {"image_tokens": 16, "marked_count": HUGE}},
+    {"fixture": {"image_tokens": 16, "instruction_length": HUGE}},
+    {"fixture": {"image_tokens": 16, "answer_length": -HUGE}},
+], ids=["stages", "drop_layer", "num_layers", "negative_num_layers", "head_dim", "image_tokens",
+        "marked_count", "instruction_length", "answer_length"])
+def test_huge_integer_is_quoted_cut(capsys, tmp_path, override):
+    # a range or bound error quotes an integer it refuses, however many
+    # digits it has, in at most errors.QUOTED_CHARS characters
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"model": TOY_MODEL, "fixture": {"image_tokens": 16}, **override}))
+    assert main(["run", "--config", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert len(err) <= 200 and "..." in err
+
+
+def test_huge_cost_flag_is_quoted_cut(capsys):
+    assert main(["cost", "--n", "576", "--layers", "32", "--d", "-" + "9" * 4000, "--m", "16"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and len(err) <= 200
+
+
+def test_long_missing_fixture_path_is_quoted_cut(capsys, tmp_path):
+    # the operating system's error names a config-supplied path, which the
+    # line quotes cut
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"model": TOY_MODEL, "fixture": {"path": LONG}}))
+    assert main(["run", "--config", str(path)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("i/o error: ") and err.count("\n") == 1
+    assert len(err) <= 200 and "..." in err
+
+
 @pytest.mark.parametrize("ratios", ["0.1:0.9:0", "0.1:0.9:-0.2", "0.1:inf:0.2", "0.1:0.9", "a,b"])
 def test_sweep_bad_ratios_are_config_errors(capsys, config_file, tmp_path, ratios):
     code = main(["sweep", "--config", config_file, "--layers", "2",

@@ -219,20 +219,32 @@ class TestRopeRotate:
             assert got is out
             assert np.array_equal(got, expected)
 
+    def test_scratch_may_be_the_even_half(self):
+        # the even half is read for the last time before the product the
+        # scratch holds, so the rotation may overwrite it in place
+        rng = RngState(53)
+        x = rng.normals(9 * 4 * 16).reshape(9, 4, 16)
+        table = rope_table(np.array([0, 1, 3, 7, 64, 100, 1151, 1156, 5188])[:, None], 16, 10000.0)
+        expected = rope_rotate_rows(x, table, scratch=np.empty((9, 4, 8)))
+        aliased = x.copy()
+        assert np.array_equal(rope_rotate_rows(aliased, table, scratch=aliased[..., 0::2]), expected)
+
     def test_rotation_into_buffers_allocates_no_products(self):
         # toy V0=1152 rows: each half-width product would take 296 KB; what
         # remains is numpy's iterator buffer for the broadcast table,
-        # np.getbufsize() elements whatever the row count
+        # np.getbufsize() elements whatever the row count. A scratch that is
+        # x's own even half takes no copy for the overlap either
         x = RngState(47).normals(1157 * 64).reshape(1157, 4, 16)
         table = rope_table(np.arange(1157)[:, None], 16, 10000.0)
-        out, scratch = np.empty_like(x), np.empty((1157, 4, 8))
-        tracemalloc.start()
-        try:
-            rope_rotate_rows(x, table, out=out, scratch=scratch)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 8 * np.getbufsize() + 4096
+        out = np.empty_like(x)
+        for scratch in (np.empty((1157, 4, 8)), x[..., 0::2]):
+            tracemalloc.start()
+            try:
+                rope_rotate_rows(x, table, out=out, scratch=scratch)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 8 * np.getbufsize() + 4096
 
 
 class TestArgTopk:

@@ -228,16 +228,20 @@ class TestForwardFull:
 
     def test_layer_forward_bit_identical_to_inline_block(self, toy_weights):
         # the block as one inline expression per half, the FFN written as
-        # (g / (1 + exp(-g))) * up without in-place operations: _layer_forward and
-        # the per-layer states of a forward must both equal it bit for bit,
-        # and the ranking scores must be the head mean of the ranking row of
-        # the kernel's own score block (block_row_scores). Keep-all at V0=40,
-        # then S=4 lambda=0.5 at V0=70, whose layers after each drop run on
-        # 75, 40, 22 and 13 rows, across the 32-row attention block edge, in
-        # views of one workspace sized for 75
+        # (g / (1 + exp(-g))) * up without in-place operations, over the
+        # fewest balanced row ranges whose gate and up fit the arena:
+        # _layer_forward and the per-layer states of a forward must both
+        # equal it bit for bit, and the ranking scores must be the head mean
+        # of the ranking row of the kernel's own score block
+        # (block_row_scores). Keep-all at V0=40, then S=4 lambda=0.5 at V0=70,
+        # whose layers after each drop run on 75, 40, 22 and 13 rows, across
+        # the 32-row attention block edge, in views of one workspace sized
+        # for 75; then S=4 lambda=0.5 at V0=300, whose 305-row layers run the
+        # FFN in two chunks of 152 and 153 rows and whose 155-row layers in one
         cfg = toy_weights.config
-        nh, hd = cfg.num_heads, cfg.head_dim
-        for v0, stages in [(40, 1), (70, 4)]:
+        nh, hd, d, m = cfg.num_heads, cfg.head_dim, cfg.hidden_size, cfg.ffn_intermediate
+        chunk_counts = set()
+        for v0, stages in [(40, 1), (70, 4), (300, 4)]:
             schedule = build_schedule(8, stages, 0.5, v0)
             seq = random_sequence(cfg, v0, seed=15)
             kept = dict(forward_pruned(toy_weights, seq, schedule).kept_masks)
@@ -263,15 +267,45 @@ class TestForwardFull:
                                   np.empty(nh * ATTENTION_BLOCK_ROWS * (n + 1)))
                 x = x + attention.transpose(1, 0, 2).reshape(n, nh * hd) @ lw.w_o
                 hf = rmsnorm_rows(x, lw.ffn_gain, cfg.rmsnorm_eps)
-                gate = hf @ lw.w_gate
-                x = x + ((gate / (1.0 + np.exp(-gate))) * (hf @ lw.w_up)) @ lw.w_down
+                chunks = -(-n // ((workspace.size - n * d) // (2 * m)))
+                chunk_counts.add(chunks)
+                ffn = np.empty_like(x)
+                for i in range(chunks):
+                    rows = slice(i * n // chunks, (i + 1) * n // chunks)
+                    gate = hf[rows] @ lw.w_gate
+                    ffn[rows] = ((gate / (1.0 + np.exp(-gate))) * (hf[rows] @ lw.w_up)) @ lw.w_down
+                x = x + ffn
                 assert np.array_equal(got_scores, block_row_scores(q, k, n_img + 2, n_img))
                 assert np.array_equal(got, x)
                 assert np.array_equal(state, x)
                 if layer_no in kept:
                     survives = np.isin(positions, kept[layer_no]) | (positions >= v0)
                     x, positions = x[survives], positions[survives]
-            assert len(positions) == (len(seq) if stages == 1 else 8 + 5)
+            assert len(positions) == (len(seq) if stages == 1 else v0 // 8 + 5)
+        assert chunk_counts == {1, 2}
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(1, 6000), st.data(), st.integers(1, 16), st.integers(1, 32),
+           st.integers(1, 3000))
+    def test_ffn_chunks_fit_the_arena(self, n0, data, heads, pairs, m):
+        # at any layer width n <= n0, the first layer's, the gate and up
+        # buffers of every chunk fit the arena of _workspace(cfg, n0), which
+        # starts after n rows, and a layer wider than FFN_CHUNK_ROWS runs
+        # chunks of at least FFN_CHUNK_ROWS / 2 rows; a narrower one, one
+        n = data.draw(st.integers(1, n0))
+        cfg = replace(TOY_CONFIG, num_layers=1, hidden_size=heads * 2 * pairs, num_heads=heads,
+                      head_dim=2 * pairs, ffn_intermediate=m)
+        arena = toymodel._workspace_elements(cfg, n0) - n * cfg.hidden_size
+        chunks = toymodel._ffn_chunks(n, arena // (2 * m))
+        assert chunks[0][0] == 0 and chunks[-1][1] == n
+        assert all(b == a for (_, b), (a, _) in zip(chunks, chunks[1:]))
+        sizes = [b - a for a, b in chunks]
+        assert max(sizes) - min(sizes) <= 1
+        assert 2 * max(sizes) * m <= arena
+        if n > toymodel.FFN_CHUNK_ROWS:
+            assert min(sizes) >= toymodel.FFN_CHUNK_ROWS // 2
+        else:
+            assert sizes == [n]
 
     def test_trace_keeps_final_state_in_bounded_memory(self):
         # toy V0=1152 keep-all: 13.7 MB when the trace held every layer's
@@ -310,6 +344,22 @@ class TestForwardFull:
         finally:
             tracemalloc.stop()
         assert peak < 6e6
+
+    def test_mid_forward_workspace_sized_by_attention(self):
+        # mid V0=576 keep-all (581 rows, d=256, m=688): 9.0 MB when the
+        # workspace held the FFN's two 581 x 688 buffers; the FFN now runs
+        # in two chunks of 290 and 291 rows in the arena the attention needs
+        cfg = ModelConfig(num_layers=16, hidden_size=256, num_heads=8, head_dim=32,
+                          ffn_intermediate=688, vocab_size=256)
+        weights = init_model(cfg, 1)
+        seq = random_sequence(cfg, 576, seed=1, instr=4, answer=1)
+        tracemalloc.start()
+        try:
+            keep_all_forward(weights, seq)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8.0e6
 
     def test_image_size_bound_checked_before_allocation(self, toy_weights, monkeypatch):
         seq = random_sequence(TOY_CONFIG, 6, seed=16)
