@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InputError, quoted
+from .errors import InputError, quoted, shown_path
 
 
 # image tokens x hidden size past which no sequence is built or run: 2**22
@@ -139,14 +139,14 @@ def read_json(path, what: str, max_bytes: int, error):
     ``error`` unparsed if the file holds more than ``max_bytes`` bytes."""
     size = os.path.getsize(path)
     if size > max_bytes:
-        raise error(f"{what} file {path} holds {size} bytes, past the bound of {max_bytes}")
+        raise error(f"{what} file {shown_path(path)} holds {size} bytes, past the bound of {max_bytes}")
     with open(path, encoding="utf-8") as fh:
         try:
             return json.load(fh)
         # besides bad syntax: bytes that are not UTF-8, an integer past
         # Python's digit limit, or arrays nested past the recursion limit
         except (ValueError, RecursionError) as exc:
-            raise error(f"{path}: invalid JSON: {exc}") from exc
+            raise error(f"{shown_path(path)}: invalid JSON: {exc}") from exc
 
 
 def load_sequence(path) -> MultimodalSequence:

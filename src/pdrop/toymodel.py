@@ -60,7 +60,8 @@ class ModelConfig:
             raise ConfigError("rope_theta and rmsnorm_eps must be finite and positive")
         # the elements of init_model's weights, each layer charged at least
         # MIN_LAYER_ELEMENTS (exact for layers that hold that many); an upper
-        # bound for build_marker_model's, whose layers share their blocks
+        # bound for build_marker_model's, which hold 2d^2 + 2d plus one zero
+        # buffer of max(d^2, dm, d x vocab) at any depth
         d, m = self.hidden_size, self.ffn_intermediate
         layer = max(4 * d * d + 3 * d * m + 2 * d, MIN_LAYER_ELEMENTS)
         check_elements("model weights", self.num_layers * layer + 2 * self.vocab_size * d, ConfigError)
@@ -413,8 +414,11 @@ def build_marker_model(cfg: ModelConfig, marker_subspace_dims, margin_onset_laye
     below ``margin_onset_layer`` (1-based) are one silent layer, with zero
     q/k weights whose ranking scores carry no signal (rankings that only
     become informative in deeper layers); the rest are one signalling layer.
-    The two share their zero blocks and gain, and every array is read-only,
-    so an in-place write raises instead of changing every layer.
+    The two share their gain and their zero blocks, which, like the head,
+    are views of one flat zero buffer; the embedding is one row (the flag)
+    broadcast over the vocabulary, since every token id embeds to it. Every
+    array is read-only, so an in-place write raises instead of changing
+    every layer.
     """
     dims = sorted(set(int(i) for i in np.atleast_1d(np.asarray(marker_subspace_dims, dtype=np.int64))))
     if not dims:
@@ -435,13 +439,19 @@ def build_marker_model(cfg: ModelConfig, marker_subspace_dims, margin_onset_laye
     # query scores with cos(delta * that angle), which stays positive only
     # for delta < (pi / 2) / angle, about 4967 positions at the toy config
     signal_col = cfg.head_dim - 2
-    zeros_dd, zeros_dm, zeros_md, gain = np.zeros((d, d)), np.zeros((d, m)), np.zeros((m, d)), np.ones(d)
-    w_q, w_k, embedding, head = np.zeros((d, d)), np.zeros((d, d)), np.zeros((v, d)), np.zeros((d, v))
+    w_q, w_k, row, gain = np.zeros((d, d)), np.zeros((d, d)), np.zeros(d), np.ones(d)
     w_q[flag_dim, signal_col] = MARKER_GAIN
     w_k[dims, signal_col] = MARKER_GAIN
-    embedding[:, flag_dim] = MARKER_AMPLITUDE
-    for block in (zeros_dd, zeros_dm, zeros_md, gain, w_q, w_k, embedding, head):
+    row[flag_dim] = MARKER_AMPLITUDE  # the embedding of every token id
+    # every all-zero block is a C-ordered view of one flat zero buffer, so a
+    # product with it still runs through BLAS; a view taken once the buffer
+    # is read-only is read-only too
+    zeros = np.zeros(max(d * d, d * m, d * v))
+    for block in (zeros, w_q, w_k, row, gain):
         block.flags.writeable = False
+    zeros_dd, zeros_dm, zeros_md, head = (zeros[:r * c].reshape(r, c)
+                                          for r, c in ((d, d), (d, m), (m, d), (d, v)))
+    embedding = np.broadcast_to(row, (v, d))  # row stride 0
     silent = LayerWeights(zeros_dd, zeros_dd, zeros_dd, zeros_dd, zeros_dm, zeros_dm, zeros_md, gain, gain)
     signalling = replace(silent, w_q=w_q, w_k=w_k)
     layers = [silent] * (margin_onset_layer - 1) + [signalling] * (cfg.num_layers - margin_onset_layer + 1)

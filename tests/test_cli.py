@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pdrop import harness, layout, numkernel, pruner, toymodel
+from pdrop import cli, errors, harness, layout, numkernel, pruner, toymodel
 from pdrop.cli import main
 from pdrop.errors import ConfigError
 from pdrop.numkernel import EXP_SAFE
@@ -311,6 +311,76 @@ def test_long_missing_fixture_path_is_quoted_cut(capsys, tmp_path):
     err = capsys.readouterr().err
     assert err.startswith("i/o error: ") and err.count("\n") == 1
     assert len(err) <= 200 and "..." in err
+
+
+@pytest.mark.parametrize("flags", [
+    ["--d", str(HUGE)], ["--n", str(HUGE)], ["--layers", str(HUGE)], ["--m", str(HUGE)],
+    ["--d", str(2**63)], ["--strategy", "uniform", "--tokens", str(HUGE)],
+    ["--strategy", "fastv", "--drop-layer", str(HUGE)],
+], ids=["d", "n", "layers", "m", "d_2_63", "tokens", "drop_layer"])
+def test_cost_count_past_the_bound_is_refused(capsys, monkeypatch, flags):
+    # a report of such counts would hold integers past Python's digit limit
+    # for printing one; the count is refused before any report is built
+    counts = {"--n": "576", "--layers": "32", "--d": "4096", "--m": "11008"}
+    monkeypatch.setattr(cli, "strategy_cost", None)  # reached only past the check
+    argv = ["cost", *(x for flag, value in counts.items() for x in (flag, value)), *flags]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {flags[-2]} ") and err.count("\n") == 1 and len(err) <= 200
+    assert err.endswith(f" is past the bound of {cli.MAX_COST_COUNT}\n")
+
+
+def test_cost_count_at_the_bound_runs(capsys):
+    bound = str(cli.MAX_COST_COUNT)
+    code, out = run_cli(capsys, "cost", "--n", bound, "--layers", bound, "--d", bound, "--m", bound)
+    assert code == 0 and json.loads(out)["ratio"] == 1.0
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["cost", "--n", "576", "--layers", "32", "--m", "16", "--d", "9" * 5000],
+     "argument --d: invalid int value: '"),
+    (["cost", "--n", "576", "--layers", "32", "--m", "16", "--d", "4", "--lambda", LONG],
+     "argument --lambda: invalid float value: '"),
+    (["schedule", "--layers", "8", "--stages", "4", "--lambda", "0.5", "--tokens", "1" + LONG],
+     "argument --tokens: invalid int value: '"),
+    (["run", "--config", "c.json", "--seed", LONG], "argument --seed: invalid int value: '"),
+    (["cost", "--n", "576", "--layers", "32", "--m", "16", "--d", "4", "--" + LONG],
+     "unrecognized arguments: '--"),
+    ([LONG], "argument command: invalid choice: '"),
+], ids=["huge_int", "long_float", "schedule_int", "run_seed", "unknown_flag", "unknown_command"])
+def test_bad_command_line_is_one_short_line(capsys, argv, message):
+    # argparse's refusal: exit 2 and one error line quoting the value cut,
+    # without the usage text
+    with pytest.raises(SystemExit) as exit_info:
+        main(argv)
+    assert exit_info.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith(f"error: {message}")
+    assert captured.err.count("\n") == 1 and len(captured.err) <= 200 and "..." in captured.err
+
+
+@pytest.mark.parametrize("bound", [None, 0], ids=["invalid_json", "past_byte_bound"])
+def test_long_fixture_path_is_shown_cut(capsys, monkeypatch, tmp_path, bound):
+    # a config-supplied path of about 4,000 characters naming a file that
+    # read_json refuses: the line shows the path's start and its file name
+    # around an elided middle
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "fixture.json").write_text("{")
+    if bound is not None:
+        monkeypatch.setattr(layout, "FIXTURE_BYTES_PER_ELEMENT", bound)
+    path = "./" * 1990 + "fixture.json"
+    (tmp_path / "config.json").write_text(json.dumps({"model": TOY_MODEL, "fixture": {"path": path}}))
+    assert main(["run", "--config", "config.json"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and len(err) <= 300
+    shown = errors.shown_path(path)
+    assert len(shown) == errors.PATH_CHARS and shown.startswith("././") and shown.endswith("/fixture.json")
+    assert shown in err
+
+
+def test_ordinary_path_is_shown_whole():
+    path = "/data/" + "run/" * 30 + "config.json"
+    assert len(path) <= errors.PATH_CHARS and errors.shown_path(path) == path
 
 
 @pytest.mark.parametrize("ratios", ["0.1:0.9:0", "0.1:0.9:-0.2", "0.1:inf:0.2", "0.1:0.9", "a,b"])
@@ -778,7 +848,8 @@ ENTRY_POINTS = {
       "--lambda", "0.5", "--stages", "4"], 0),
     (["cost", "--n", "16", "--layers", "8", "--d", "-4", "--m", "16", "--lambda", "0.5"], 2),
     (["run", "--config", "missing.json"], 3),
-], ids=["ok", "config_error", "io_error"])
+    (["cost", "--n", "576", "--layers", "32", "--m", "16", "--d", "9" * 5000], 2),
+], ids=["ok", "config_error", "io_error", "bad_flag_value"])
 @pytest.mark.parametrize("entry", ENTRY_POINTS)
 def test_entry_point_exit_code(tmp_path, entry, argv, code):
     # the process exits with main()'s code; an error is one stderr line,

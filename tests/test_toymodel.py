@@ -949,6 +949,12 @@ class TestSoftmaxRoute:
         check_against_oracle(weights, seq, schedule)
 
 
+# the mid benchmark model's width, at which a marker model's attention takes
+# the shifted softmax route, and its depth
+D256_CONFIG = replace(TOY_CONFIG, hidden_size=256, num_heads=8, head_dim=32, ffn_intermediate=688)
+MID_CONFIG = replace(D256_CONFIG, num_layers=16)
+
+
 class TestMarkerModel:
     def test_marked_scores_dominate(self):
         cfg = TOY_CONFIG
@@ -1025,12 +1031,30 @@ class TestMarkerModel:
             w.layers[0].w_q = np.ones_like(w.layers[0].w_q)
 
     @pytest.mark.parametrize("onset", [1, 4])
-    def test_shared_layers_match_per_layer_copies(self, onset):
-        shared = build_marker_model(TOY_CONFIG, (0, 1, 2, 3), onset)
+    def test_zero_blocks_are_views_of_one_buffer(self, onset):
+        w = build_marker_model(TOY_CONFIG, (0, 1, 2, 3), onset)
+        silent, signalling = w.layers[0], w.layers[-1]
+        blocks = [w.head, *(getattr(signalling, k) for k in ("w_v", "w_o", "w_gate", "w_up", "w_down"))]
+        if onset > 1:
+            blocks += [silent.w_q, silent.w_k]
+        for block in blocks:
+            assert np.shares_memory(block, w.head) and block.flags.c_contiguous and not block.any()
+        assert not any(np.shares_memory(a, w.head) for a in (signalling.w_q, signalling.w_k))
+        # every token id embeds to one row, which holds the flag (dim 63)
+        assert w.embedding.shape == (256, 64) and w.embedding.strides[0] == 0
+        assert np.array_equal(np.flatnonzero(w.embedding[0]), [63])
+
+    @pytest.mark.parametrize("cfg, onset", [(TOY_CONFIG, 1), (TOY_CONFIG, 4), (D256_CONFIG, 1), (D256_CONFIG, 4)],
+                             ids=["1", "4", "d256-1", "d256-4"])
+    def test_shared_layers_match_per_layer_copies(self, softmax_calls, cfg, onset):
+        # dense copies of every array run the same forward bit for bit, by
+        # the unshifted softmax route at the toy width (bounds up to about
+        # 200) and by the shifted one at d=256 (about 564)
+        shared = build_marker_model(cfg, (0, 1, 2, 3), onset)
         copied = replace(
             shared, embedding=np.copy(shared.embedding), head=np.copy(shared.head),
             layers=[LayerWeights(**{k: np.copy(a) for k, a in vars(lw).items()}) for lw in shared.layers])
-        seq, _ = make_marker_sequence(TOY_CONFIG, FixtureSpec(marked_placement="random"), 5)
+        seq, _ = make_marker_sequence(cfg, FixtureSpec(marked_placement="random"), 5)
         schedule = build_schedule(8, 4, 0.5, 64)
         runs = []
         for w in (shared, copied):
@@ -1042,13 +1066,17 @@ class TestMarkerModel:
         assert all(np.array_equal(x[1], y[1]) for x, y in zip(a.kept_masks, b.kept_masks))
         assert len(a_scores) == 3 and all(map(np.array_equal, a_scores, b_scores))
         assert np.array_equal(a.hidden[-1], b.hidden[-1]) and np.array_equal(a.logits, b.logits)
+        assert (max(bound for _, bound in softmax_calls) > EXP_SAFE) == (cfg is D256_CONFIG)
 
-    def test_marker_model_allocates_under_one_megabyte(self):
-        # 3.44 MB when each of the toy model's 8 layers held its own 9 arrays
+    @pytest.mark.parametrize("cfg, bound", [(TOY_CONFIG, 0.25e6), (MID_CONFIG, 2.6e6)], ids=["toy", "mid"])
+    def test_marker_model_traced_size(self, cfg, bound):
+        # 0.20 MB at the toy geometry and 2.46 MB at mid (16 layers, d=256,
+        # m=688): w_q, w_k and one zero buffer, which the d x m block sets at
+        # mid and the d x vocab head at the toy width
         tracemalloc.start()
         try:
-            build_marker_model(TOY_CONFIG, (0, 1, 2, 3), 4)
+            build_marker_model(cfg, (0, 1, 2, 3), 4)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 1e6
+        assert peak < bound
