@@ -2,6 +2,8 @@
 
 Subcommands: cost, schedule, run, sweep, compare. JSON goes to stdout
 unless --out is given. Exit codes: 0 success, 2 config error, 3 I/O error.
+An error is one ``error:`` or ``i/o error:`` line, its message cut by
+``errors.one_line``; argparse's own refusals print no usage text.
 """
 
 from __future__ import annotations
@@ -11,8 +13,9 @@ import sys
 from dataclasses import fields
 
 from .costmodel import strategy_cost
-from .errors import ConfigError, PdropError, quoted, shown_path
+from .errors import ConfigError, PdropError, one_line
 from .harness import (
+    MAX_COUNT,
     STRATEGIES,
     load_spec,
     run_compare,
@@ -33,43 +36,15 @@ def _parse_list(text: str, kind: type, what: str) -> list:
     try:
         return [kind(x) for x in text.split(",")]
     except ValueError as exc:
-        raise ConfigError(f"bad {what} list {quoted(text)}") from exc
+        raise ConfigError(f"bad {what} list {text!r}") from exc
 
 
 class _Parser(argparse.ArgumentParser):
-    """Refuses a bad command line with one error line and exit code 2, no
-    usage text, quoting what it names cut (``errors.quoted``)."""
+    """Refuses a bad command line with one error line and exit code 2, no usage text."""
 
     def error(self, message):
-        print(f"error: {message}", file=sys.stderr)
+        print(f"error: {one_line(message)}", file=sys.stderr)
         sys.exit(EXIT_CONFIG)
-
-    def parse_args(self, args=None, namespace=None):
-        parsed, extras = self.parse_known_args(args, namespace)
-        if extras:
-            self.error(f"unrecognized arguments: {quoted(' '.join(extras))}")
-        return parsed
-
-    def _check_value(self, action, value):
-        # argparse's own check names a bad command in full
-        if action.choices is not None and value not in action.choices:
-            raise argparse.ArgumentError(
-                action, f"invalid choice: {quoted(value)} (choose from {', '.join(map(repr, action.choices))})")
-
-
-def _typed(kind: type):
-    """``kind`` as an argparse type whose error quotes the value cut."""
-
-    def convert(text: str):
-        try:
-            return kind(text)
-        except ValueError:
-            raise argparse.ArgumentTypeError(f"invalid {kind.__name__} value: {quoted(text)}") from None
-
-    return convert
-
-
-_INT, _FLOAT = _typed(int), _typed(float)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -77,26 +52,26 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     cost = sub.add_parser("cost", help="FLOPs report for a strategy or staged schedule")
-    cost.add_argument("--n", type=_INT, required=True, help="initial image-token count")
-    cost.add_argument("--layers", type=_INT, required=True)
-    cost.add_argument("--d", type=_INT, required=True, help="hidden size")
-    cost.add_argument("--m", type=_INT, required=True, help="FFN intermediate size")
-    cost.add_argument("--lambda", dest="keep_ratio", type=_FLOAT,
+    cost.add_argument("--n", type=int, required=True, help="initial image-token count")
+    cost.add_argument("--layers", type=int, required=True)
+    cost.add_argument("--d", type=int, required=True, help="hidden size")
+    cost.add_argument("--m", type=int, required=True, help="FFN intermediate size")
+    cost.add_argument("--lambda", dest="keep_ratio", type=float,
                       help="keep ratio; without --strategy, selects pdrop")
-    cost.add_argument("--stages", type=_INT, help="pdrop and random stage count")
+    cost.add_argument("--stages", type=int, help="pdrop and random stage count")
     cost.add_argument("--strategy", help="vanilla | pdrop | fastv | uniform | random")
-    cost.add_argument("--drop-layer", type=_INT, help="fastv drop layer")
-    cost.add_argument("--tokens", dest="token_count", type=_INT, help="uniform token count")
+    cost.add_argument("--drop-layer", type=int, help="fastv drop layer")
+    cost.add_argument("--tokens", dest="token_count", type=int, help="uniform token count")
 
     sched = sub.add_parser("schedule", help="stage schedule as JSON")
-    sched.add_argument("--layers", type=_INT, required=True)
-    sched.add_argument("--stages", type=_INT, required=True)
-    sched.add_argument("--lambda", dest="keep_ratio", type=_FLOAT, required=True)
-    sched.add_argument("--tokens", type=_INT, required=True)
+    sched.add_argument("--layers", type=int, required=True)
+    sched.add_argument("--stages", type=int, required=True)
+    sched.add_argument("--lambda", dest="keep_ratio", type=float, required=True)
+    sched.add_argument("--tokens", type=int, required=True)
 
     run = sub.add_parser("run", help="run one strategy, print RunReport JSON")
     run.add_argument("--config", required=True)
-    run.add_argument("--seed", type=_INT, default=None)
+    run.add_argument("--seed", type=int, default=None)
 
     sweep = sub.add_parser("sweep", help="single-drop layer/ratio sweep to CSV")
     sweep.add_argument("--config", required=True)
@@ -120,18 +95,14 @@ _PARSER = _build_parser()
 # each strategy field that a cost flag sets (its dest), and the flag as typed
 _COST_FLAGS = {"stages": "--stages", "keep_ratio": "--lambda",
                "drop_layer": "--drop-layer", "token_count": "--tokens"}
-# the most a count of cost may be: a report's FLOPs are products of a few
-# counts, so they stay far under the 4,300 digits past which Python prints
-# no integer
-MAX_COST_COUNT = 2**63 - 1
 
 
 def _cmd_cost(args) -> dict:
     for dest in ("n", "layers", "d", "m", "stages", "drop_layer", "token_count"):
         value = getattr(args, dest)
-        if value is not None and value > MAX_COST_COUNT:
+        if value is not None and abs(value) > MAX_COUNT:
             flag = _COST_FLAGS.get(dest, f"--{dest}")
-            raise ConfigError(f"{flag} {quoted(value)} is past the bound of {MAX_COST_COUNT}")
+            raise ConfigError(f"{flag} {value} is past the bound of {MAX_COUNT}")
     # only the flags given reach the strategy: an unset one takes the
     # strategy's default, and one the strategy lacks is an error that names it
     default = "vanilla" if args.keep_ratio is None else "pdrop"
@@ -178,11 +149,10 @@ def main(argv=None) -> int:
                 spec.strategies = [strategy_from_json(s) for s in args.strategies.split(",")]
             write_json([r.to_json() for r in run_compare(spec)], args.out)
     except PdropError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        print(f"error: {one_line(exc)}", file=sys.stderr)
         return EXIT_CONFIG
     except OSError as exc:
-        # the file name may come from a config, so it is shown cut
-        where = "" if exc.filename is None else f": {shown_path(exc.filename)!r}"
-        print(f"i/o error: {exc.strerror or exc}{where}", file=sys.stderr)
+        where = "" if exc.filename is None else f": {exc.filename!r}"
+        print(f"i/o error: {one_line(f'{exc.strerror or exc}{where}')}", file=sys.stderr)
         return EXIT_IO
     return 0

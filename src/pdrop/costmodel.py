@@ -8,7 +8,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import floor, log10
 
-from .errors import ConfigError, quoted
+from .errors import ConfigError
 from .pruner import StageSchedule, Strategy
 
 
@@ -52,7 +52,7 @@ def _report(layers, tokens, num_layers: int, vanilla_tokens: int, d: int, m: int
     """The one report builder: stage i runs layers[i] layers at tokens[i]
     image tokens; the vanilla reference, num_layers at vanilla_tokens."""
     if d < 1 or m < 1:
-        raise ConfigError(f"hidden size d and FFN size m must be positive, got d={quoted(d)}, m={quoted(m)}")
+        raise ConfigError(f"hidden size d and FFN size m must be positive, got d={d}, m={m}")
     per_stage = tuple(k * layer_flops(n, d, m) for k, n in zip(layers, tokens))
     total = sum(per_stage)
     vanilla = num_layers * layer_flops(vanilla_tokens, d, m)
@@ -74,7 +74,7 @@ def theoretical_saving(keep_ratio: float, num_stages: int) -> float:
     if not 0.0 < keep_ratio <= 1.0:
         raise ConfigError(f"keep_ratio must be in (0, 1], got {keep_ratio}")
     if num_stages < 1:
-        raise ConfigError(f"need at least one stage, got {quoted(num_stages)}")
+        raise ConfigError(f"need at least one stage, got {num_stages}")
     if keep_ratio == 1.0:
         return 1.0
     return (1.0 - keep_ratio**num_stages) / (num_stages * (1.0 - keep_ratio))

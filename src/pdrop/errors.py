@@ -1,29 +1,21 @@
-"""Exception types shared across the package, and how a message quotes a value."""
+"""Exception types shared across the package, and the one line the CLI
+prints for an error: a library error names each bad value in full, and
+only the CLI cuts it, at the print."""
 
-import reprlib
-
-# the most characters of a value that an error message quotes: a config
-# value may be as long as its file, and an error is one short line
-QUOTED_CHARS = 80
-# the most characters of a file path that an error message shows: more than
-# a value's, so that an ordinary path, even deep in a tree, shows whole
-PATH_CHARS = 150
+# the most characters of an error message the CLI prints: with the longer
+# prefix ("i/o error: ") and its newline, a line is at most 198
+LINE_CHARS = 186
 
 
-def quoted(value) -> str:
-    """``value``'s repr in at most QUOTED_CHARS characters, deep nesting elided."""
-    text = reprlib.repr(value)
-    return text if len(text) <= QUOTED_CHARS else text[:QUOTED_CHARS - 3] + "..."
-
-
-def shown_path(path) -> str:
-    """``path`` as text in at most PATH_CHARS characters: past that, its
-    middle is elided, so that its start and its file name both show."""
-    text = str(path)
-    if len(text) <= PATH_CHARS:
+def one_line(message) -> str:
+    """``message`` as one line of at most LINE_CHARS characters: line
+    breaks become spaces, and past LINE_CHARS its middle is elided, so that
+    its start and its end both show."""
+    text = " ".join(str(message).splitlines())
+    if len(text) <= LINE_CHARS:
         return text
-    head = (PATH_CHARS - 3) // 2
-    return text[:head] + "..." + text[len(text) - (PATH_CHARS - 3 - head):]
+    head = (LINE_CHARS - 3) // 2
+    return text[:head] + "..." + text[len(text) - (LINE_CHARS - 3 - head):]
 
 
 class PdropError(Exception):

@@ -19,7 +19,7 @@ from operator import attrgetter
 import numpy as np
 
 from .costmodel import CostReport, strategy_cost
-from .errors import ConfigError, quoted
+from .errors import ConfigError
 from .layout import (MultimodalSequence, build_sequence, check_elements, check_image_size,
                      load_sequence, read_json)
 from .numkernel import RngState, derive_seed
@@ -110,12 +110,21 @@ STRATEGIES = {
 }
 
 
+# the largest magnitude of a config integer or a count of `pdrop cost`: one
+# fits an int64, and a product or sum of a few stays far under the 4,300
+# digits past which Python prints no integer
+MAX_COUNT = 2**63 - 1
+
+
 def _int(value) -> int:
     """An integer, or a numeric string of one; a bool or a fraction is refused,
-    not truncated."""
+    not truncated, and one past MAX_COUNT is refused."""
     if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
         raise ValueError(f"not an integer: {value!r}")
-    return int(value)
+    n = int(value)
+    if abs(n) > MAX_COUNT:
+        raise ConfigError(f"{n} is past the bound of {MAX_COUNT}")
+    return n
 
 
 def _float(value) -> float:
@@ -138,13 +147,15 @@ _COERCE = {"int": _int, "float": _float, "str": str, "tuple[int, ...]": _ints}
 def _typed(kind: str, value, what: str):
     try:
         return _COERCE[kind](value)
+    except ConfigError as exc:
+        raise ConfigError(f"{what}: {exc}") from exc
     except (TypeError, ValueError, OverflowError) as exc:
-        raise ConfigError(f"{what}: expected {kind}, got {quoted(value)}") from exc
+        raise ConfigError(f"{what}: expected {kind}, got {value!r}") from exc
 
 
 def _expect(value, kind: type, what: str):
     if not isinstance(value, kind):
-        raise ConfigError(f"{what}: expected {kind.__name__}, got {quoted(value)}")
+        raise ConfigError(f"{what}: expected {kind.__name__}, got {value!r}")
     return value
 
 
@@ -152,7 +163,7 @@ def _known(obj, keys, what: str) -> dict:
     """``obj``, a JSON object whose every key is one of ``keys``."""
     unknown = sorted(set(_expect(obj, dict, what)) - set(keys))
     if unknown:
-        raise ConfigError(f"{what}: unknown fields {quoted(unknown)}")
+        raise ConfigError(f"{what}: unknown fields {unknown}")
     return obj
 
 
@@ -175,10 +186,10 @@ def strategy_from_json(obj) -> Strategy:
     try:
         name = obj["name"]
     except (KeyError, TypeError) as exc:
-        raise ConfigError(f"strategy needs a name: {quoted(obj)}") from exc
+        raise ConfigError(f"strategy needs a name: {obj!r}") from exc
     cls = STRATEGIES.get(name) if isinstance(name, str) else None
     if cls is None:
-        raise ConfigError(f"unknown strategy {quoted(name)}")
+        raise ConfigError(f"unknown strategy {name!r}")
     return _from_fields(cls, {k: v for k, v in obj.items() if k != "name"}, f"strategy {name!r}")
 
 
@@ -235,16 +246,16 @@ def make_marker_sequence(
     positions."""
     v0, km = fixture.image_tokens, fixture.marked_count
     if not 0 <= km <= v0:
-        raise ConfigError(f"cannot mark {quoted(km)} of {quoted(v0)} image tokens")
+        raise ConfigError(f"cannot mark {km} of {v0} image tokens")
     if fixture.answer_length < 0:
-        raise ConfigError(f"negative answer length {quoted(fixture.answer_length)}")
+        raise ConfigError(f"negative answer length {fixture.answer_length}")
     if cfg.vocab_size < 2:  # the text ids run over 1 .. vocab_size - 1
-        raise ConfigError(f"a generated fixture needs vocab_size >= 2, got {quoted(cfg.vocab_size)}")
+        raise ConfigError(f"a generated fixture needs vocab_size >= 2, got {cfg.vocab_size}")
     d = cfg.hidden_size
     check_image_size(v0, d)
     # refused as its forward would be, before any embedding or id is built
     n = v0 + max(fixture.instruction_length, 0) + fixture.answer_length
-    check_elements(f"a forward of {quoted(n)} tokens", forward_elements(cfg, n))
+    check_elements(f"a forward of {n} tokens", forward_elements(cfg, n))
     rng = RngState(derive_seed(seed, 101))
     emb = fixture.noise * rng.normals(v0 * d).reshape(v0, d) if v0 else np.zeros((0, d))
     if fixture.marked_placement == "high":
@@ -254,7 +265,7 @@ def make_marker_sequence(
     elif fixture.marked_placement == "random":
         marked = np.sort(np.argsort(rng.uniforms(v0), kind="stable")[:km])
     else:
-        raise ConfigError(f"unknown placement {quoted(fixture.marked_placement)}")
+        raise ConfigError(f"unknown placement {fixture.marked_placement!r}")
     for p in marked:
         emb[p, list(fixture.marker_dims)] += fixture.amplitude
     instruction = 1 + np.arange(fixture.instruction_length) % (cfg.vocab_size - 1)

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InputError, quoted, shown_path
+from .errors import InputError
 
 
 # image tokens x hidden size past which no sequence is built or run: 2**22
@@ -42,7 +42,7 @@ def check_image_size(num_image_tokens: int, hidden_size: int) -> None:
     more than MAX_IMAGE_ELEMENTS image-embedding elements."""
     if num_image_tokens * hidden_size > MAX_IMAGE_ELEMENTS:
         raise InputError(
-            f"{quoted(num_image_tokens)} image tokens x hidden size {quoted(hidden_size)} exceeds "
+            f"{num_image_tokens} image tokens x hidden size {hidden_size} exceeds "
             f"the bound of {MAX_IMAGE_ELEMENTS} elements"
         )
 
@@ -51,7 +51,7 @@ def check_elements(what: str, elements: int, error=InputError) -> None:
     """Refuse, before it is allocated, ``what`` of more than MAX_ELEMENTS
     elements."""
     if elements > MAX_ELEMENTS:
-        raise error(f"{what}: {quoted(elements)} elements exceed the bound of {MAX_ELEMENTS}")
+        raise error(f"{what}: {elements} elements exceed the bound of {MAX_ELEMENTS}")
 
 
 @dataclass
@@ -139,14 +139,14 @@ def read_json(path, what: str, max_bytes: int, error):
     ``error`` unparsed if the file holds more than ``max_bytes`` bytes."""
     size = os.path.getsize(path)
     if size > max_bytes:
-        raise error(f"{what} file {shown_path(path)} holds {size} bytes, past the bound of {max_bytes}")
+        raise error(f"{what} file {path} holds {size} bytes, past the bound of {max_bytes}")
     with open(path, encoding="utf-8") as fh:
         try:
             return json.load(fh)
         # besides bad syntax: bytes that are not UTF-8, an integer past
         # Python's digit limit, or arrays nested past the recursion limit
         except (ValueError, RecursionError) as exc:
-            raise error(f"{shown_path(path)}: invalid JSON: {exc}") from exc
+            raise error(f"{path}: invalid JSON: {exc}") from exc
 
 
 def load_sequence(path) -> MultimodalSequence:

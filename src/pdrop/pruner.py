@@ -10,13 +10,12 @@ from __future__ import annotations
 
 import functools
 import itertools
-import reprlib
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
-from .errors import ConfigError, InputError, quoted
+from .errors import ConfigError, InputError
 from .numkernel import RngState, arg_topk, derive_seed
 
 # stages past which no schedule is built, as each of its lists is that
@@ -37,10 +36,9 @@ class StageSchedule:
         if not layers or len(layers) != len(tokens):
             raise ConfigError(f"{len(layers)} stage layer counts vs {len(tokens)} token counts")
         if min(layers) < 1 or min(tokens) < 0:
-            raise ConfigError(f"need >= 1 layer and >= 0 tokens per stage, "
-                              f"got {quoted(layers)}, {quoted(tokens)}")
+            raise ConfigError(f"need >= 1 layer and >= 0 tokens per stage, got {layers}, {tokens}")
         if any(b > a for a, b in zip(tokens, tokens[1:])):
-            raise ConfigError(f"image-token counts grow across stages: {quoted(tokens)}")
+            raise ConfigError(f"image-token counts grow across stages: {tokens}")
 
     @property
     def boundary_layers(self) -> tuple[int, ...]:
@@ -70,10 +68,8 @@ def build_schedule(num_layers: int, num_stages: int, keep_ratio: float, num_imag
     """Split layers into stages as evenly as possible (remainder goes to the
     last stage) and iterate the ceiling-drop recurrence on token counts."""
     if not 1 <= num_stages <= min(num_layers, MAX_STAGES):
-        # reprlib cuts an int to 40 characters; errors.quoted would add its
-        # own span to perfbench's trace of a refused build_schedule
         raise ConfigError(f"need 1 <= stages <= layers and {MAX_STAGES}, "
-                          f"got S={reprlib.repr(num_stages)}, J={reprlib.repr(num_layers)}")
+                          f"got S={num_stages}, J={num_layers}")
     if not 0.0 < keep_ratio <= 1.0:
         raise ConfigError(f"keep_ratio must be in (0, 1], got {keep_ratio}")
     base = num_layers // num_stages
@@ -155,7 +151,7 @@ class SingleEarlyDrop(Strategy):
         if not 0.0 <= self.keep_ratio <= 1.0:
             raise ConfigError(f"keep_ratio must be in [0, 1], got {self.keep_ratio}")
         if not 1 <= self.drop_layer < num_layers:
-            raise ConfigError(f"drop layer {quoted(self.drop_layer)} must be in [1, {quoted(num_layers)})")
+            raise ConfigError(f"drop layer {self.drop_layer} must be in [1, {num_layers})")
         return StageSchedule((self.drop_layer, num_layers - self.drop_layer),
                              _keep_counts(self.keep_ratio, num_image_tokens, 1))
 

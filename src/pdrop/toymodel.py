@@ -14,7 +14,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import layout
-from .errors import ConfigError, InputError, quoted
+from .errors import ConfigError, InputError
 from .layout import MIN_LAYER_ELEMENTS, MultimodalSequence, check_elements, check_image_size
 from .numkernel import RngState, gaussian_init, rmsnorm_rows, rope_rotate_rows, rope_table, softmax_rows
 from .pruner import StageSchedule, decide, identity_ranker
@@ -47,12 +47,12 @@ class ModelConfig:
 
     def __post_init__(self):
         if self.num_layers < 1:
-            raise ConfigError(f"need at least one layer, got {quoted(self.num_layers)}")
+            raise ConfigError(f"need at least one layer, got {self.num_layers}")
         if self.hidden_size != self.num_heads * self.head_dim:
-            raise ConfigError(f"hidden_size {quoted(self.hidden_size)} != heads {quoted(self.num_heads)} "
-                              f"x head_dim {quoted(self.head_dim)}")
+            raise ConfigError(f"hidden_size {self.hidden_size} != heads {self.num_heads} "
+                              f"x head_dim {self.head_dim}")
         if self.head_dim % 2 != 0:
-            raise ConfigError(f"head_dim must be even for rotary positions, got {quoted(self.head_dim)}")
+            raise ConfigError(f"head_dim must be even for rotary positions, got {self.head_dim}")
         if min(self.num_heads, self.ffn_intermediate, self.vocab_size) < 1:
             raise ConfigError("heads, ffn_intermediate and vocab_size must be positive")
         # NaN fails both comparisons

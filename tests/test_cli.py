@@ -253,11 +253,12 @@ LONG = "a" * 100_000
     (None, ["compare", "--strategies", LONG]),
     (None, ["sweep", "--ratios", "0.5", "--layers", "1," + LONG]),
     (None, ["sweep", "--layers", "1", "--ratios", "0.5," + LONG]),
+    (f'"fixture": {{"image_tokens": 16, "marker_dims": {list(range(100_000))}}}', ["run"]),
 ], ids=["nested_seed", "long_seed", "long_strategy_name", "long_unknown_key", "long_placement",
-        "long_strategies_flag", "long_layers_flag", "long_ratios_flag"])
+        "long_strategies_flag", "long_layers_flag", "long_ratios_flag", "many_marker_dims"])
 def test_long_bad_value_is_quoted_cut(capsys, tmp_path, entry, argv):
-    # an error quotes a bad value in at most errors.QUOTED_CHARS characters,
-    # however long or deeply nested it is; ``entry`` is a config entry's JSON
+    # an error line shows a bad value cut (errors.one_line), however long or
+    # deeply nested it is; ``entry`` is a config entry's JSON
     text = json.dumps({"model": TOY_MODEL})
     path = tmp_path / "config.json"
     path.write_text(text if entry is None else f"{text[:-1]}, {entry}}}")
@@ -266,6 +267,30 @@ def test_long_bad_value_is_quoted_cut(capsys, tmp_path, entry, argv):
     assert main([*argv, "--config", str(path)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
+    assert len(err) <= 200 and "..." in err
+
+
+def test_deepest_accepted_nesting_is_one_short_line(capsys, tmp_path):
+    # a seed nested as deep as read_json accepts, a depth found by trying:
+    # the error that shows it is still one cut line, not a RecursionError
+    path = tmp_path / "config.json"
+    text = json.dumps({"model": TOY_MODEL})[:-1] + ', "seed": '
+
+    def refusal(depth):
+        path.write_text(text + "[" * depth + "]" * depth + "}")
+        assert main(["run", "--config", str(path)]) == 2
+        return capsys.readouterr().err
+
+    accepted, refused = 1, 1 << 16
+    assert "invalid JSON" in refusal(refused) and "invalid JSON" not in refusal(accepted)
+    while refused - accepted > 1:
+        depth = (accepted + refused) // 2
+        if "invalid JSON" in refusal(depth):
+            refused = depth
+        else:
+            accepted = depth
+    err = refusal(accepted)
+    assert err.startswith("error: seed: expected int, got [[[") and err.count("\n") == 1
     assert len(err) <= 200 and "..." in err
 
 
@@ -283,17 +308,36 @@ HUGE = int("9" * 4000)
     {"fixture": {"image_tokens": 16, "marked_count": HUGE}},
     {"fixture": {"image_tokens": 16, "instruction_length": HUGE}},
     {"fixture": {"image_tokens": 16, "answer_length": -HUGE}},
+    {"margin_onset_layer": HUGE},
+    # each ended in a traceback while config integers were unbounded: a
+    # marker dim past int64, a weight count past Python's digit limit for
+    # printing an integer, and a token count summed past it
+    {"fixture": {"image_tokens": 16, "marker_dims": [0, 10**4000]}},
+    {"model": {**TOY_MODEL, "hidden_size": 10**4000, "num_heads": 1, "head_dim": 10**4000}},
+    {"fixture": {"image_tokens": 16, "instruction_length": 9 * 10**4299,
+                 "answer_length": 9 * 10**4299}},
 ], ids=["stages", "drop_layer", "num_layers", "negative_num_layers", "head_dim", "image_tokens",
-        "marked_count", "instruction_length", "answer_length"])
+        "marked_count", "instruction_length", "answer_length", "margin_onset_layer",
+        "marker_dims", "hidden_size_and_head_dim", "text_lengths"])
 def test_huge_integer_is_quoted_cut(capsys, tmp_path, override):
-    # a range or bound error quotes an integer it refuses, however many
-    # digits it has, in at most errors.QUOTED_CHARS characters
+    # a config integer past harness.MAX_COUNT is refused as such, its digits
+    # shown cut however many it has
     path = tmp_path / "config.json"
     path.write_text(json.dumps({"model": TOY_MODEL, "fixture": {"image_tokens": 16}, **override}))
     assert main(["run", "--config", str(path)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
     assert len(err) <= 200 and "..." in err
+    assert err.endswith(f" is past the bound of {harness.MAX_COUNT}\n")
+
+
+def test_config_integer_at_the_bound_runs(capsys, tmp_path):
+    # the bound admits an integer of its own magnitude, of either sign
+    path = tmp_path / "config.json"
+    for seed in (harness.MAX_COUNT, -harness.MAX_COUNT):
+        path.write_text(json.dumps({"model": TOY_MODEL, "fixture": {"image_tokens": 16}, "seed": seed}))
+        assert main(["run", "--config", str(path)]) == 0
+    assert capsys.readouterr().err == ""
 
 
 def test_huge_cost_flag_is_quoted_cut(capsys):
@@ -304,7 +348,7 @@ def test_huge_cost_flag_is_quoted_cut(capsys):
 
 def test_long_missing_fixture_path_is_quoted_cut(capsys, tmp_path):
     # the operating system's error names a config-supplied path, which the
-    # line quotes cut
+    # line shows cut
     path = tmp_path / "config.json"
     path.write_text(json.dumps({"model": TOY_MODEL, "fixture": {"path": LONG}}))
     assert main(["run", "--config", str(path)]) == 3
@@ -327,11 +371,11 @@ def test_cost_count_past_the_bound_is_refused(capsys, monkeypatch, flags):
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith(f"error: {flags[-2]} ") and err.count("\n") == 1 and len(err) <= 200
-    assert err.endswith(f" is past the bound of {cli.MAX_COST_COUNT}\n")
+    assert err.endswith(f" is past the bound of {harness.MAX_COUNT}\n")
 
 
 def test_cost_count_at_the_bound_runs(capsys):
-    bound = str(cli.MAX_COST_COUNT)
+    bound = str(harness.MAX_COUNT)
     code, out = run_cli(capsys, "cost", "--n", bound, "--layers", bound, "--d", bound, "--m", bound)
     assert code == 0 and json.loads(out)["ratio"] == 1.0
 
@@ -345,11 +389,14 @@ def test_cost_count_at_the_bound_runs(capsys):
      "argument --tokens: invalid int value: '"),
     (["run", "--config", "c.json", "--seed", LONG], "argument --seed: invalid int value: '"),
     (["cost", "--n", "576", "--layers", "32", "--m", "16", "--d", "4", "--" + LONG],
-     "unrecognized arguments: '--"),
+     "unrecognized arguments: --"),
+    (["cost", "--n", "576", "--layers", "32", "--m", "16", "--d", "4", "x\n" * 50_000],
+     "unrecognized arguments: x x "),
     ([LONG], "argument command: invalid choice: '"),
-], ids=["huge_int", "long_float", "schedule_int", "run_seed", "unknown_flag", "unknown_command"])
+], ids=["huge_int", "long_float", "schedule_int", "run_seed", "unknown_flag", "newline_arg",
+        "unknown_command"])
 def test_bad_command_line_is_one_short_line(capsys, argv, message):
-    # argparse's refusal: exit 2 and one error line quoting the value cut,
+    # argparse's refusal: exit 2 and one error line showing the value cut,
     # without the usage text
     with pytest.raises(SystemExit) as exit_info:
         main(argv)
@@ -362,25 +409,33 @@ def test_bad_command_line_is_one_short_line(capsys, argv, message):
 @pytest.mark.parametrize("bound", [None, 0], ids=["invalid_json", "past_byte_bound"])
 def test_long_fixture_path_is_shown_cut(capsys, monkeypatch, tmp_path, bound):
     # a config-supplied path of about 4,000 characters naming a file that
-    # read_json refuses: the line shows the path's start and its file name
-    # around an elided middle
+    # read_json refuses: the line shows the path's start and ends with the
+    # reader's reason; past the byte bound the reason shows the file name,
+    # while a long invalid-JSON reason may elide it
     monkeypatch.chdir(tmp_path)
     (tmp_path / "fixture.json").write_text("{")
     if bound is not None:
         monkeypatch.setattr(layout, "FIXTURE_BYTES_PER_ELEMENT", bound)
+        reason = "/fixture.json holds 1 bytes, past the bound of 0"
+    else:
+        with pytest.raises(ValueError) as parse_error:
+            json.loads("{")
+        reason = f"invalid JSON: {parse_error.value}"
     path = "./" * 1990 + "fixture.json"
     (tmp_path / "config.json").write_text(json.dumps({"model": TOY_MODEL, "fixture": {"path": path}}))
     assert main(["run", "--config", "config.json"]) == 2
     err = capsys.readouterr().err
-    assert err.startswith("error: ") and err.count("\n") == 1 and len(err) <= 300
-    shown = errors.shown_path(path)
-    assert len(shown) == errors.PATH_CHARS and shown.startswith("././") and shown.endswith("/fixture.json")
-    assert shown in err
+    assert err.count("\n") == 1 and len(err) <= 200 and "..." in err
+    assert err.startswith("error: " + ("fixture file " if bound is not None else "") + "././")
+    assert err.endswith(reason + "\n")
 
 
-def test_ordinary_path_is_shown_whole():
-    path = "/data/" + "run/" * 30 + "config.json"
-    assert len(path) <= errors.PATH_CHARS and errors.shown_path(path) == path
+def test_ordinary_path_is_shown_whole(capsys, monkeypatch, tmp_path):
+    # a missing config of 152 characters: its i/o error line shows it whole
+    monkeypatch.chdir(tmp_path)
+    path = "data/" + "run/" * 34 + "config.json"
+    assert main(["run", "--config", path]) == 3
+    assert capsys.readouterr().err == f"i/o error: No such file or directory: {path!r}\n"
 
 
 @pytest.mark.parametrize("ratios", ["0.1:0.9:0", "0.1:0.9:-0.2", "0.1:inf:0.2", "0.1:0.9", "a,b"])
@@ -875,11 +930,14 @@ WRONG = st.one_of(st.none(), st.booleans(), st.text(max_size=3), st.integers(-3,
                   st.floats(-10.0, 10.0), st.sampled_from([float("nan"), float("inf")]),
                   st.lists(st.integers(-1, 9), max_size=2),
                   st.dictionaries(st.text(max_size=2), st.integers(), max_size=1))
-# sizes past layout.MAX_ELEMENTS, put in place of a model or generated
-# fixture size, which the bounds refuse before anything of that size is built
-HUGE = st.one_of(st.integers(layout.MAX_ELEMENTS + 1, 2**70), st.floats(1e20, 1e300))
-SIZE_FIELDS = {"num_layers", "hidden_size", "ffn_intermediate", "vocab_size", "image_tokens",
-               "instruction_length", "answer_length"}
+# sizes past layout.MAX_ELEMENTS, up to Python's digit limit, put in place of
+# a model or generated fixture size or the margin onset layer, which the
+# bounds refuse before anything of that size is built
+HUGE = st.one_of(st.integers(layout.MAX_ELEMENTS + 1, 2**70), st.floats(1e20, 1e300),
+                 st.integers(8, 4299).map(lambda k: 10**k))
+SIZE_FIELDS = {"num_layers", "hidden_size", "num_heads", "head_dim", "ffn_intermediate",
+               "vocab_size", "image_tokens", "instruction_length", "answer_length",
+               "margin_onset_layer"}
 
 
 def strategies(layers):
@@ -903,7 +961,7 @@ def configs(draw, fixture_path):
     """A run's config file object, the text of a fixture file at
     ``fixture_path`` for it (None for a generated fixture), and whether a
     size in them is HUGE. In one case in eight one model or generated
-    fixture size is HUGE; in half of the others one field somewhere in them
+    fixture size, or the margin onset layer, is HUGE; in half of the others one field somewhere in them
     is left out, or given a value from WRONG, or an unknown field is added."""
     layers, heads = draw(st.integers(1, 4)), draw(st.integers(1, 2))
     head_dim = draw(st.sampled_from([8, 4, 2]))
@@ -946,7 +1004,7 @@ def configs(draw, fixture_path):
         }))
     huge = draw(st.integers(0, 7)) == 0
     if huge:
-        node = draw(st.sampled_from([config["model"]] if from_file else [config["model"], fixture]))
+        node = draw(st.sampled_from([config, config["model"]] + ([] if from_file else [fixture])))
         node[draw(st.sampled_from(sorted(SIZE_FIELDS & set(node))))] = draw(HUGE)
     elif draw(st.booleans()):
         node = draw(st.sampled_from([config, config["model"], config["sweep"], fixture]))
@@ -977,7 +1035,8 @@ FLAG_VALUES = {
 @given(data=st.data())
 def test_whole_run_ends_with_a_code_and_a_line(data):
     # every generated run, compare or sweep returns 0, 2 or 3 without
-    # raising or warning; a nonzero code comes with one error line
+    # raising or warning; a nonzero code comes with one error line of at
+    # most 200 characters
     with tempfile.TemporaryDirectory() as workdir:
         config, fixture_file, huge = data.draw(configs(os.path.join(workdir, "fixture.json")))
         with open(os.path.join(workdir, "config.json"), "w") as fh:
@@ -1000,7 +1059,7 @@ def test_whole_run_ends_with_a_code_and_a_line(data):
     assert code in ((2,) if huge else (0, 2, 3))
     if code:
         assert err.getvalue().startswith(("error: ", "i/o error: "))
-        assert err.getvalue().count("\n") == 1
+        assert err.getvalue().count("\n") == 1 and len(err.getvalue()) <= 200
     else:
         assert err.getvalue() == "" and "NaN" not in out.getvalue()
 
