@@ -2,9 +2,9 @@
 
 Subcommands: cost, schedule, run, sweep, compare. JSON goes to stdout
 unless --out is given. Exit codes: 0 success, 2 config error, 3 I/O error.
-An error is one ``error:`` or ``i/o error:`` line, its message cut by
-``errors.one_line``; argparse's own refusals print no usage text.
-"""
+The config's reader (``harness.typed``) reads every number a flag gives,
+and its error names the flag as typed. Every error, a bad command line
+too, is one ``error:`` or ``i/o error:`` line, cut by ``errors.one_line``."""
 
 from __future__ import annotations
 
@@ -15,13 +15,13 @@ from dataclasses import fields
 from .costmodel import strategy_cost
 from .errors import ConfigError, PdropError, one_line
 from .harness import (
-    MAX_COUNT,
     STRATEGIES,
     load_spec,
     run_compare,
     run_layer_sweep,
     run_single,
     strategy_from_json,
+    typed,
     write_json,
     write_sweep_csv,
 )
@@ -31,20 +31,11 @@ EXIT_CONFIG = 2
 EXIT_IO = 3
 
 
-def _parse_list(text: str, kind: type, what: str) -> list:
-    """A comma list of ``kind`` values, e.g. layers '2,8,16' or ratios '0.1,0.5'."""
-    try:
-        return [kind(x) for x in text.split(",")]
-    except ValueError as exc:
-        raise ConfigError(f"bad {what} list {text!r}") from exc
-
-
 class _Parser(argparse.ArgumentParser):
-    """Refuses a bad command line with one error line and exit code 2, no usage text."""
+    """Refuses a bad command line with a ConfigError, for main's one error line."""
 
     def error(self, message):
-        print(f"error: {one_line(message)}", file=sys.stderr)
-        sys.exit(EXIT_CONFIG)
+        raise ConfigError(message)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -52,26 +43,26 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     cost = sub.add_parser("cost", help="FLOPs report for a strategy or staged schedule")
-    cost.add_argument("--n", type=int, required=True, help="initial image-token count")
-    cost.add_argument("--layers", type=int, required=True)
-    cost.add_argument("--d", type=int, required=True, help="hidden size")
-    cost.add_argument("--m", type=int, required=True, help="FFN intermediate size")
-    cost.add_argument("--lambda", dest="keep_ratio", type=float,
+    cost.add_argument("--n", required=True, help="initial image-token count")
+    cost.add_argument("--layers", required=True)
+    cost.add_argument("--d", required=True, help="hidden size")
+    cost.add_argument("--m", required=True, help="FFN intermediate size")
+    cost.add_argument("--lambda", dest="keep_ratio",
                       help="keep ratio; without --strategy, selects pdrop")
-    cost.add_argument("--stages", type=int, help="pdrop and random stage count")
+    cost.add_argument("--stages", help="pdrop and random stage count")
     cost.add_argument("--strategy", help="vanilla | pdrop | fastv | uniform | random")
-    cost.add_argument("--drop-layer", type=int, help="fastv drop layer")
-    cost.add_argument("--tokens", dest="token_count", type=int, help="uniform token count")
+    cost.add_argument("--drop-layer", help="fastv drop layer")
+    cost.add_argument("--tokens", dest="token_count", help="uniform token count")
 
     sched = sub.add_parser("schedule", help="stage schedule as JSON")
-    sched.add_argument("--layers", type=int, required=True)
-    sched.add_argument("--stages", type=int, required=True)
-    sched.add_argument("--lambda", dest="keep_ratio", type=float, required=True)
-    sched.add_argument("--tokens", type=int, required=True)
+    sched.add_argument("--layers", required=True)
+    sched.add_argument("--stages", required=True)
+    sched.add_argument("--lambda", dest="keep_ratio", required=True)
+    sched.add_argument("--tokens", required=True)
 
     run = sub.add_parser("run", help="run one strategy, print RunReport JSON")
     run.add_argument("--config", required=True)
-    run.add_argument("--seed", type=int, default=None)
+    run.add_argument("--seed")
 
     sweep = sub.add_parser("sweep", help="single-drop layer/ratio sweep to CSV")
     sweep.add_argument("--config", required=True)
@@ -98,50 +89,50 @@ _COST_FLAGS = {"stages": "--stages", "keep_ratio": "--lambda",
 
 
 def _cmd_cost(args) -> dict:
-    for dest in ("n", "layers", "d", "m", "stages", "drop_layer", "token_count"):
-        value = getattr(args, dest)
-        if value is not None and abs(value) > MAX_COUNT:
-            flag = _COST_FLAGS.get(dest, f"--{dest}")
-            raise ConfigError(f"{flag} {value} is past the bound of {MAX_COUNT}")
+    n, layers, d, m = (typed("int", getattr(args, k), f"--{k}") for k in ("n", "layers", "d", "m"))
     # only the flags given reach the strategy: an unset one takes the
     # strategy's default, and one the strategy lacks is an error that names it
     default = "vanilla" if args.keep_ratio is None else "pdrop"
     name = default if args.strategy is None else args.strategy
     given = {k: getattr(args, k) for k in _COST_FLAGS if getattr(args, k) is not None}
     if name in STRATEGIES:
-        owned = {f.name for f in fields(STRATEGIES[name])}
-        lacking = [_COST_FLAGS[k] for k in given if k not in owned]
+        kinds = {f.name: f.type for f in fields(STRATEGIES[name])}
+        lacking = [_COST_FLAGS[k] for k in given if k not in kinds]
         if lacking:
             raise ConfigError(f"strategy {name!r} takes no {', '.join(lacking)}")
+        given = {k: typed(kinds[k], v, _COST_FLAGS[k]) for k, v in given.items()}
     strat = strategy_from_json({"name": name, **given})
-    return strategy_cost(strat, args.layers, args.n, args.d, args.m).to_json()
+    return strategy_cost(strat, layers, n, d, m).to_json()
 
 
 def main(argv=None) -> int:
-    args = _PARSER.parse_args(argv)
     try:
+        args = _PARSER.parse_args(argv)
         if args.command == "cost":
             write_json(_cmd_cost(args))
         elif args.command == "schedule":
-            schedule = build_schedule(args.layers, args.stages, args.keep_ratio, args.tokens)
+            layers, stages, tokens = (typed("int", getattr(args, k), f"--{k}")
+                                      for k in ("layers", "stages", "tokens"))
+            keep_ratio = typed("float", args.keep_ratio, "--lambda")
+            schedule = build_schedule(layers, stages, keep_ratio, tokens)
             write_json({
                 "boundaries": list(schedule.boundary_layers),
                 "stage_layers": list(schedule.stage_layer_counts),
                 "stage_tokens": list(schedule.stage_token_counts),
-                "lambda": args.keep_ratio,
-                "stages": args.stages,
+                "lambda": keep_ratio,
+                "stages": stages,
             })
         elif args.command == "run":
+            seed = None if args.seed is None else typed("int", args.seed, "--seed")
             spec = load_spec(args.config)
-            if args.seed is not None:
-                spec.seed = args.seed
+            spec.seed = spec.seed if seed is None else seed
             write_json(run_single(spec).to_json())
         elif args.command == "sweep":
             spec = load_spec(args.config)
             if args.layers is not None:
-                spec.sweep_layers = _parse_list(args.layers, int, "layer")
+                spec.sweep_layers = [typed("int", x, "--layers") for x in args.layers.split(",")]
             if args.ratios is not None:
-                spec.sweep_ratios = _parse_list(args.ratios, float, "ratio")
+                spec.sweep_ratios = [typed("float", x, "--ratios") for x in args.ratios.split(",")]
             write_sweep_csv(run_layer_sweep(spec), args.out)
         elif args.command == "compare":
             spec = load_spec(args.config)

@@ -110,7 +110,7 @@ STRATEGIES = {
 }
 
 
-# the largest magnitude of a config integer or a count of `pdrop cost`: one
+# the largest magnitude of an integer read from a config or a flag: one
 # fits an int64, and a product or sum of a few stays far under the 4,300
 # digits past which Python prints no integer
 MAX_COUNT = 2**63 - 1
@@ -140,11 +140,12 @@ def _ints(value) -> tuple[int, ...]:
     return tuple(map(_int, value))
 
 
-# field annotation -> coercion of a JSON value to that type
+# field annotation -> coercion of a JSON value or a flag's text to that type
 _COERCE = {"int": _int, "float": _float, "str": str, "tuple[int, ...]": _ints}
 
 
-def _typed(kind: str, value, what: str):
+def typed(kind: str, value, what: str):
+    """``value`` (JSON or a flag's text) as type ``kind``, or a ConfigError naming ``what``."""
     try:
         return _COERCE[kind](value)
     except ConfigError as exc:
@@ -173,7 +174,7 @@ def _from_fields(cls, obj, what: str):
     kinds = {f.name: f.type for f in fields(cls)}
     _known(obj, kinds, what)
     try:
-        return cls(**{k: _typed(kinds[k], v, f"{what} {k}") for k, v in obj.items()})
+        return cls(**{k: typed(kinds[k], v, f"{what} {k}") for k, v in obj.items()})
     except TypeError as exc:  # a field without a default is missing
         raise ConfigError(f"{what}: {exc}") from exc
 
@@ -211,17 +212,17 @@ def spec_from_json(obj: dict) -> ExperimentSpec:
     sweep = _known(obj.get("sweep", {}), ("layers", "ratios"), "sweep")
     return ExperimentSpec(
         model=model,
-        seed=_typed("int", obj.get("seed", 0), "seed"),
+        seed=typed("int", obj.get("seed", 0), "seed"),
         fixture=fixture,
         fixture_path=fixture_path,
         strategy=strategy_from_json(obj["strategy"]) if "strategy" in obj else None,
         strategies=[strategy_from_json(s)
                     for s in _expect(obj.get("strategies", []), list, "strategies")],
-        sweep_layers=[_typed("int", x, "sweep layer")
+        sweep_layers=[typed("int", x, "sweep layer")
                       for x in _expect(sweep.get("layers", []), list, "sweep layers")],
-        sweep_ratios=[_typed("float", x, "sweep ratio")
+        sweep_ratios=[typed("float", x, "sweep ratio")
                       for x in _expect(sweep.get("ratios", []), list, "sweep ratios")],
-        margin_onset_layer=_typed("int", obj.get("margin_onset_layer", 1), "margin_onset_layer"),
+        margin_onset_layer=typed("int", obj.get("margin_onset_layer", 1), "margin_onset_layer"),
     )
 
 

@@ -136,17 +136,23 @@ def sequence_from_json(obj: dict) -> MultimodalSequence:
 
 def read_json(path, what: str, max_bytes: int, error):
     """The UTF-8 JSON value in the ``what`` file at ``path``, refused with
-    ``error`` unparsed if the file holds more than ``max_bytes`` bytes."""
-    size = os.path.getsize(path)
-    if size > max_bytes:
-        raise error(f"{what} file {path} holds {size} bytes, past the bound of {max_bytes}")
-    with open(path, encoding="utf-8") as fh:
-        try:
-            return json.load(fh)
-        # besides bad syntax: bytes that are not UTF-8, an integer past
-        # Python's digit limit, or arrays nested past the recursion limit
-        except (ValueError, RecursionError) as exc:
-            raise error(f"{path}: invalid JSON: {exc}") from exc
+    ``error`` unparsed past ``max_bytes`` bytes: a regular file by its size,
+    a pipe or a device (size 0) in chunks as it is read, endless or not."""
+    with open(path, "rb") as fh:
+        size = os.fstat(fh.fileno()).st_size
+        if size > max_bytes:
+            raise error(f"{what} file {path} holds {size} bytes, past the bound of {max_bytes}")
+        data = fh.read(size) if size else bytearray()
+        while not size and len(data) <= max_bytes and (chunk := fh.read(1 << 16)):
+            data += chunk
+        if len(data) > max_bytes:
+            raise error(f"{what} file {path} holds more than the bound of {max_bytes} bytes")
+    try:
+        return json.loads(data.decode("utf-8"))
+    # besides bad syntax: bytes that are not UTF-8, an integer past
+    # Python's digit limit, or arrays nested past the recursion limit
+    except (ValueError, RecursionError) as exc:
+        raise error(f"{path}: invalid JSON: {exc}") from exc
 
 
 def load_sequence(path) -> MultimodalSequence:

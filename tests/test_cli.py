@@ -3,6 +3,7 @@ import io
 import json
 import os
 import pathlib
+import re
 import shutil
 import subprocess
 import sys
@@ -370,7 +371,7 @@ def test_cost_count_past_the_bound_is_refused(capsys, monkeypatch, flags):
     argv = ["cost", *(x for flag, value in counts.items() for x in (flag, value)), *flags]
     assert main(argv) == 2
     err = capsys.readouterr().err
-    assert err.startswith(f"error: {flags[-2]} ") and err.count("\n") == 1 and len(err) <= 200
+    assert err.startswith(f"error: {flags[-2]}: ") and err.count("\n") == 1 and len(err) <= 200
     assert err.endswith(f" is past the bound of {harness.MAX_COUNT}\n")
 
 
@@ -380,14 +381,59 @@ def test_cost_count_at_the_bound_runs(capsys):
     assert code == 0 and json.loads(out)["ratio"] == 1.0
 
 
+@pytest.mark.parametrize("argv, flag, value", [
+    (["run", "--config", "CONFIG", "--seed"], "--seed", 2**64 + 7),
+    (["run", "--config", "CONFIG", "--seed"], "--seed", -2**63),
+    (["schedule", "--layers", "8", "--stages", "4", "--lambda", "0.5", "--tokens"], "--tokens",
+     10**23 - 1),
+    (["schedule", "--layers", "8", "--tokens", "16", "--lambda", "0.5", "--stages"], "--stages",
+     2**63),
+    (["sweep", "--config", "CONFIG", "--out", "out.csv", "--ratios", "0.5", "--layers"], "--layers",
+     f"2,{2**63}"),
+], ids=["run_seed", "negative_seed", "schedule_tokens", "schedule_stages", "sweep_layers"])
+def test_flag_count_past_the_bound_is_refused(capsys, monkeypatch, config_file, tmp_path,
+                                              argv, flag, value):
+    # every count a flag gives is read with the config's bound: a seed past
+    # it is not folded onto a smaller one, and a schedule is not built
+    monkeypatch.chdir(tmp_path)
+    assert main([config_file if arg == "CONFIG" else arg for arg in argv] + [str(value)]) == 2
+    past = str(value).split(",")[-1]
+    assert capsys.readouterr() == (
+        "", f"error: {flag}: {past} is past the bound of {harness.MAX_COUNT}\n")
+
+
+def test_flag_and_config_value_are_refused_alike(capsys, config_file, tmp_path):
+    # a sweep layer from --layers and one from the config are read by one
+    # function: the same words follow the name of where the value came from
+    path = tmp_path / "bad_layer.json"
+    path.write_text(json.dumps({"model": TOY_MODEL, "sweep": {"layers": [2, "x"], "ratios": [0.5]}}))
+    out = str(tmp_path / "sweep.csv")
+    assert main(["sweep", "--config", config_file, "--layers", "2,x", "--out", out]) == 2
+    assert capsys.readouterr().err == "error: --layers: expected int, got 'x'\n"
+    assert main(["sweep", "--config", str(path), "--out", out]) == 2
+    assert capsys.readouterr().err == "error: sweep layer: expected int, got 'x'\n"
+
+
+@pytest.mark.parametrize("argv, usage", [(["--help"], "usage: pdrop [-h]"),
+                                         (["cost", "--help"], "usage: pdrop cost [-h]")],
+                         ids=["pdrop", "cost"])
+def test_help_exits_0_with_usage_on_stdout(capsys, argv, usage):
+    # --help is the one path that leaves main through argparse's SystemExit
+    with pytest.raises(SystemExit) as exit_info:
+        main(argv)
+    assert exit_info.value.code == 0
+    captured = capsys.readouterr()
+    assert captured.out.startswith(usage) and captured.err == ""
+
+
 @pytest.mark.parametrize("argv, message", [
     (["cost", "--n", "576", "--layers", "32", "--m", "16", "--d", "9" * 5000],
-     "argument --d: invalid int value: '"),
+     "--d: expected int, got '"),
     (["cost", "--n", "576", "--layers", "32", "--m", "16", "--d", "4", "--lambda", LONG],
-     "argument --lambda: invalid float value: '"),
+     "--lambda: expected float, got '"),
     (["schedule", "--layers", "8", "--stages", "4", "--lambda", "0.5", "--tokens", "1" + LONG],
-     "argument --tokens: invalid int value: '"),
-    (["run", "--config", "c.json", "--seed", LONG], "argument --seed: invalid int value: '"),
+     "--tokens: expected int, got '"),
+    (["run", "--config", "c.json", "--seed", LONG], "--seed: expected int, got '"),
     (["cost", "--n", "576", "--layers", "32", "--m", "16", "--d", "4", "--" + LONG],
      "unrecognized arguments: --"),
     (["cost", "--n", "576", "--layers", "32", "--m", "16", "--d", "4", "x\n" * 50_000],
@@ -396,11 +442,10 @@ def test_cost_count_at_the_bound_runs(capsys):
 ], ids=["huge_int", "long_float", "schedule_int", "run_seed", "unknown_flag", "newline_arg",
         "unknown_command"])
 def test_bad_command_line_is_one_short_line(capsys, argv, message):
-    # argparse's refusal: exit 2 and one error line showing the value cut,
+    # a flag value the config's reader refuses, or argparse's own refusal:
+    # main returns 2 and prints one error line showing the value cut,
     # without the usage text
-    with pytest.raises(SystemExit) as exit_info:
-        main(argv)
-    assert exit_info.value.code == 2
+    assert main(argv) == 2
     captured = capsys.readouterr()
     assert captured.out == "" and captured.err.startswith(f"error: {message}")
     assert captured.err.count("\n") == 1 and len(captured.err) <= 200 and "..." in captured.err
@@ -599,19 +644,29 @@ def test_fixture_file_byte_size_bound(capsys, monkeypatch, tmp_path, extra, code
 @pytest.mark.parametrize("extra, code", [(0, 0), (1, 2)], ids=["at_bound", "past_bound"])
 def test_config_file_byte_size_bound(capsys, monkeypatch, tmp_path, extra, code):
     # the bound shrunk to the size of a small config: one byte more is
-    # refused before json.load runs, however little its padding holds
+    # refused before json.loads runs, however little its padding holds
     text = json.dumps({"model": TOY_MODEL, "fixture": {"image_tokens": 16}})
     limit = len(text) + 10
     monkeypatch.setattr(harness, "MAX_CONFIG_BYTES", limit)
     path = tmp_path / "config.json"
     path.write_text(text.ljust(limit + extra))
-    loaded = []
-    monkeypatch.setattr(json, "load", lambda fh: loaded.append(fh) or json.loads(fh.read()))
+    loaded, loads = [], json.loads
+    monkeypatch.setattr(json, "loads", lambda text: loaded.append(text) or loads(text))
     assert main(["run", "--config", str(path)]) == code
     assert len(loaded) == 1 - extra
     if code:
         assert capsys.readouterr().err == (
             f"error: config file {path} holds {limit + 1} bytes, past the bound of {limit}\n")
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/zero"), reason="no /dev/zero")
+def test_endless_config_stream_is_refused_at_the_bound(capsys):
+    # a device shows size 0, so it is read in chunks until past the bound
+    start = time.perf_counter()
+    assert main(["run", "--config", "/dev/zero"]) == 2
+    assert time.perf_counter() - start < 5.0
+    assert capsys.readouterr().err == (
+        f"error: config file /dev/zero holds more than the bound of {harness.MAX_CONFIG_BYTES} bytes\n")
 
 
 @pytest.mark.parametrize("route", ["generated", "file"])
@@ -824,8 +879,8 @@ def test_json_output_is_indented_and_ends_in_one_newline(capsys, config_file, ar
 
 
 @pytest.mark.parametrize("argv, code, message", [
-    (["sweep", "--layers", ""], 2, "error: bad layer list ''\n"),
-    (["sweep", "--ratios", ""], 2, "error: bad ratio list ''\n"),
+    (["sweep", "--layers", ""], 2, "error: --layers: expected int, got ''\n"),
+    (["sweep", "--ratios", ""], 2, "error: --ratios: expected float, got ''\n"),
     (["compare", "--strategies", ""], 2, "error: unknown strategy ''\n"),
     (["compare", "--out", ""], 3, "i/o error: "),
 ], ids=["layers", "ratios", "strategies", "out"])
@@ -842,18 +897,19 @@ def test_flag_given_empty_is_refused(capsys, config_file, tmp_path, argv, code, 
 
 @pytest.mark.parametrize("argv, config, message", [
     (["cost", "--n", "576", "--layers", "32", "--d", "4096", "--m", "11008",
-      "--strategy", "fastv", "--keep-ratio", "0.5"], None, None),
-    (["run", "--emit-masks", "masks.json"], None, None),
+      "--strategy", "fastv", "--keep-ratio", "0.5"], None, "unrecognized arguments: --keep-ratio 0.5"),
+    (["run", "--emit-masks", "masks.json"], None, "unrecognized arguments: --emit-masks masks.json"),
     (["run"], {"strategy": "pyramiddrop"}, "unknown strategy 'pyramiddrop'"),
     (["run"], {"strategy": {"name": "qformer", "token_count": 64}}, "unknown strategy 'qformer'"),
     (["compare", "--strategies", "vanilla,pyramiddrop"], None, "unknown strategy 'pyramiddrop'"),
     (["compare", "--strategies", "qformer"], None, "unknown strategy 'qformer'"),
-    (["sweep", "--layers", "2", "--ratios", "0.1:0.9:0.2"], None, "bad ratio list '0.1:0.9:0.2'"),
+    (["sweep", "--layers", "2", "--ratios", "0.1:0.9:0.2"], None,
+     "--ratios: expected float, got '0.1:0.9:0.2'"),
 ], ids=["keep_ratio", "emit_masks", "pyramiddrop_config", "qformer_config",
         "pyramiddrop_flag", "qformer_flag", "ratio_range"])
 def test_removed_form_exits_2(capsys, config_file, tmp_path, argv, config, message):
-    # each input has one spelling: a removed flag is argparse's usage error,
-    # a removed strategy name or ratio range one error line
+    # each input has one spelling: a removed flag, strategy name or ratio
+    # range is one error line
     if argv[0] != "cost":
         if config is not None:
             config_file = tmp_path / "removed.json"
@@ -861,14 +917,8 @@ def test_removed_form_exits_2(capsys, config_file, tmp_path, argv, config, messa
         argv = [*argv, "--config", str(config_file)]
     if argv[0] == "sweep":
         argv += ["--out", str(tmp_path / "sweep.csv")]
-    if message is None:
-        with pytest.raises(SystemExit) as exit_info:
-            main(argv)
-        assert exit_info.value.code == 2
-        assert "unrecognized arguments" in capsys.readouterr().err
-    else:
-        assert main(argv) == 2
-        assert capsys.readouterr() == ("", f"error: {message}\n")
+    assert main(argv) == 2
+    assert capsys.readouterr() == ("", f"error: {message}\n")
 
 
 def test_model_checked_before_fixture_file_is_read(capsys, tmp_path):
@@ -921,6 +971,26 @@ def test_entry_point_exit_code(tmp_path, entry, argv, code):
     else:
         assert done.stderr == ""
         assert round(json.loads(done.stdout)["total"] / 1e12, 2) == 1.78
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/stdin"), reason="no /dev/stdin")
+@pytest.mark.parametrize("padding, code", [(0, 0), (1, 2)], ids=["readme_config", "past_bound"])
+def test_config_through_a_pipe(tmp_path, padding, code):
+    # a pipe shows size 0: the README's config runs through one, and padded
+    # to one byte past the bound it is refused, not parsed whole
+    (config,) = re.findall(r"```json\n(.*?)```", (SRC.parent / "README.md").read_text(), re.S)
+    if padding:
+        config = config.ljust(harness.MAX_CONFIG_BYTES + padding)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(SRC), os.environ.get("PYTHONPATH", "")]))
+    done = subprocess.run([sys.executable, "-m", "pdrop", "run", "--config", "/dev/stdin"],
+                          input=config, cwd=tmp_path, env=env, capture_output=True, text=True,
+                          timeout=60)
+    assert done.returncode == code
+    if code:
+        assert (done.stdout, done.stderr) == ("", "error: config file /dev/stdin holds more than "
+                                                  f"the bound of {harness.MAX_CONFIG_BYTES} bytes\n")
+    else:
+        assert done.stderr == "" and json.loads(done.stdout)["strategy"] == "pdrop"
 
 
 # --- whole-run fuzz -----------------------------------------------------------
@@ -1021,12 +1091,22 @@ FUZZ_FLAGS = {
     "compare": ["--strategies", "--out"],
     "sweep": ["--layers", "--ratios"],
 }
+# integers past harness.MAX_COUNT, which every flag and config refuses
+PAST_BOUND = [2**63, -2**63, 2**64 + 7, 10**30]
+
+
+def past_bound(value: str) -> bool:
+    """Whether a flag's text holds an integer past harness.MAX_COUNT."""
+    return any(abs(int(x)) > harness.MAX_COUNT for x in value.split(",") if x.lstrip("-").isdigit())
+
+
 FLAG_VALUES = {
-    "--seed": st.integers(0, 2**40).map(str),
+    "--seed": st.one_of(st.integers(0, 2**40), st.sampled_from(PAST_BOUND)).map(str),
     "--strategies": st.lists(st.sampled_from(["vanilla", "pdrop", "fastv", "random", "uniform",
                                               "x"]), min_size=1, max_size=3).map(",".join),
     "--out": st.just("compare.json"),
-    "--layers": st.sampled_from(["1", "2,1", "0", "-1", "9", "a", "1,,2"]),
+    "--layers": st.sampled_from(["1", "2,1", "0", "-1", "9", "a", "1,,2",
+                                 *(f"1,{n}" for n in PAST_BOUND), str(10**30)]),
     "--ratios": st.sampled_from(["0.5", "0,1", "nan"]),
 }
 
@@ -1035,8 +1115,8 @@ FLAG_VALUES = {
 @given(data=st.data())
 def test_whole_run_ends_with_a_code_and_a_line(data):
     # every generated run, compare or sweep returns 0, 2 or 3 without
-    # raising or warning; a nonzero code comes with one error line of at
-    # most 200 characters
+    # raising or warning, and 2 for a flag past the bound; a nonzero code
+    # comes with one error line of at most 200 characters
     with tempfile.TemporaryDirectory() as workdir:
         config, fixture_file, huge = data.draw(configs(os.path.join(workdir, "fixture.json")))
         with open(os.path.join(workdir, "config.json"), "w") as fh:
@@ -1045,10 +1125,11 @@ def test_whole_run_ends_with_a_code_and_a_line(data):
             with open(os.path.join(workdir, "fixture.json"), "w") as fh:
                 fh.write(fixture_file)
         command = data.draw(st.sampled_from(sorted(FUZZ_FLAGS)))
-        argv = [command, "--config", os.path.join(workdir, "config.json")]
+        argv, past = [command, "--config", os.path.join(workdir, "config.json")], False
         for flag in data.draw(st.lists(st.sampled_from(FUZZ_FLAGS[command]), unique=True)):
             value = data.draw(FLAG_VALUES[flag])
             argv += [flag, os.path.join(workdir, value) if value.endswith(".json") else value]
+            past = past or (flag in ("--seed", "--layers") and past_bound(value))
         if command == "sweep":
             argv += ["--out", os.path.join(workdir, "sweep.csv")]
         out, err = io.StringIO(), io.StringIO()
@@ -1056,7 +1137,7 @@ def test_whole_run_ends_with_a_code_and_a_line(data):
               contextlib.redirect_stderr(err)):
             warnings.simplefilter("error")
             code = main(argv)
-    assert code in ((2,) if huge else (0, 2, 3))
+    assert code in ((2,) if huge or past else (0, 2, 3))
     if code:
         assert err.getvalue().startswith(("error: ", "i/o error: "))
         assert err.getvalue().count("\n") == 1 and len(err.getvalue()) <= 200
@@ -1064,8 +1145,9 @@ def test_whole_run_ends_with_a_code_and_a_line(data):
         assert err.getvalue() == "" and "NaN" not in out.getvalue()
 
 
-# counts from a few to 2**40, past pruner.MAX_STAGES and any model's layers
-COUNT = st.one_of(st.integers(-1, 9), st.integers(0, 2**40)).map(str)
+# counts from a few to 2**40, past pruner.MAX_STAGES and any model's layers,
+# and past harness.MAX_COUNT
+COUNT = st.one_of(st.integers(-1, 9), st.integers(0, 2**40), st.sampled_from(PAST_BOUND)).map(str)
 RATIO = st.one_of(st.floats(-0.5, 1.5), st.sampled_from([0.0, 1.0, float("nan"), float("inf")]))
 COST_FLAGS = {
     "--lambda": RATIO.map(str), "--stages": COUNT, "--drop-layer": COUNT, "--tokens": COUNT,
@@ -1077,9 +1159,9 @@ COST_FLAGS = {
 @given(data=st.data())
 def test_cost_and_schedule_end_with_a_code_and_a_line(data):
     # every generated cost or schedule, at stage and layer counts up to
-    # 2**40, returns 0 or 2 without raising or warning; 2 comes with one
-    # error line. Each value is joined to its flag, so that argparse takes
-    # "-1e-05" as a value
+    # 2**40, returns 0 or 2 without raising or warning, and 2 for a count
+    # past the bound; 2 comes with one error line. Each value is joined to
+    # its flag, so that argparse takes "-1e-05" as a value
     if data.draw(st.booleans()):
         command = "schedule"
         flags = {"--layers": data.draw(COUNT), "--stages": data.draw(COUNT),
@@ -1095,7 +1177,7 @@ def test_cost_and_schedule_end_with_a_code_and_a_line(data):
           contextlib.redirect_stderr(err)):
         warnings.simplefilter("error")
         code = main(argv)
-    assert code in (0, 2)
+    assert code in ((2,) if any(map(past_bound, flags.values())) else (0, 2))
     if code:
         assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1
     else:
