@@ -7,14 +7,19 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import floor, log10
+from operator import index
 
 from .errors import ConfigError
 from .pruner import StageSchedule, Strategy
 
 
 def layer_flops(n: int, d: int, m: int) -> int:
-    """Attention + three-linear FFN cost of one layer at n image tokens."""
-    n, d, m = int(n), int(d), int(m)
+    """Attention + three-linear FFN cost of one layer at n image tokens;
+    n, d and m must be integers (a float is refused, not truncated)."""
+    try:
+        n, d, m = index(n), index(d), index(m)
+    except TypeError as exc:
+        raise ConfigError(f"FLOPs need integer counts and sizes: {exc}") from exc
     return 4 * n * d * d + 2 * n * n * d + 3 * n * d * m
 
 
@@ -50,15 +55,28 @@ def tera(flops: int) -> float:
 
 def _report(layers, tokens, num_layers: int, vanilla_tokens: int, d: int, m: int) -> CostReport:
     """The one report builder: stage i runs layers[i] layers at tokens[i]
-    image tokens; the vanilla reference, num_layers at vanilla_tokens."""
-    if d < 1 or m < 1:
-        raise ConfigError(f"hidden size d and FFN size m must be positive, got d={d}, m={m}")
-    per_stage = tuple(k * layer_flops(n, d, m) for k, n in zip(layers, tokens))
+    image tokens; the vanilla reference, num_layers at vanilla_tokens. A
+    layer at n tokens costs n * (linear + quad * n), layer_flops factored
+    by n, so each stage is one product of Python ints."""
+    try:
+        d, m = index(d), index(m)
+        if d < 1 or m < 1:
+            raise ConfigError(f"hidden size d and FFN size m must be positive, got d={d}, m={m}")
+        linear, quad = 4 * d * d + 3 * d * m, 2 * d
+        per_stage, layer_sum, token_sum = [], 0, 0
+        for k, n in zip(layers, tokens):
+            k, n = index(k), index(n)
+            per_stage.append(k * n * (linear + quad * n))
+            layer_sum += k
+            token_sum += k * n
+        n = index(vanilla_tokens)
+        vanilla = index(num_layers) * n * (linear + quad * n)
+    except TypeError as exc:
+        raise ConfigError(f"FLOPs need integer counts and sizes: {exc}") from exc
     total = sum(per_stage)
-    vanilla = num_layers * layer_flops(vanilla_tokens, d, m)
-    return CostReport(per_stage=per_stage, total=total, vanilla=vanilla,
+    return CostReport(per_stage=tuple(per_stage), total=total, vanilla=vanilla,
                       ratio=total / vanilla if vanilla else 1.0,
-                      avg_tokens=sum(k * n for k, n in zip(layers, tokens)) / sum(layers))
+                      avg_tokens=token_sum / layer_sum)
 
 
 def schedule_cost(schedule: StageSchedule, d: int, m: int) -> CostReport:

@@ -22,7 +22,7 @@ from .costmodel import CostReport, strategy_cost
 from .errors import ConfigError
 from .layout import (MultimodalSequence, build_sequence, check_elements, check_image_size,
                      load_sequence, read_json)
-from .numkernel import RngState, derive_seed
+from .numkernel import MAX_COUNT, RngState, derive_seed
 from .pruner import (
     PyramidDrop,
     RandomDrop,
@@ -108,12 +108,6 @@ class RunReport:
 STRATEGIES = {
     cls.name: cls for cls in (Vanilla, PyramidDrop, SingleEarlyDrop, UniformCompression, RandomDrop)
 }
-
-
-# the largest magnitude of an integer read from a config or a flag: one
-# fits an int64, and a product or sum of a few stays far under the 4,300
-# digits past which Python prints no integer
-MAX_COUNT = 2**63 - 1
 
 
 def _int(value) -> int:
@@ -258,17 +252,21 @@ def make_marker_sequence(
     n = v0 + max(fixture.instruction_length, 0) + fixture.answer_length
     check_elements(f"a forward of {n} tokens", forward_elements(cfg, n))
     rng = RngState(derive_seed(seed, 101))
-    emb = fixture.noise * rng.normals(v0 * d).reshape(v0, d) if v0 else np.zeros((0, d))
-    if fixture.marked_placement == "high":
-        marked = np.arange(v0 - km, v0)
-    elif fixture.marked_placement == "low":
-        marked = np.arange(km)
-    elif fixture.marked_placement == "random":
-        marked = np.sort(np.argsort(rng.uniforms(v0), kind="stable")[:km])
-    else:
-        raise ConfigError(f"unknown placement {fixture.marked_placement!r}")
-    for p in marked:
-        emb[p, list(fixture.marker_dims)] += fixture.amplitude
+    # a noise or amplitude near the float64 range may make an entry inf (or
+    # NaN, from inf - inf), which the sequence's finiteness check refuses in
+    # one line: numpy's overflow warnings would add lines of their own
+    with np.errstate(over="ignore", invalid="ignore"):
+        emb = fixture.noise * rng.normals(v0 * d).reshape(v0, d) if v0 else np.zeros((0, d))
+        if fixture.marked_placement == "high":
+            marked = np.arange(v0 - km, v0)
+        elif fixture.marked_placement == "low":
+            marked = np.arange(km)
+        elif fixture.marked_placement == "random":
+            marked = np.sort(np.argsort(rng.uniforms(v0), kind="stable")[:km])
+        else:
+            raise ConfigError(f"unknown placement {fixture.marked_placement!r}")
+        for p in marked:
+            emb[p, list(fixture.marker_dims)] += fixture.amplitude
     instruction = 1 + np.arange(fixture.instruction_length) % (cfg.vocab_size - 1)
     answer = 1 + np.arange(fixture.answer_length) % (cfg.vocab_size - 1)
     return build_sequence(emb, instruction, answer), marked.astype(np.int64)
@@ -297,6 +295,8 @@ def prepare(spec: ExperimentSpec, strategies=()) -> Plan:
     sequence, the marked positions, then each strategy's ranker and
     schedule, so that a bad strategy fails before any forward runs. A file
     fixture's model takes the default marker dims."""
+    if abs(spec.seed) > MAX_COUNT:  # derive_seed would fold it onto a seed within the bound
+        raise ConfigError(f"seed: {spec.seed} is past the bound of {MAX_COUNT}")
     fixture = spec.fixture or FixtureSpec()
     # the model first, so that it rejects marker dims outside the hidden size
     weights = build_marker_model(

@@ -19,6 +19,12 @@ import numpy as np
 
 from .errors import ConfigError, InputError
 
+# the largest magnitude of an integer read from a config or a flag, and of a
+# seed a caller gives: one fits an int64, and a product or sum of a few
+# stays far under the 4,300 digits past which Python prints no integer.
+# derive_seed folds a seed onto its low 64 bits, so seeds 2**64 apart give
+# the same run; no two seeds within this bound are that far apart
+MAX_COUNT = 2**63 - 1
 _MASK64 = (1 << 64) - 1
 _GAMMA = np.uint64(0x9E3779B97F4A7C15)
 _MIX1 = np.uint64(0xBF58476D1CE4E5B9)

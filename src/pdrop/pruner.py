@@ -37,7 +37,7 @@ class StageSchedule:
             raise ConfigError(f"{len(layers)} stage layer counts vs {len(tokens)} token counts")
         if min(layers) < 1 or min(tokens) < 0:
             raise ConfigError(f"need >= 1 layer and >= 0 tokens per stage, got {layers}, {tokens}")
-        if any(b > a for a, b in zip(tokens, tokens[1:])):
+        if sorted(tokens, reverse=True) != [*tokens]:
             raise ConfigError(f"image-token counts grow across stages: {tokens}")
 
     @property

@@ -16,7 +16,8 @@ import numpy as np
 from . import layout
 from .errors import ConfigError, InputError
 from .layout import MIN_LAYER_ELEMENTS, MultimodalSequence, check_elements, check_image_size
-from .numkernel import RngState, gaussian_init, rmsnorm_rows, rope_rotate_rows, rope_table, softmax_rows
+from .numkernel import (MAX_COUNT, RngState, gaussian_init, rmsnorm_rows, rope_rotate_rows, rope_table,
+                        softmax_rows)
 from .pruner import StageSchedule, decide, identity_ranker
 
 INIT_STDDEV = 0.02
@@ -108,6 +109,8 @@ class ForwardTrace:
 
 
 def init_model(cfg: ModelConfig, seed: int) -> DecoderWeights:
+    if abs(seed) > MAX_COUNT:  # RngState would fold it onto a seed within the bound
+        raise ConfigError(f"seed: {seed} is past the bound of {MAX_COUNT}")
     rng = RngState(seed)
     d, m, v = cfg.hidden_size, cfg.ffn_intermediate, cfg.vocab_size
     layers = []

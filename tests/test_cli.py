@@ -690,6 +690,23 @@ def test_image_row_whose_squares_overflow_is_input_error(capsys, tmp_path, forwa
     assert forward_calls == []
 
 
+@pytest.mark.parametrize("fixture", [
+    {"noise": 1e308},  # the product of noise and a normal overflows
+    {"noise": 1e307, "amplitude": 1.7e308},  # the amplitude's sum overflows
+    {"noise": float("inf"), "amplitude": float("-inf")},  # inf - inf is NaN
+], ids=["noise", "amplitude", "inf_minus_inf"])
+def test_fixture_whose_values_overflow_is_one_line(capsys, tmp_path, forward_calls, fixture):
+    # the generator makes the entry inf or NaN without numpy's warning, and
+    # the sequence refuses it in one line before any forward
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"model": TOY_MODEL, "fixture": {"image_tokens": 16, **fixture}}))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["run", "--config", str(path)]) == 2
+    assert capsys.readouterr().err == "error: image embeddings must be finite\n"
+    assert forward_calls == []
+
+
 def test_image_row_just_under_the_overflow_runs(capsys, tmp_path):
     # 64 equal entries whose squares rmsnorm_rows sums to a finite value, 2e-12
     # under the overflow
@@ -1070,7 +1087,9 @@ def configs(draw, fixture_path):
             "instruction_length": st.integers(1, 3), "answer_length": st.integers(0, 2),
             "marker_dims": st.lists(st.integers(0, max(0, width - 2)), min_size=1, max_size=3),
             "marked_placement": st.sampled_from(["high", "low", "random"]),
-            "noise": st.floats(0.0, 1.0), "amplitude": st.floats(-2.0, 2.0),
+            # up to 1e308, where the generated entries or their squares overflow
+            "noise": st.one_of(st.floats(0.0, 1.0), st.floats(0.0, 1e308)),
+            "amplitude": st.one_of(st.floats(-2.0, 2.0), st.floats(-1e308, 1e308)),
         }))
     huge = draw(st.integers(0, 7)) == 0
     if huge:

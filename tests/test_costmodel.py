@@ -150,24 +150,58 @@ def merged(schedule):
     return [(sum(k for k, _ in group), n) for n, group in itertools.groupby(pairs, key=lambda p: p[1])]
 
 
+# (d, m) of the toy and mid benchmark models and of the 7B tables
+GEOMETRIES = [(64, 172), (256, 688), (D7B, M7B)]
+
+
 @pytest.mark.parametrize("num_layers", [1, 8, 32])
 @pytest.mark.parametrize("v0", [0, 1, 576, 5184])
 def test_reports_equal_the_definitions_bit_for_bit(num_layers, v0):
     # README's Determinism promises bit-stable cost reports: the dataclass
     # == compares every field, floats included, with ==
-    for stages, ratio in itertools.product(range(1, 9), (1 / 3, 0.5, 0.9, 1.0)):
+    for (d, m), stages, ratio in itertools.product(GEOMETRIES, range(1, 9), (1 / 3, 0.5, 0.9, 1.0)):
         if stages > num_layers:
             continue
         schedule = build_schedule(num_layers, stages, ratio, v0)
         stage_pairs = list(zip(schedule.stage_layer_counts, schedule.stage_token_counts))
-        assert schedule_cost(schedule, D7B, M7B) == reference_report(stage_pairs, num_layers, v0, D7B, M7B)
+        assert schedule_cost(schedule, d, m) == reference_report(stage_pairs, num_layers, v0, d, m)
         strategies = [Vanilla(), PyramidDrop(stages, ratio), UniformCompression(int(ratio * v0)),
                       RandomDrop(stages, ratio, seed=7)]
         if num_layers > 1:
             strategies.append(SingleEarlyDrop(min(stages, num_layers - 1), ratio))
         for strategy in strategies:
-            expected = reference_report(merged(strategy.schedule(num_layers, v0)), num_layers, v0, D7B, M7B)
-            assert strategy_cost(strategy, num_layers, v0, D7B, M7B) == expected, strategy
+            expected = reference_report(merged(strategy.schedule(num_layers, v0)), num_layers, v0, d, m)
+            assert strategy_cost(strategy, num_layers, v0, d, m) == expected, strategy
+
+
+@pytest.mark.parametrize("d, m", GEOMETRIES)
+@pytest.mark.parametrize("layers, tokens", [((8, 8, 8, 8), (576, 288, 144, 72)),
+                                            ((16, 16), (10**9, 5 * 10**8))], ids=["v0_576", "v0_1e9"])
+def test_numpy_counts_give_exact_python_int_reports(d, m, layers, tokens):
+    # numpy int64 counts are read as Python ints, not multiplied in int64:
+    # at V0 = 10**9 a stage's FLOPs pass 2**63 and would wrap negative
+    schedule = StageSchedule(tuple(map(np.int64, layers)), tuple(map(np.int64, tokens)))
+    report = schedule_cost(schedule, np.int64(d), np.int64(m))
+    assert report == reference_report(list(zip(layers, tokens)), sum(layers), tokens[0], d, m)
+    assert all(type(flops) is int for flops in (*report.per_stage, report.total, report.vanilla))
+    assert type(report.ratio) is float and type(report.avg_tokens) is float
+    assert strategy_cost(Vanilla(), np.int64(32), np.int64(tokens[0]), np.int64(d), np.int64(m)) == \
+        reference_report([(32, tokens[0])], 32, tokens[0], d, m)
+
+
+@pytest.mark.parametrize("cost", [
+    lambda: schedule_cost(StageSchedule((8, 8), (576.0, 288)), D7B, M7B),
+    lambda: schedule_cost(StageSchedule((8, 8), (576, np.float64(288))), D7B, M7B),
+    lambda: schedule_cost(StageSchedule((8.0, 8), (576, 288)), D7B, M7B),
+    lambda: strategy_cost(Vanilla(), J7B, 576, float(D7B), M7B),
+    lambda: strategy_cost(Vanilla(), J7B, 576, D7B, 11008.5),
+    lambda: layer_flops(576.5, D7B, M7B),
+], ids=["token", "numpy_token", "layer", "d", "m", "layer_flops"])
+def test_non_integer_count_is_refused(cost):
+    # a float is refused, not truncated, even when it is whole
+    with pytest.raises(ConfigError, match="^FLOPs need integer counts and sizes: ") as info:
+        cost()
+    assert "\n" not in str(info.value)
 
 
 @pytest.mark.parametrize("strategy", [Vanilla(), PyramidDrop(), SingleEarlyDrop(), UniformCompression(),

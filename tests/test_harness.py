@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import re
 
 import numpy as np
 import pytest
@@ -25,7 +26,9 @@ from pdrop.harness import (
     write_sweep_csv,
 )
 from pdrop.pruner import PyramidDrop, RandomDrop, SingleEarlyDrop, UniformCompression, Vanilla
-from pdrop.toymodel import TOY_CONFIG, build_marker_model, forward_elements, forward_pruned, init_model
+from pdrop.numkernel import MAX_COUNT, RngState, gaussian_init
+from pdrop.toymodel import (INIT_STDDEV, TOY_CONFIG, build_marker_model, forward_elements, forward_pruned,
+                            init_model)
 
 
 def marker_spec(**overrides) -> ExperimentSpec:
@@ -284,6 +287,33 @@ class TestPrepare:
         with pytest.raises(ConfigError, match="drop layer 9"):
             prepare(marker_spec(), [Vanilla(), SingleEarlyDrop(drop_layer=9)])
         assert layer_forwards == []
+
+
+@pytest.mark.parametrize("seed, kept", [
+    (-1, [3, 4, 5, 17, 18, 33, 44, 58]),
+    (0, [15, 18, 26, 29, 30, 34, 44, 47]),
+    (MAX_COUNT, [3, 10, 25, 39, 40, 45, 59, 61]),
+])
+def test_seeds_within_the_bound_keep_their_runs(seed, kept):
+    # a random drop's kept sets come from the seed's integer stream alone,
+    # so they are the same on every platform
+    report = run_single(ExperimentSpec(TOY_CONFIG, seed=seed, strategy=RandomDrop(4, 0.5)))
+    layer, positions = report.kept_masks[-1]
+    assert (layer, positions.tolist()) == (6, kept)
+    d = TOY_CONFIG.hidden_size
+    assert np.array_equal(init_model(TOY_CONFIG, seed).layers[0].w_q,
+                          gaussian_init(RngState(seed), d, d, INIT_STDDEV))
+
+
+@pytest.mark.parametrize("seed", [2**64 + 7, 2**64 - 1, MAX_COUNT + 1, -MAX_COUNT - 1])
+def test_seed_past_the_bound_is_refused(seed):
+    # derive_seed folds a seed onto its low 64 bits, so 2**64 + 7 would run
+    # as 7 and -1 as 2**64 - 1; a library caller is refused as a config is
+    message = re.escape(f"seed: {seed} is past the bound of {MAX_COUNT}")
+    with pytest.raises(ConfigError, match=message):
+        run_single(ExperimentSpec(TOY_CONFIG, seed=seed))
+    with pytest.raises(ConfigError, match=message):
+        init_model(TOY_CONFIG, seed)
 
 
 class TestEmitMasks:
