@@ -10,6 +10,8 @@ rows; kept tokens keep their original position ids.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from itertools import chain
+from operator import index
 
 import numpy as np
 
@@ -309,6 +311,11 @@ def forward_plans(w: DecoderWeights, seq: MultimodalSequence, plans, observe=Non
     for the next holds one plan's logits at a time."""
     cfg = w.config
     for schedule, _ in plans:
+        try:  # a float count would slice the rows or pass unnoticed
+            for count in chain(schedule.stage_layer_counts, schedule.stage_token_counts):
+                index(count)
+        except TypeError as exc:
+            raise ConfigError(f"schedule counts must be integers: {exc}") from exc
         if sum(schedule.stage_layer_counts) != cfg.num_layers:
             raise ConfigError(
                 f"schedule built for {sum(schedule.stage_layer_counts)} layers, model has {cfg.num_layers}"

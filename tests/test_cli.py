@@ -1,4 +1,5 @@
 import contextlib
+import functools
 import io
 import json
 import os
@@ -10,13 +11,14 @@ import sys
 import tempfile
 import time
 import warnings
+from typing import NamedTuple
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pdrop import cli, errors, harness, layout, numkernel, pruner, toymodel
+from pdrop import cli, harness, layout, numkernel, pruner, toymodel
 from pdrop.cli import main
 from pdrop.errors import ConfigError
 from pdrop.numkernel import EXP_SAFE
@@ -29,21 +31,39 @@ TOY_MODEL = {
 # the mid benchmark model's width, at which marker bounds pass EXP_SAFE
 D256_MODEL = {**TOY_MODEL, "hidden_size": 256, "num_heads": 8, "head_dim": 32,
               "ffn_intermediate": 688}
+# the config a refusal row overrides
+BASE = {"model": TOY_MODEL, "fixture": {"image_tokens": 16}}
+# the sections of the config the output tests run
+EXPERIMENT = {
+    "seed": 7,
+    "fixture": {"image_tokens": 64, "marked_count": 4},
+    "strategy": {"name": "pdrop", "stages": 4, "keep_ratio": 0.5},
+    "strategies": ["vanilla", "pdrop", {"name": "fastv"}, {"name": "random", "seed": 1}],
+    "sweep": {"layers": [2, 4], "ratios": [0.25, 0.5]},
+}
 
 
 @pytest.fixture
 def config_file(tmp_path):
-    cfg = {
-        "model": TOY_MODEL,
-        "seed": 7,
-        "fixture": {"image_tokens": 64, "marked_count": 4},
-        "strategy": {"name": "pdrop", "stages": 4, "keep_ratio": 0.5},
-        "strategies": ["vanilla", "pdrop", {"name": "fastv"}, {"name": "random", "seed": 1}],
-        "sweep": {"layers": [2, 4], "ratios": [0.25, 0.5]},
-    }
     path = tmp_path / "config.json"
-    path.write_text(json.dumps(cfg))
+    path.write_text(json.dumps({**BASE, **EXPERIMENT}))
     return str(path)
+
+
+@pytest.fixture
+def forward_calls(monkeypatch):
+    """Records the number of layers of each forward a command runs."""
+    calls = []
+
+    def counted(forward):
+        def call(weights, *args, **kwargs):
+            calls.append(weights.config.num_layers)
+            return forward(weights, *args, **kwargs)
+        return call
+
+    monkeypatch.setattr(harness, "forward_pruned", counted(forward_pruned))
+    monkeypatch.setattr(harness, "forward_plans", counted(forward_plans))
+    return calls
 
 
 def run_cli(capsys, *argv):
@@ -51,6 +71,8 @@ def run_cli(capsys, *argv):
     captured = capsys.readouterr()
     return code, captured.out
 
+
+# --- output ---------------------------------------------------------------
 
 def test_cost_pyramid(capsys):
     code, out = run_cli(capsys, "cost", "--n", "576", "--layers", "32",
@@ -97,33 +119,6 @@ def test_cost_lambda_alone_is_pdrop(capsys, n, keep_ratio, stages):
     assert (0, alone) == run_cli(capsys, "cost", *flags, "--strategy", "pdrop")
 
 
-@pytest.mark.parametrize("flags", [
-    ["--strategy", "fastv", "--stages", "7"],
-    ["--strategy", "vanilla", "--lambda", "0.5"],
-    ["--strategy", "uniform", "--drop-layer", "2"],
-    ["--lambda", "0.5", "--tokens", "64"],
-    ["--stages", "4"],
-])
-def test_cost_flag_the_strategy_lacks_is_config_error(capsys, flags):
-    code = main(["cost", "--n", "576", "--layers", "32", "--d", "4096", "--m", "11008", *flags])
-    captured = capsys.readouterr()
-    assert code == 2 and captured.out == ""
-    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
-
-
-@pytest.mark.parametrize("flags, named", [
-    (["--lambda", "0.5", "--tokens", "64"], "'pdrop' takes no --tokens"),
-    (["--strategy", "fastv", "--stages", "7"], "'fastv' takes no --stages"),
-    (["--strategy", "vanilla", "--lambda", "0.5"], "'vanilla' takes no --lambda"),
-    (["--strategy", "uniform", "--drop-layer", "2", "--stages", "3"],
-     "'uniform' takes no --stages, --drop-layer"),
-])
-def test_cost_error_names_the_flag_typed(capsys, flags, named):
-    code = main(["cost", "--n", "576", "--layers", "32", "--d", "4096", "--m", "11008", *flags])
-    assert code == 2
-    assert capsys.readouterr().err == f"error: strategy {named}\n"
-
-
 def test_schedule(capsys):
     code, out = run_cli(capsys, "schedule", "--layers", "32", "--stages", "4",
                         "--lambda", "0.5", "--tokens", "576")
@@ -131,58 +126,6 @@ def test_schedule(capsys):
     obj = json.loads(out)
     assert obj["boundaries"] == [8, 16, 24]
     assert obj["stage_tokens"] == [576, 288, 144, 72]
-
-
-def test_schedule_config_error_exit_code(capsys):
-    code, _ = run_cli(capsys, "schedule", "--layers", "4", "--stages", "8",
-                      "--lambda", "0.5", "--tokens", "16")
-    assert code == 2
-
-
-@pytest.mark.parametrize("command", [
-    ["schedule", "--lambda", "0.5", "--tokens", "1"],
-    ["cost", "--lambda", "0.5", "--n", "1", "--d", "64", "--m", "172"],
-], ids=lambda command: command[0])
-@pytest.mark.parametrize("past", [0, 1], ids=["at_bound", "past_bound"])
-def test_stage_count_bound(capsys, command, past):
-    # a schedule's lists are as long as its stage count, so a count past
-    # the bound is refused before any of them is built
-    stages = str(pruner.MAX_STAGES + past)
-    start = time.perf_counter()
-    code = main([*command, "--layers", stages, "--stages", stages])
-    assert time.perf_counter() - start < 1.0
-    captured = capsys.readouterr()
-    assert code == 2 * past
-    if past:
-        assert captured.out == ""
-        assert captured.err == (f"error: need 1 <= stages <= layers and {pruner.MAX_STAGES}, "
-                                f"got S={stages}, J={stages}\n")
-    else:
-        assert captured.err == "" and json.loads(captured.out)
-
-
-@pytest.mark.parametrize("geometry", [["--d", "-4", "--m", "16"], ["--d", "0", "--m", "16"],
-                                      ["--d", "64", "--m", "-1"], ["--d", "64", "--m", "0"]])
-@pytest.mark.parametrize("strategy", [[], ["--strategy", "fastv"]])
-def test_cost_nonpositive_geometry_is_config_error(capsys, geometry, strategy):
-    code = main(["cost", "--n", "16", "--layers", "8", "--lambda", "0.5", *geometry, *strategy])
-    captured = capsys.readouterr()
-    assert code == 2 and captured.out == ""
-    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
-
-
-@pytest.mark.parametrize("strategy", [
-    ["vanilla"], ["pdrop", "--lambda", "0.5", "--stages", "4"],
-    ["fastv", "--drop-layer", "2", "--lambda", "0.5"], ["uniform", "--tokens", "288"],
-    ["random", "--lambda", "0.5", "--stages", "4"],
-], ids=lambda strategy: strategy[0])
-def test_cost_zero_ffn_size_is_config_error_for_every_strategy(capsys, strategy):
-    # each strategy with the flags it takes, at 7B geometry
-    code = main(["cost", "--n", "576", "--layers", "32", "--d", "4096", "--m", "0",
-                 "--strategy", *strategy])
-    captured = capsys.readouterr()
-    assert code == 2 and captured.out == ""
-    assert captured.err == "error: hidden size d and FFN size m must be positive, got d=4096, m=0\n"
 
 
 def test_run_with_masks(capsys, config_file):
@@ -194,224 +137,10 @@ def test_run_with_masks(capsys, config_file):
     assert [len(s["kept"]) for s in report["stages"]] == [32, 16, 8]
 
 
-def test_run_missing_config_is_io_error(capsys, tmp_path):
-    code, _ = run_cli(capsys, "run", "--config", str(tmp_path / "missing.json"))
-    assert code == 3
-
-
-@pytest.mark.parametrize("override", [
-    {"strategy": {"name": "pdrop", "stages": "four"}},
-    {"seed": "x"},
-    {"fixture": {"image_tokens": "many"}},
-    {"fixture": {"image_tokens": 16, "noise": float("nan")}},
-    {"fixture": {"path": 0}},
-    {"fixture": {"image_tokens": -5, "marked_count": -10}},
-    {"fixture": {"image_tokens": 16, "marker_dims": [99]}},
-    {"fixture": {"image_tokens": 64, "marked_count": -1, "marked_placement": "random"}},
-    {"fixture": {"image_tokens": 16, "answer_length": -1}},
-    {"fixture": {"image_tokens": 16, "marker_dims": list(range(TOY_MODEL["hidden_size"]))}},
-    {"strategy": {"name": "pdrop", "keep_ration": 0.3}},
-    {"seed": 1.5},
-    {"model": {**TOY_MODEL, "num_layers": 8.9}},
-    {"strategy": {"name": "pdrop", "keep_ratio": True}},
-    {"fixture": {"image_tokens": 16, "noise": True}},
-    {"model": {**TOY_MODEL, "rope_theta": True}},
-    {"sweep": {"ratios": [0.5, False]}},
-    # a section given but empty is refused, not replaced by its default
-    *({"fixture": empty} for empty in (0, False, [], "", None)),
-    *({"sweep": empty} for empty in (0, False, [], "", None)),
-    # a misspelled key at any level is refused, not ignored
-    {"stratgy": "fastv"},
-    {"sweep": {"layer": [2], "ratios": [0.5]}},
-    {"fixture": {"path": "fixture.json", "image_tokens": 16}},
-    # json reads NaN and Infinity; a NaN setting passed a `<= 0` test and
-    # gave an all-NaN forward that exited 0
-    {"model": {**TOY_MODEL, "rope_theta": float("nan")}, "strategy": "vanilla"},
-    {"model": {**TOY_MODEL, "rmsnorm_eps": float("nan")}, "strategy": "vanilla"},
-    {"model": {**TOY_MODEL, "rope_theta": float("inf")}, "strategy": "vanilla"},
-    {"model": {**TOY_MODEL, "rmsnorm_eps": float("inf")}, "strategy": "vanilla"},
-])
-def test_run_mistyped_config_value_is_config_error(capsys, tmp_path, override):
-    path = tmp_path / "config.json"
-    path.write_text(json.dumps({"model": TOY_MODEL, "fixture": {"image_tokens": 16}, **override}))
-    code = main(["run", "--config", str(path)])
-    err = capsys.readouterr().err
-    assert code == 2
-    assert err.startswith("error: ") and err.count("\n") == 1
-    if override == {"stratgy": "fastv"}:
-        assert err == "error: config: unknown fields ['stratgy']\n"
-
-
-LONG = "a" * 100_000
-
-
-@pytest.mark.parametrize("entry, argv", [
-    ('"seed": ' + "[" * 900 + "]" * 900, ["run"]),
-    (f'"seed": "{LONG}"', ["run"]),
-    (f'"strategy": "{LONG}"', ["run"]),
-    (f'"{LONG}": 0', ["run"]),
-    (f'"fixture": {{"marked_placement": "{LONG}"}}', ["run"]),
-    (None, ["compare", "--strategies", LONG]),
-    (None, ["sweep", "--ratios", "0.5", "--layers", "1," + LONG]),
-    (None, ["sweep", "--layers", "1", "--ratios", "0.5," + LONG]),
-    (f'"fixture": {{"image_tokens": 16, "marker_dims": {list(range(100_000))}}}', ["run"]),
-], ids=["nested_seed", "long_seed", "long_strategy_name", "long_unknown_key", "long_placement",
-        "long_strategies_flag", "long_layers_flag", "long_ratios_flag", "many_marker_dims"])
-def test_long_bad_value_is_quoted_cut(capsys, tmp_path, entry, argv):
-    # an error line shows a bad value cut (errors.one_line), however long or
-    # deeply nested it is; ``entry`` is a config entry's JSON
-    text = json.dumps({"model": TOY_MODEL})
-    path = tmp_path / "config.json"
-    path.write_text(text if entry is None else f"{text[:-1]}, {entry}}}")
-    if argv[0] == "sweep":
-        argv = [*argv, "--out", str(tmp_path / "sweep.csv")]
-    assert main([*argv, "--config", str(path)]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("error: ") and err.count("\n") == 1
-    assert len(err) <= 200 and "..." in err
-
-
-def test_deepest_accepted_nesting_is_one_short_line(capsys, tmp_path):
-    # a seed nested as deep as read_json accepts, a depth found by trying:
-    # the error that shows it is still one cut line, not a RecursionError
-    path = tmp_path / "config.json"
-    text = json.dumps({"model": TOY_MODEL})[:-1] + ', "seed": '
-
-    def refusal(depth):
-        path.write_text(text + "[" * depth + "]" * depth + "}")
-        assert main(["run", "--config", str(path)]) == 2
-        return capsys.readouterr().err
-
-    accepted, refused = 1, 1 << 16
-    assert "invalid JSON" in refusal(refused) and "invalid JSON" not in refusal(accepted)
-    while refused - accepted > 1:
-        depth = (accepted + refused) // 2
-        if "invalid JSON" in refusal(depth):
-            refused = depth
-        else:
-            accepted = depth
-    err = refusal(accepted)
-    assert err.startswith("error: seed: expected int, got [[[") and err.count("\n") == 1
-    assert len(err) <= 200 and "..." in err
-
-
-# a JSON integer of 4,000 digits, under Python's digit limit for parsing
-HUGE = int("9" * 4000)
-
-
-@pytest.mark.parametrize("override", [
-    {"strategy": {"name": "pdrop", "stages": HUGE}},
-    {"strategy": {"name": "fastv", "drop_layer": HUGE}},
-    {"model": {**TOY_MODEL, "num_layers": HUGE}},
-    {"model": {**TOY_MODEL, "num_layers": -HUGE}},
-    {"model": {**TOY_MODEL, "head_dim": HUGE}},
-    {"fixture": {"image_tokens": HUGE}},
-    {"fixture": {"image_tokens": 16, "marked_count": HUGE}},
-    {"fixture": {"image_tokens": 16, "instruction_length": HUGE}},
-    {"fixture": {"image_tokens": 16, "answer_length": -HUGE}},
-    {"margin_onset_layer": HUGE},
-    # each ended in a traceback while config integers were unbounded: a
-    # marker dim past int64, a weight count past Python's digit limit for
-    # printing an integer, and a token count summed past it
-    {"fixture": {"image_tokens": 16, "marker_dims": [0, 10**4000]}},
-    {"model": {**TOY_MODEL, "hidden_size": 10**4000, "num_heads": 1, "head_dim": 10**4000}},
-    {"fixture": {"image_tokens": 16, "instruction_length": 9 * 10**4299,
-                 "answer_length": 9 * 10**4299}},
-], ids=["stages", "drop_layer", "num_layers", "negative_num_layers", "head_dim", "image_tokens",
-        "marked_count", "instruction_length", "answer_length", "margin_onset_layer",
-        "marker_dims", "hidden_size_and_head_dim", "text_lengths"])
-def test_huge_integer_is_quoted_cut(capsys, tmp_path, override):
-    # a config integer past harness.MAX_COUNT is refused as such, its digits
-    # shown cut however many it has
-    path = tmp_path / "config.json"
-    path.write_text(json.dumps({"model": TOY_MODEL, "fixture": {"image_tokens": 16}, **override}))
-    assert main(["run", "--config", str(path)]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("error: ") and err.count("\n") == 1
-    assert len(err) <= 200 and "..." in err
-    assert err.endswith(f" is past the bound of {harness.MAX_COUNT}\n")
-
-
-def test_config_integer_at_the_bound_runs(capsys, tmp_path):
-    # the bound admits an integer of its own magnitude, of either sign
-    path = tmp_path / "config.json"
-    for seed in (harness.MAX_COUNT, -harness.MAX_COUNT):
-        path.write_text(json.dumps({"model": TOY_MODEL, "fixture": {"image_tokens": 16}, "seed": seed}))
-        assert main(["run", "--config", str(path)]) == 0
-    assert capsys.readouterr().err == ""
-
-
-def test_huge_cost_flag_is_quoted_cut(capsys):
-    assert main(["cost", "--n", "576", "--layers", "32", "--d", "-" + "9" * 4000, "--m", "16"]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("error: ") and err.count("\n") == 1 and len(err) <= 200
-
-
-def test_long_missing_fixture_path_is_quoted_cut(capsys, tmp_path):
-    # the operating system's error names a config-supplied path, which the
-    # line shows cut
-    path = tmp_path / "config.json"
-    path.write_text(json.dumps({"model": TOY_MODEL, "fixture": {"path": LONG}}))
-    assert main(["run", "--config", str(path)]) == 3
-    err = capsys.readouterr().err
-    assert err.startswith("i/o error: ") and err.count("\n") == 1
-    assert len(err) <= 200 and "..." in err
-
-
-@pytest.mark.parametrize("flags", [
-    ["--d", str(HUGE)], ["--n", str(HUGE)], ["--layers", str(HUGE)], ["--m", str(HUGE)],
-    ["--d", str(2**63)], ["--strategy", "uniform", "--tokens", str(HUGE)],
-    ["--strategy", "fastv", "--drop-layer", str(HUGE)],
-], ids=["d", "n", "layers", "m", "d_2_63", "tokens", "drop_layer"])
-def test_cost_count_past_the_bound_is_refused(capsys, monkeypatch, flags):
-    # a report of such counts would hold integers past Python's digit limit
-    # for printing one; the count is refused before any report is built
-    counts = {"--n": "576", "--layers": "32", "--d": "4096", "--m": "11008"}
-    monkeypatch.setattr(cli, "strategy_cost", None)  # reached only past the check
-    argv = ["cost", *(x for flag, value in counts.items() for x in (flag, value)), *flags]
-    assert main(argv) == 2
-    err = capsys.readouterr().err
-    assert err.startswith(f"error: {flags[-2]}: ") and err.count("\n") == 1 and len(err) <= 200
-    assert err.endswith(f" is past the bound of {harness.MAX_COUNT}\n")
-
-
 def test_cost_count_at_the_bound_runs(capsys):
     bound = str(harness.MAX_COUNT)
     code, out = run_cli(capsys, "cost", "--n", bound, "--layers", bound, "--d", bound, "--m", bound)
     assert code == 0 and json.loads(out)["ratio"] == 1.0
-
-
-@pytest.mark.parametrize("argv, flag, value", [
-    (["run", "--config", "CONFIG", "--seed"], "--seed", 2**64 + 7),
-    (["run", "--config", "CONFIG", "--seed"], "--seed", -2**63),
-    (["schedule", "--layers", "8", "--stages", "4", "--lambda", "0.5", "--tokens"], "--tokens",
-     10**23 - 1),
-    (["schedule", "--layers", "8", "--tokens", "16", "--lambda", "0.5", "--stages"], "--stages",
-     2**63),
-    (["sweep", "--config", "CONFIG", "--out", "out.csv", "--ratios", "0.5", "--layers"], "--layers",
-     f"2,{2**63}"),
-], ids=["run_seed", "negative_seed", "schedule_tokens", "schedule_stages", "sweep_layers"])
-def test_flag_count_past_the_bound_is_refused(capsys, monkeypatch, config_file, tmp_path,
-                                              argv, flag, value):
-    # every count a flag gives is read with the config's bound: a seed past
-    # it is not folded onto a smaller one, and a schedule is not built
-    monkeypatch.chdir(tmp_path)
-    assert main([config_file if arg == "CONFIG" else arg for arg in argv] + [str(value)]) == 2
-    past = str(value).split(",")[-1]
-    assert capsys.readouterr() == (
-        "", f"error: {flag}: {past} is past the bound of {harness.MAX_COUNT}\n")
-
-
-def test_flag_and_config_value_are_refused_alike(capsys, config_file, tmp_path):
-    # a sweep layer from --layers and one from the config are read by one
-    # function: the same words follow the name of where the value came from
-    path = tmp_path / "bad_layer.json"
-    path.write_text(json.dumps({"model": TOY_MODEL, "sweep": {"layers": [2, "x"], "ratios": [0.5]}}))
-    out = str(tmp_path / "sweep.csv")
-    assert main(["sweep", "--config", config_file, "--layers", "2,x", "--out", out]) == 2
-    assert capsys.readouterr().err == "error: --layers: expected int, got 'x'\n"
-    assert main(["sweep", "--config", str(path), "--out", out]) == 2
-    assert capsys.readouterr().err == "error: sweep layer: expected int, got 'x'\n"
 
 
 @pytest.mark.parametrize("argv, usage", [(["--help"], "usage: pdrop [-h]"),
@@ -426,297 +155,12 @@ def test_help_exits_0_with_usage_on_stdout(capsys, argv, usage):
     assert captured.out.startswith(usage) and captured.err == ""
 
 
-@pytest.mark.parametrize("argv, message", [
-    (["cost", "--n", "576", "--layers", "32", "--m", "16", "--d", "9" * 5000],
-     "--d: expected int, got '"),
-    (["cost", "--n", "576", "--layers", "32", "--m", "16", "--d", "4", "--lambda", LONG],
-     "--lambda: expected float, got '"),
-    (["schedule", "--layers", "8", "--stages", "4", "--lambda", "0.5", "--tokens", "1" + LONG],
-     "--tokens: expected int, got '"),
-    (["run", "--config", "c.json", "--seed", LONG], "--seed: expected int, got '"),
-    (["cost", "--n", "576", "--layers", "32", "--m", "16", "--d", "4", "--" + LONG],
-     "unrecognized arguments: --"),
-    (["cost", "--n", "576", "--layers", "32", "--m", "16", "--d", "4", "x\n" * 50_000],
-     "unrecognized arguments: x x "),
-    ([LONG], "argument command: invalid choice: '"),
-], ids=["huge_int", "long_float", "schedule_int", "run_seed", "unknown_flag", "newline_arg",
-        "unknown_command"])
-def test_bad_command_line_is_one_short_line(capsys, argv, message):
-    # a flag value the config's reader refuses, or argparse's own refusal:
-    # main returns 2 and prints one error line showing the value cut,
-    # without the usage text
-    assert main(argv) == 2
-    captured = capsys.readouterr()
-    assert captured.out == "" and captured.err.startswith(f"error: {message}")
-    assert captured.err.count("\n") == 1 and len(captured.err) <= 200 and "..." in captured.err
-
-
-@pytest.mark.parametrize("bound", [None, 0], ids=["invalid_json", "past_byte_bound"])
-def test_long_fixture_path_is_shown_cut(capsys, monkeypatch, tmp_path, bound):
-    # a config-supplied path of about 4,000 characters naming a file that
-    # read_json refuses: the line shows the path's start and ends with the
-    # reader's reason; past the byte bound the reason shows the file name,
-    # while a long invalid-JSON reason may elide it
-    monkeypatch.chdir(tmp_path)
-    (tmp_path / "fixture.json").write_text("{")
-    if bound is not None:
-        monkeypatch.setattr(layout, "FIXTURE_BYTES_PER_ELEMENT", bound)
-        reason = "/fixture.json holds 1 bytes, past the bound of 0"
-    else:
-        with pytest.raises(ValueError) as parse_error:
-            json.loads("{")
-        reason = f"invalid JSON: {parse_error.value}"
-    path = "./" * 1990 + "fixture.json"
-    (tmp_path / "config.json").write_text(json.dumps({"model": TOY_MODEL, "fixture": {"path": path}}))
-    assert main(["run", "--config", "config.json"]) == 2
-    err = capsys.readouterr().err
-    assert err.count("\n") == 1 and len(err) <= 200 and "..." in err
-    assert err.startswith("error: " + ("fixture file " if bound is not None else "") + "././")
-    assert err.endswith(reason + "\n")
-
-
-def test_ordinary_path_is_shown_whole(capsys, monkeypatch, tmp_path):
-    # a missing config of 152 characters: its i/o error line shows it whole
-    monkeypatch.chdir(tmp_path)
-    path = "data/" + "run/" * 34 + "config.json"
-    assert main(["run", "--config", path]) == 3
-    assert capsys.readouterr().err == f"i/o error: No such file or directory: {path!r}\n"
-
-
-@pytest.mark.parametrize("ratios", ["0.1:0.9:0", "0.1:0.9:-0.2", "0.1:inf:0.2", "0.1:0.9", "a,b"])
-def test_sweep_bad_ratios_are_config_errors(capsys, config_file, tmp_path, ratios):
-    code = main(["sweep", "--config", config_file, "--layers", "2",
-                 "--ratios", ratios, "--out", str(tmp_path / "sweep.csv")])
-    assert code == 2
-    assert capsys.readouterr().err.startswith("error: ")
-
-
-def test_run_non_2d_image_fixture_is_input_error(capsys, tmp_path):
-    fixture = tmp_path / "fixture.json"
-    fixture.write_text(json.dumps({"image": [[[0.0] * 2] * 64] * 2, "instruction": [1, 2]}))
-    path = tmp_path / "config.json"
-    path.write_text(json.dumps({"model": TOY_MODEL, "fixture": {"path": str(fixture)}}))
-    code = main(["run", "--config", str(path)])
-    err = capsys.readouterr().err
-    assert code == 2
-    assert err.startswith("error: ") and "2-D" in err and err.count("\n") == 1
-
-
 def test_run_coerces_fixture_fields(capsys, tmp_path):
     path = tmp_path / "config.json"
     path.write_text(json.dumps({"model": TOY_MODEL, "fixture": {"image_tokens": "16"}}))
     code, out = run_cli(capsys, "run", "--config", str(path))
     assert code == 0
     assert [len(s["kept"]) for s in json.loads(out)["stages"]] == [8, 4, 2]
-
-
-def test_sweep_bad_layers_is_config_error(capsys, config_file, tmp_path):
-    code = main(["sweep", "--config", config_file, "--layers", "a",
-                 "--ratios", "0.5", "--out", str(tmp_path / "sweep.csv")])
-    err = capsys.readouterr().err
-    assert code == 2
-    assert err.startswith("error: ") and err.count("\n") == 1
-
-
-SIZE_COMMANDS = {
-    "run": ["run"],
-    "compare": ["compare", "--strategies", "vanilla,pdrop"],
-    "sweep": ["sweep", "--layers", "2", "--ratios", "0.5"],
-}
-
-
-@pytest.mark.parametrize("command", SIZE_COMMANDS)
-@pytest.mark.parametrize("image_tokens, code", [(16, 0), (17, 2)], ids=["at_bound", "past_bound"])
-def test_image_size_bound(capsys, monkeypatch, tmp_path, command, image_tokens, code):
-    # the bound shrunk to 16 toy-width image tokens, so nothing large is
-    # allocated on either side of it
-    monkeypatch.setattr(layout, "MAX_IMAGE_ELEMENTS", 16 * TOY_MODEL["hidden_size"])
-    path = tmp_path / "config.json"
-    path.write_text(json.dumps({"model": TOY_MODEL, "fixture": {"image_tokens": image_tokens}}))
-    argv = [*SIZE_COMMANDS[command], "--config", str(path)]
-    if command != "run":
-        argv += ["--out", str(tmp_path / "out")]
-    assert main(argv) == code
-    err = capsys.readouterr().err
-    if code:
-        assert err == (f"error: {image_tokens} image tokens x hidden size 64 exceeds "
-                       f"the bound of 1024 elements\n")
-
-
-def fixture_config(tmp_path, fixture_text):
-    fixture = tmp_path / "fixture.json"
-    fixture.write_bytes(fixture_text if isinstance(fixture_text, bytes) else fixture_text.encode())
-    path = tmp_path / "config.json"
-    path.write_text(json.dumps({"model": TOY_MODEL, "fixture": {"path": str(fixture)}}))
-    return str(path)
-
-
-@pytest.mark.parametrize("past", [0, 1], ids=["at_bound", "past_bound"])
-@pytest.mark.parametrize("case", ["weights", "generated_text", "fixture_text"])
-def test_element_bound(capsys, monkeypatch, tmp_path, case, past):
-    # the bound shrunk to the toy model's weights, or to the forward of a
-    # text long enough that the weights fit under it; past it, one line and
-    # exit 2, before the weights, the ids or the forward's buffers are built
-    w = init_model(TOY_CONFIG, 0)
-    weights = sum(a.size for lw in w.layers for a in vars(lw).values()) + w.embedding.size * 2
-    fixture = {"image_tokens": 16}
-    if case == "weights":
-        bound, what = weights, "model weights"
-    elif case == "generated_text":
-        fixture["instruction_length"] = 1000
-        n = 16 + 1000 + 1
-        bound, what = forward_elements(TOY_CONFIG, n), f"a forward of {n} tokens"
-    else:
-        fixture = {"path": str(tmp_path / "fixture.json")}
-        (tmp_path / "fixture.json").write_text(json.dumps(
-            {"image": [[0.0] * 64] * 4, "instruction": [1] * 1000}))
-        bound, what = forward_elements(TOY_CONFIG, 1004), "a forward of 1004 tokens"
-    assert bound >= weights
-    monkeypatch.setattr(layout, "MAX_ELEMENTS", bound - past)
-    path = tmp_path / "config.json"
-    path.write_text(json.dumps({"model": TOY_MODEL, "fixture": fixture}))
-    assert main(["run", "--config", str(path)]) == 2 * past
-    if past:
-        assert capsys.readouterr().err == (
-            f"error: {what}: {bound} elements exceed the bound of {bound - 1}\n")
-
-
-def test_deep_tiny_model_refused(capsys, tmp_path):
-    # 8192 layers of hidden size 2: 26 elements each, charged 4096 each
-    path = tmp_path / "config.json"
-    path.write_text(json.dumps({"model": {"num_layers": 8192, "hidden_size": 2, "num_heads": 1,
-                                          "head_dim": 2, "ffn_intermediate": 1, "vocab_size": 2}}))
-    assert main(["run", "--config", str(path)]) == 2
-    assert capsys.readouterr().err == (
-        "error: model weights: 33554440 elements exceed the bound of 33554432\n")
-
-
-def test_huge_vocabulary_refused_before_any_weight_is_built(capsys, monkeypatch, tmp_path):
-    # 2**26 vocabulary rows at the toy width, against the real MAX_ELEMENTS:
-    # the embedding and head alone would hold 2**33 elements (64 GiB)
-    assert layout.MAX_ELEMENTS == 1 << 25
-    monkeypatch.setattr(harness, "build_marker_model", None)  # reached only past the check
-    path = tmp_path / "config.json"
-    path.write_text(json.dumps({"model": {**TOY_MODEL, "vocab_size": 1 << 26}}))
-    assert main(["run", "--config", str(path)]) == 2
-    assert capsys.readouterr().err == (
-        "error: model weights: 8590330880 elements exceed the bound of 33554432\n")
-
-
-def test_long_fixture_text_refused_before_the_forward_allocates(capsys, monkeypatch, tmp_path):
-    # a 0.3 MB fixture of 100,000 instruction ids passes the file and id
-    # checks; at the toy width its forward would hold 47M elements
-    path = fixture_config(tmp_path, json.dumps({"image": [], "instruction": [1] * 100_000}))
-    monkeypatch.setattr(toymodel, "_embed", None)  # reached only past the check
-    assert main(["run", "--config", path]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("error: a forward of 100000 tokens: ") and err.count("\n") == 1
-
-
-def test_fixture_file_past_image_size_bound(capsys, monkeypatch, tmp_path, forward_calls):
-    # a fixture file's image is counted once parsed, before it becomes an
-    # array, and refused there, before any forward; the at-bound side is
-    # test_fixture_file_byte_size_bound[at_bound]
-    monkeypatch.setattr(layout, "MAX_IMAGE_ELEMENTS", 4 * TOY_MODEL["hidden_size"] - 1)
-    path = fixture_config(tmp_path, json.dumps({"image": [[0.0] * 64] * 4, "instruction": [1, 2]}))
-    assert main(["run", "--config", path]) == 2
-    err = capsys.readouterr().err
-    assert err == "error: 4 image tokens x hidden size 64 exceeds the bound of 255 elements\n"
-    assert forward_calls == []
-
-
-@pytest.mark.parametrize("extra, code", [(0, 0), (1, 2)], ids=["at_bound", "past_bound"])
-def test_fixture_file_byte_size_bound(capsys, monkeypatch, tmp_path, extra, code):
-    # the bound shrunk to 4 toy-width image tokens, which the fixture holds:
-    # a file of more than FIXTURE_BYTES_PER_ELEMENT * 256 bytes is refused
-    # before it is parsed, however little its padding holds
-    monkeypatch.setattr(layout, "MAX_IMAGE_ELEMENTS", 4 * TOY_MODEL["hidden_size"])
-    limit = layout.FIXTURE_BYTES_PER_ELEMENT * 4 * TOY_MODEL["hidden_size"]
-    text = json.dumps({"image": [[0.0] * 64] * 4, "instruction": [1, 2]})
-    path = fixture_config(tmp_path, text.ljust(limit + extra))
-    assert main(["run", "--config", path]) == code
-    err = capsys.readouterr().err
-    if code:
-        assert err == (f"error: fixture file {tmp_path / 'fixture.json'} holds {limit + 1} "
-                       f"bytes, past the bound of {limit}\n")
-
-
-@pytest.mark.parametrize("extra, code", [(0, 0), (1, 2)], ids=["at_bound", "past_bound"])
-def test_config_file_byte_size_bound(capsys, monkeypatch, tmp_path, extra, code):
-    # the bound shrunk to the size of a small config: one byte more is
-    # refused before json.loads runs, however little its padding holds
-    text = json.dumps({"model": TOY_MODEL, "fixture": {"image_tokens": 16}})
-    limit = len(text) + 10
-    monkeypatch.setattr(harness, "MAX_CONFIG_BYTES", limit)
-    path = tmp_path / "config.json"
-    path.write_text(text.ljust(limit + extra))
-    loaded, loads = [], json.loads
-    monkeypatch.setattr(json, "loads", lambda text: loaded.append(text) or loads(text))
-    assert main(["run", "--config", str(path)]) == code
-    assert len(loaded) == 1 - extra
-    if code:
-        assert capsys.readouterr().err == (
-            f"error: config file {path} holds {limit + 1} bytes, past the bound of {limit}\n")
-
-
-@pytest.mark.skipif(not os.path.exists("/dev/zero"), reason="no /dev/zero")
-def test_endless_config_stream_is_refused_at_the_bound(capsys):
-    # a device shows size 0, so it is read in chunks until past the bound
-    start = time.perf_counter()
-    assert main(["run", "--config", "/dev/zero"]) == 2
-    assert time.perf_counter() - start < 5.0
-    assert capsys.readouterr().err == (
-        f"error: config file /dev/zero holds more than the bound of {harness.MAX_CONFIG_BYTES} bytes\n")
-
-
-@pytest.mark.parametrize("route", ["generated", "file"])
-def test_image_row_whose_squares_overflow_is_input_error(capsys, tmp_path, forward_calls, route):
-    # finite entries whose squares pass the float64 range: the first RMS norm
-    # would zero the row, so the sequence refuses it, in one line, before any
-    # forward and without a RuntimeWarning
-    if route == "generated":  # marked rows 12..15 carry the amplitude
-        path = tmp_path / "config.json"
-        path.write_text(json.dumps({"model": TOY_MODEL,
-                                    "fixture": {"image_tokens": 16, "amplitude": 1e160}}))
-        path, row = str(path), 12
-    else:
-        image = [[0.0] * 64] * 3 + [[1e160] * 64]
-        path, row = fixture_config(tmp_path, json.dumps({"image": image, "instruction": [1, 2]})), 3
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        assert main(["run", "--config", path]) == 2
-    assert capsys.readouterr().err == (
-        f"error: image embedding row {row}: its sum of squares overflows float64\n")
-    assert forward_calls == []
-
-
-@pytest.mark.parametrize("fixture", [
-    {"noise": 1e308},  # the product of noise and a normal overflows
-    {"noise": 1e307, "amplitude": 1.7e308},  # the amplitude's sum overflows
-    {"noise": float("inf"), "amplitude": float("-inf")},  # inf - inf is NaN
-], ids=["noise", "amplitude", "inf_minus_inf"])
-def test_fixture_whose_values_overflow_is_one_line(capsys, tmp_path, forward_calls, fixture):
-    # the generator makes the entry inf or NaN without numpy's warning, and
-    # the sequence refuses it in one line before any forward
-    path = tmp_path / "config.json"
-    path.write_text(json.dumps({"model": TOY_MODEL, "fixture": {"image_tokens": 16, **fixture}}))
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        assert main(["run", "--config", str(path)]) == 2
-    assert capsys.readouterr().err == "error: image embeddings must be finite\n"
-    assert forward_calls == []
-
-
-def test_image_row_just_under_the_overflow_runs(capsys, tmp_path):
-    # 64 equal entries whose squares rmsnorm_rows sums to a finite value, 2e-12
-    # under the overflow
-    top = float(np.sqrt(np.finfo(float).max / 64) * (1 - 1e-12))
-    image = [[0.0] * 64] * 3 + [[top] * 64]
-    path = fixture_config(tmp_path, json.dumps({"image": image, "instruction": [1, 2]}))
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        assert main(["run", "--config", path]) == 0
-    assert capsys.readouterr().err == ""
 
 
 @pytest.mark.parametrize("model, fast", [(TOY_MODEL, True), (D256_MODEL, False)],
@@ -746,63 +190,6 @@ def test_marker_outputs_do_not_depend_on_the_softmax_route(capsys, monkeypatch, 
     assert softmax_calls and all((bound <= EXP_SAFE) == fast for _, bound in softmax_calls)
     monkeypatch.setattr(numkernel, "EXP_SAFE", -np.inf)  # every bound past it
     assert outputs() == routed
-
-
-# JSON that json.load refuses with an error other than JSONDecodeError
-UNREADABLE_JSON = [b'\xff{}', "[" * 100_000, '{"seed": ' + "1" * 5000 + "}"]
-UNREADABLE_IDS = ["not_utf8", "deep_arrays", "long_int"]
-
-
-@pytest.mark.parametrize("text", [
-    "{", "[1, 2]", '{"image": [], "instruction": "ab"}', '{"image": [], "instruction": [[1]]}',
-    '{"image": [], "instruction": [1e30]}', *UNREADABLE_JSON,
-], ids=["invalid_json", "not_object", "string_ids", "nested_ids", "huge_id", *UNREADABLE_IDS])
-def test_malformed_fixture_file_is_input_error(capsys, tmp_path, text):
-    assert main(["run", "--config", fixture_config(tmp_path, text)]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("error: ") and err.count("\n") == 1
-
-
-@pytest.mark.parametrize("text", ["{", *UNREADABLE_JSON], ids=["invalid_json", *UNREADABLE_IDS])
-def test_malformed_config_file_is_config_error(capsys, tmp_path, text):
-    path = tmp_path / "config.json"
-    path.write_bytes(text if isinstance(text, bytes) else text.encode())
-    assert main(["run", "--config", str(path)]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith(f"error: {path}: invalid JSON: ") and err.count("\n") == 1
-    with pytest.raises(ConfigError):
-        harness.load_spec(path)
-
-
-@pytest.fixture
-def forward_calls(monkeypatch):
-    """Records the number of layers of each forward a command runs."""
-    calls = []
-
-    def counted(weights, *args, **kwargs):
-        calls.append(weights.config.num_layers)
-        return forward_pruned(weights, *args, **kwargs)
-
-    def counted_plans(weights, *args, **kwargs):
-        calls.append(weights.config.num_layers)
-        return forward_plans(weights, *args, **kwargs)
-
-    monkeypatch.setattr(harness, "forward_pruned", counted)
-    monkeypatch.setattr(harness, "forward_plans", counted_plans)
-    return calls
-
-
-@pytest.mark.parametrize("layers, ratios, message", [
-    ("2,8", "0.1,0.3,0.5,0.7,0.9", "drop layer 8 must be in [1, 8)"),
-    ("1,2,4,6", "0.1,0.3,0.5,0.7,1.5", "keep_ratio must be in [0, 1], got 1.5"),
-], ids=["layer_past_last", "ratio_in_late_cell"])
-def test_sweep_bad_cell_rejected_before_any_forward(capsys, config_file, tmp_path,
-                                                    forward_calls, layers, ratios, message):
-    code = main(["sweep", "--config", config_file, "--layers", layers,
-                 "--ratios", ratios, "--out", str(tmp_path / "sweep.csv")])
-    assert code == 2
-    assert capsys.readouterr().err == f"error: {message}\n"
-    assert forward_calls == []
 
 
 def test_sweep_runs_one_forward(capsys, config_file, tmp_path, forward_calls):
@@ -844,7 +231,7 @@ def test_compare(capsys, config_file, tmp_path):
     argv = ["compare", "--config", config_file, "--strategies", "vanilla,pdrop,fastv,random"]
     code, _ = run_cli(capsys, *argv, "--out", str(out_path))
     assert code == 0
-    # --out gets the bytes that stdout gets
+    # a second run prints the bytes the first wrote to --out: same seed, same bytes
     assert run_cli(capsys, *argv) == (0, out_path.read_text())
     reports = json.loads(out_path.read_text())
     assert [r["strategy"] for r in reports] == ["vanilla", "pdrop", "fastv", "random"]
@@ -864,23 +251,6 @@ def test_compare_runs_shared_layers_once(capsys, config_file, layer_forwards):
     assert len(layer_forwards) == 8
 
 
-@pytest.mark.parametrize("strategies, argv, message", [
-    (["vanilla"], ["--strategies", "vanilla,pdrop,fastv,random,uniform"],
-     "uniform compression has no forward semantics; it is cost-only"),
-    (["vanilla", "pdrop", {"name": "fastv", "drop_layer": 9}], [],
-     "drop layer 9 must be in [1, 8)"),
-], ids=["uniform_last", "fastv_past_last_layer"])
-def test_compare_config_error_before_any_layer_forward(capsys, tmp_path, layer_forwards,
-                                                       strategies, argv, message):
-    path = tmp_path / "config.json"
-    path.write_text(json.dumps({"model": TOY_MODEL, "fixture": {"image_tokens": 64},
-                                "strategies": strategies}))
-    assert main(["compare", "--config", str(path), *argv]) == 2
-    captured = capsys.readouterr()
-    assert (captured.out, captured.err) == ("", f"error: {message}\n")
-    assert layer_forwards == []
-
-
 @pytest.mark.parametrize("argv", [
     ["cost", "--n", "576", "--layers", "32", "--d", "4096", "--m", "11008"],
     ["schedule", "--layers", "32", "--stages", "4", "--lambda", "0.5", "--tokens", "576"],
@@ -895,64 +265,479 @@ def test_json_output_is_indented_and_ends_in_one_newline(capsys, config_file, ar
     assert out == json.dumps(json.loads(out), indent=2) + "\n"
 
 
-@pytest.mark.parametrize("argv, code, message", [
-    (["sweep", "--layers", ""], 2, "error: --layers: expected int, got ''\n"),
-    (["sweep", "--ratios", ""], 2, "error: --ratios: expected float, got ''\n"),
-    (["compare", "--strategies", ""], 2, "error: unknown strategy ''\n"),
-    (["compare", "--out", ""], 3, "i/o error: "),
-], ids=["layers", "ratios", "strategies", "out"])
-def test_flag_given_empty_is_refused(capsys, config_file, tmp_path, argv, code, message):
-    # an empty flag is not a missing one: it neither falls back to the
-    # config nor skips its output
-    if argv[0] == "sweep":
-        argv = [*argv, "--out", str(tmp_path / "sweep.csv")]
-    assert main([*argv, "--config", config_file]) == code
-    captured = capsys.readouterr()
-    assert captured.err.startswith(message) and captured.err.count("\n") == 1
-    assert not (tmp_path / "sweep.csv").exists()
+# --- refusals -------------------------------------------------------------
+#
+# COMMAND_LINES, CONFIGS, FIXTURE_FILES and BOUNDS map a test to its rows,
+# each an input (argv, config, fixture file, attributes to set) and what
+# main makes of it. A refusal (exit 2 or 3) ends within a second with one
+# stderr line, nothing on stdout, no --out file and ``ran``'s forward calls
+# and layer forwards; exit 0 is a bound's at-bound side, with no stderr.
+# Warnings are errors. A row's id is its case id; a test whose rows have
+# none runs them as one case.
+
+class Line(NamedTuple):
+    """A message known by its start and end; ``cut`` by errors.one_line, it holds "..."."""
+    start: str
+    end: str = ""
+    cut: bool = True
 
 
-@pytest.mark.parametrize("argv, config, message", [
-    (["cost", "--n", "576", "--layers", "32", "--d", "4096", "--m", "11008",
-      "--strategy", "fastv", "--keep-ratio", "0.5"], None, "unrecognized arguments: --keep-ratio 0.5"),
-    (["run", "--emit-masks", "masks.json"], None, "unrecognized arguments: --emit-masks masks.json"),
-    (["run"], {"strategy": "pyramiddrop"}, "unknown strategy 'pyramiddrop'"),
-    (["run"], {"strategy": {"name": "qformer", "token_count": 64}}, "unknown strategy 'qformer'"),
-    (["compare", "--strategies", "vanilla,pyramiddrop"], None, "unknown strategy 'pyramiddrop'"),
-    (["compare", "--strategies", "qformer"], None, "unknown strategy 'qformer'"),
-    (["sweep", "--layers", "2", "--ratios", "0.1:0.9:0.2"], None,
-     "--ratios: expected float, got '0.1:0.9:0.2'"),
-], ids=["keep_ratio", "emit_masks", "pyramiddrop_config", "qformer_config",
-        "pyramiddrop_flag", "qformer_flag", "ratio_range"])
-def test_removed_form_exits_2(capsys, config_file, tmp_path, argv, config, message):
-    # each input has one spelling: a removed flag, strategy name or ratio
-    # range is one error line
-    if argv[0] != "cost":
-        if config is not None:
-            config_file = tmp_path / "removed.json"
-            config_file.write_text(json.dumps({"model": TOY_MODEL, **config}))
-        argv = [*argv, "--config", str(config_file)]
-    if argv[0] == "sweep":
-        argv += ["--out", str(tmp_path / "sweep.csv")]
-    assert main(argv) == 2
-    assert capsys.readouterr() == ("", f"error: {message}\n")
+class Row(NamedTuple):
+    message: str | Line = ""  # the line after "error: " or "i/o error: "
+    argv: str | list = "run"  # a str is split at spaces
+    code: int = 2
+    config: dict | str | bytes = {}  # an override of BASE, or the file's text
+    fixture: str | bytes | None = None  # the fixture file's text
+    patch: tuple = ()  # (module, attribute, value) triples, often a shrunk bound
+    ran: tuple = (0, 0)
 
 
-def test_model_checked_before_fixture_file_is_read(capsys, tmp_path):
-    # the marker model is built first for either fixture kind, so a bad
-    # margin onset is reported before a missing fixture file
+def row(id, *columns, marks=(), **named):
+    return pytest.param(Row(*columns, **named), id=id, marks=marks)
+
+
+def encode(text):
+    return text if isinstance(text, bytes) else text.encode()
+
+
+def write_inputs(argv, config, fixture):
+    """Writes config.json (``config`` over BASE, or its text) and, given its
+    text, fixture.json, which the config then names, in the working
+    directory; returns ``argv`` with --config, and --out for sweep and
+    compare, filled in where it lacks them."""
+    argv = argv.split() if isinstance(argv, str) else argv
+    if fixture is not None:
+        pathlib.Path("fixture.json").write_bytes(encode(fixture))
+        config = {"fixture": {"path": "fixture.json"}, **config}
+    if isinstance(config, dict):
+        config = json.dumps({**BASE, **config})
+    pathlib.Path("config.json").write_bytes(encode(config))
+    if argv[0] in ("run", "sweep", "compare") and "--config" not in argv:
+        argv = [*argv, "--config", "config.json"]
+    if argv[0] in ("sweep", "compare") and "--out" not in argv:
+        argv = [*argv, "--out", "out"]
+    return argv
+
+
+def assert_one_line(err, code, message):
+    """``err`` is one line of at most 200 characters: the error ``message``
+    whole or, for a ``Line``, as it describes it."""
+    assert err.count("\n") == 1 and err.endswith("\n") and len(err) <= 200
+    prefix = {2: "error: ", 3: "i/o error: "}[code]
+    if isinstance(message, Line):
+        assert err.startswith(prefix + message.start) and err.endswith(message.end + "\n")
+        assert "..." in err or not message.cut
+    else:
+        assert err == f"{prefix}{message}\n"
+
+
+@pytest.fixture
+def check(capsys, monkeypatch, tmp_path, forward_calls, layer_forwards):
+    """Runs a row in tmp_path and checks what main made of it."""
+    monkeypatch.chdir(tmp_path)
+
+    def run(row):
+        argv = write_inputs(row.argv, row.config, row.fixture)
+        for module, name, value in row.patch:
+            monkeypatch.setattr(module, name, value)
+        forward_calls.clear()
+        layer_forwards.clear()
+        start = time.perf_counter()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(argv) == row.code
+        assert time.perf_counter() - start < 1.0
+        out, err = capsys.readouterr()
+        if row.code == 0:
+            assert err == "" and (json.loads(out) if out else os.path.getsize("out"))
+        else:
+            assert out == "" and not os.path.exists("out")
+            assert_one_line(err, row.code, row.message)
+            assert (len(forward_calls), len(layer_forwards)) == row.ran
+
+    return run
+
+
+with pytest.raises(ValueError) as bad_json:
+    json.loads("{")
+INVALID = f"invalid JSON: {bad_json.value}"  # read_json's reason for "{"
+LONG = "a" * 100_000
+HUGE_INT = int("9" * 4000)  # 4,000 digits, under Python's digit limit for parsing
+PAST = f" is past the bound of {harness.MAX_COUNT}"
+COST = "cost --n 576 --layers 32 --d 4096 --m 11008"
+COST_D = "cost --n 576 --layers 32 --m 16 --d"
+STAGES = f"need 1 <= stages <= layers and {pruner.MAX_STAGES}, got S="
+SIZES = "hidden size d and FFN size m must be positive, got d="
+NO_FILE = "No such file or directory: "
+FINITE = "image embeddings must be finite"
+IDS = "sequence fixture instruction must be a flat list of integer ids"
+SIDES = ("at_bound", "past_bound")
+# JSON that json.load refuses with an error other than JSONDecodeError
+UNREADABLE_JSON = [b'\xff{}', "[" * 100_000, '{"seed": ' + "1" * 5000 + "}"]
+UNREADABLE_IDS = ["not_utf8", "deep_arrays", "long_int"]
+
+COMMAND_LINES = {
+    # a flag the strategy lacks is named as typed
+    "test_cost_flag_the_strategy_lacks_is_config_error": [
+        row("flags2", "strategy 'uniform' takes no --drop-layer",
+            f"{COST} --strategy uniform --drop-layer 2"),
+        row("flags4", "strategy 'vanilla' takes no --stages", f"{COST} --stages 4")],
+    "test_cost_error_names_the_flag_typed": [
+        row(f"flags{i}-{named}", f"strategy {named}", f"{COST} {flags}")
+        for i, (flags, named) in enumerate([
+            ("--lambda 0.5 --tokens 64", "'pdrop' takes no --tokens"),
+            ("--strategy fastv --stages 7", "'fastv' takes no --stages"),
+            ("--strategy vanilla --lambda 0.5", "'vanilla' takes no --lambda"),
+            ("--strategy uniform --drop-layer 2 --stages 3",
+             "'uniform' takes no --stages, --drop-layer")])],
+    "test_schedule_config_error_exit_code": [
+        row(None, f"{STAGES}8, J=4", "schedule --layers 4 --stages 8 --lambda 0.5 --tokens 16")],
+    "test_cost_nonpositive_geometry_is_config_error": [
+        row(f"strategy{i}-geometry{j}", f"{SIZES}{d}, m={m}",
+            f"cost --n 16 --layers 8 --lambda 0.5 --d {d} --m {m}{strategy}")
+        for i, strategy in enumerate(["", " --strategy fastv"])
+        for j, (d, m) in enumerate([(-4, 16), (0, 16), (64, -1), (64, 0)])],
+    # each strategy with the flags it takes, at 7B geometry
+    "test_cost_zero_ffn_size_is_config_error_for_every_strategy": [
+        row(flags.split()[0], f"{SIZES}4096, m=0", f"{COST[:-5]}0 --strategy {flags}")
+        for flags in ["vanilla", "pdrop --lambda 0.5 --stages 4", "fastv --drop-layer 2 --lambda 0.5",
+                      "uniform --tokens 288", "random --lambda 0.5 --stages 4"]],
+    # a count past harness.MAX_COUNT: no report is built, no seed folded
+    "test_huge_cost_flag_is_quoted_cut": [
+        row(None, Line("--d: -9999", PAST), f"cost --n 576 --layers 32 --d -{HUGE_INT} --m 16")],
+    "test_cost_count_past_the_bound_is_refused": [
+        row(id, Line(f"{flags.split()[-2]}: ", PAST, cut=id != "d_2_63"), f"{COST} {flags}",
+            patch=[(cli, "strategy_cost", None)])
+        for id, flags in [("d", f"--d {HUGE_INT}"), ("n", f"--n {HUGE_INT}"), ("m", f"--m {HUGE_INT}"),
+                          ("layers", f"--layers {HUGE_INT}"), ("d_2_63", f"--d {2**63}"),
+                          ("tokens", f"--strategy uniform --tokens {HUGE_INT}"),
+                          ("drop_layer", f"--strategy fastv --drop-layer {HUGE_INT}")]],
+    "test_flag_count_past_the_bound_is_refused": [
+        row(id, f"{argv.split()[-1]}: {value.split(',')[-1]}{PAST}", f"{argv} {value}")
+        for id, argv, value in [
+            ("run_seed", "run --seed", f"{2**64 + 7}"), ("negative_seed", "run --seed", f"{-2**63}"),
+            ("schedule_tokens", "schedule --layers 8 --stages 4 --lambda 0.5 --tokens", f"{10**23 - 1}"),
+            ("schedule_stages", "schedule --layers 8 --tokens 16 --lambda 0.5 --stages", f"{2**63}"),
+            ("sweep_layers", "sweep --ratios 0.5 --layers", f"2,{2**63}")]],
+    # one reader: the same words follow the name of where the value came from
+    "test_flag_and_config_value_are_refused_alike": [
+        row(None, "--layers: expected int, got 'x'", "sweep --layers 2,x"),
+        row(None, "sweep layer: expected int, got 'x'", "sweep",
+            config={"sweep": {"layers": [2, "x"], "ratios": [0.5]}})],
+    # the config's reader's refusal, or argparse's, shown cut, without usage
+    "test_bad_command_line_is_one_short_line": [
+        row(id, Line(start), argv) for id, argv, start in [
+            ("huge_int", f"{COST_D} {'9' * 5000}", "--d: expected int, got '"),
+            ("long_float", f"{COST_D} 4 --lambda {LONG}", "--lambda: expected float, got '"),
+            ("schedule_int", f"schedule --layers 8 --stages 4 --lambda 0.5 --tokens 1{LONG}",
+             "--tokens: expected int, got '"),
+            ("run_seed", f"run --config c.json --seed {LONG}", "--seed: expected int, got '"),
+            ("unknown_flag", f"{COST_D} 4 --{LONG}", "unrecognized arguments: --"),
+            ("newline_arg", [*COST_D.split(), "4", "x\n" * 50_000], "unrecognized arguments: x x "),
+            ("unknown_command", LONG, "argument command: invalid choice: '")]],
+    # a missing config of 152 characters: the line shows it whole
+    "test_ordinary_path_is_shown_whole": [
+        row(None, f"{NO_FILE}'data/{'run/' * 34}config.json'",
+            f"run --config data/{'run/' * 34}config.json", 3)],
+    "test_sweep_bad_ratios_are_config_errors": [
+        row(ratios, f"--ratios: expected float, got '{ratios.split(',')[0]}'",
+            f"sweep --layers 2 --ratios {ratios}")
+        for ratios in ["0.1:0.9:0", "0.1:0.9:-0.2", "0.1:inf:0.2", "0.1:0.9", "a,b"]],
+    "test_sweep_bad_layers_is_config_error": [
+        row(None, "--layers: expected int, got 'a'", "sweep --layers a --ratios 0.5")],
+    # every cell and strategy is resolved before the first forward
+    "test_sweep_bad_cell_rejected_before_any_forward": [
+        row("layer_past_last", "drop layer 8 must be in [1, 8)",
+            "sweep --layers 2,8 --ratios 0.1,0.3,0.5,0.7,0.9"),
+        row("ratio_in_late_cell", "keep_ratio must be in [0, 1], got 1.5",
+            "sweep --layers 1,2,4,6 --ratios 0.1,0.3,0.5,0.7,1.5")],
+    "test_compare_config_error_before_any_layer_forward": [
+        row("uniform_last", "uniform compression has no forward semantics; it is cost-only",
+            "compare --strategies vanilla,pdrop,fastv,random,uniform"),
+        row("fastv_past_last_layer", "drop layer 9 must be in [1, 8)", "compare",
+            config={"strategies": ["vanilla", "pdrop", {"name": "fastv", "drop_layer": 9}]})],
+    # an empty flag neither falls back to the config nor skips its output
+    "test_flag_given_empty_is_refused": [
+        row("layers", "--layers: expected int, got ''", ["sweep", "--layers", ""]),
+        row("ratios", "--ratios: expected float, got ''", ["sweep", "--ratios", ""]),
+        row("strategies", "unknown strategy ''", ["compare", "--strategies", ""]),
+        row("out", f"{NO_FILE}''", ["compare", "--out", ""], 3, config=EXPERIMENT, ran=(1, 24))],
+    # each input has one spelling: a removed flag, name or ratio range fails
+    "test_removed_form_exits_2": [
+        row("keep_ratio", "unrecognized arguments: --keep-ratio 0.5",
+            f"{COST} --strategy fastv --keep-ratio 0.5"),
+        row("emit_masks", "unrecognized arguments: --emit-masks masks.json", "run --emit-masks masks.json"),
+        row("pyramiddrop_config", "unknown strategy 'pyramiddrop'", config={"strategy": "pyramiddrop"}),
+        row("qformer_config", "unknown strategy 'qformer'",
+            config={"strategy": {"name": "qformer", "token_count": 64}}),
+        row("pyramiddrop_flag", "unknown strategy 'pyramiddrop'",
+            "compare --strategies vanilla,pyramiddrop"),
+        row("qformer_flag", "unknown strategy 'qformer'", "compare --strategies qformer"),
+        row("ratio_range", "--ratios: expected float, got '0.1:0.9:0.2'",
+            "sweep --layers 2 --ratios 0.1:0.9:0.2")],
+}
+
+CONFIGS = {
+    "test_run_mistyped_config_value_is_config_error": [
+        row(f"override{i}", message, config=config) for i, (config, message) in enumerate([
+            ({"strategy": {"name": "pdrop", "stages": "four"}},
+             "strategy 'pdrop' stages: expected int, got 'four'"),
+            ({"seed": "x"}, "seed: expected int, got 'x'"),
+            ({"fixture": {"image_tokens": "many"}}, "fixture image_tokens: expected int, got 'many'"),
+            ({"fixture": {"image_tokens": 16, "noise": float("nan")}}, FINITE),
+            ({"fixture": {"path": 0}}, "fixture path: expected str, got 0"),
+            ({"fixture": {"image_tokens": -5, "marked_count": -10}}, "cannot mark -10 of -5 image tokens"),
+            ({"fixture": {"image_tokens": 16, "marker_dims": [99]}},
+             "marker dims [99] outside hidden size 64"),
+            ({"fixture": {"image_tokens": 64, "marked_count": -1, "marked_placement": "random"}},
+             "cannot mark -1 of 64 image tokens"),
+            ({"fixture": {"image_tokens": 16, "answer_length": -1}}, "negative answer length -1"),
+            ({"fixture": {"image_tokens": 16, "marker_dims": list(range(64))}},
+             Line("marker dims [0, 1, 2,", "63] leave no hidden dimension for the flag")),
+            ({"strategy": {"name": "pdrop", "keep_ration": 0.3}},
+             "strategy 'pdrop': unknown fields ['keep_ration']"),
+            ({"seed": 1.5}, "seed: expected int, got 1.5"),
+            ({"model": {**TOY_MODEL, "num_layers": 8.9}}, "model num_layers: expected int, got 8.9"),
+            ({"strategy": {"name": "pdrop", "keep_ratio": True}},
+             "strategy 'pdrop' keep_ratio: expected float, got True"),
+            ({"fixture": {"image_tokens": 16, "noise": True}}, "fixture noise: expected float, got True"),
+            ({"model": {**TOY_MODEL, "rope_theta": True}}, "model rope_theta: expected float, got True"),
+            ({"sweep": {"ratios": [0.5, False]}}, "sweep ratio: expected float, got False"),
+            # a section given but empty is refused, not replaced by its default
+            *(({section: empty}, f"{section}: expected dict, got {empty!r}")
+              for section in ("fixture", "sweep") for empty in (0, False, [], "", None)),
+            # a misspelled key at any level is refused, not ignored
+            ({"stratgy": "fastv"}, "config: unknown fields ['stratgy']"),
+            ({"sweep": {"layer": [2], "ratios": [0.5]}}, "sweep: unknown fields ['layer']"),
+            ({"fixture": {"path": "fixture.json", "image_tokens": 16}},
+             "fixture: unknown fields ['image_tokens']"),
+            # a NaN setting once passed a `<= 0` test, for an all-NaN forward
+            *(({"model": {**TOY_MODEL, name: float(value)}, "strategy": "vanilla"},
+               "rope_theta and rmsnorm_eps must be finite and positive")
+              for value in ("nan", "inf") for name in ("rope_theta", "rmsnorm_eps"))])],
+    # a bad value is shown cut, however long or deeply nested it is
+    "test_long_bad_value_is_quoted_cut": [
+        row("nested_seed", Line("seed: expected int, got [[["),
+            config=json.dumps(BASE)[:-1] + ', "seed": ' + "[" * 900 + "]" * 900 + "}"),
+        *(row(id, Line(start), config=config) for id, config, start in [
+            ("long_seed", {"seed": LONG}, "seed: expected int, got 'aaa"),
+            ("long_strategy_name", {"strategy": LONG}, "unknown strategy 'aaa"),
+            ("long_unknown_key", {LONG: 0}, "config: unknown fields ['aaa"),
+            ("long_placement", {"fixture": {"marked_placement": LONG}}, "unknown placement 'aaa")]),
+        row("long_strategies_flag", Line("unknown strategy 'aaa"), f"compare --strategies {LONG}"),
+        row("long_layers_flag", Line("--layers: expected int, got 'aaa"),
+            f"sweep --ratios 0.5 --layers 1,{LONG}"),
+        row("long_ratios_flag", Line("--ratios: expected float, got 'aaa"),
+            f"sweep --layers 1 --ratios 0.5,{LONG}"),
+        row("many_marker_dims", Line("marker dims [0, 1, 2,", "99999] outside hidden size 64"),
+            config={"fixture": {"image_tokens": 16, "marker_dims": list(range(100_000))}})],
+    # a config integer past harness.MAX_COUNT, its digits shown cut
+    "test_huge_integer_is_quoted_cut": [
+        row(id, Line(start, PAST), config=config) for id, config, start in [
+            ("stages", {"strategy": {"name": "pdrop", "stages": HUGE_INT}}, "strategy 'pdrop' stages: 99"),
+            ("drop_layer", {"strategy": {"name": "fastv", "drop_layer": HUGE_INT}},
+             "strategy 'fastv' drop_layer: 99"),
+            ("num_layers", {"model": {**TOY_MODEL, "num_layers": HUGE_INT}}, "model num_layers: 99"),
+            ("negative_num_layers", {"model": {**TOY_MODEL, "num_layers": -HUGE_INT}},
+             "model num_layers: -99"),
+            ("head_dim", {"model": {**TOY_MODEL, "head_dim": HUGE_INT}}, "model head_dim: 99"),
+            ("image_tokens", {"fixture": {"image_tokens": HUGE_INT}}, "fixture image_tokens: 99"),
+            *((field, {"fixture": {"image_tokens": 16, field: sign * HUGE_INT}},
+               f"fixture {field}: {sign * 99}")
+              for field, sign in [("marked_count", 1), ("instruction_length", 1), ("answer_length", -1)]),
+            ("margin_onset_layer", {"margin_onset_layer": HUGE_INT}, "margin_onset_layer: 99"),
+            # once tracebacks: a dim past int64, a weight count or a summed
+            # token count past Python's digit limit for printing an integer
+            ("marker_dims", {"fixture": {"image_tokens": 16, "marker_dims": [0, 10**4000]}},
+             "fixture marker_dims: 10"),
+            ("hidden_size_and_head_dim",
+             {"model": {**TOY_MODEL, "hidden_size": 10**4000, "num_heads": 1, "head_dim": 10**4000}},
+             "model hidden_size: 10"),
+            ("text_lengths", {"fixture": {"image_tokens": 16, "instruction_length": 9 * 10**4299,
+                                          "answer_length": 9 * 10**4299}},
+             "fixture instruction_length: 90")]],
+    # the operating system's error names a config-supplied path, shown cut
+    "test_long_missing_fixture_path_is_quoted_cut": [
+        row(None, Line("File name too long: 'aaa"), code=3, config={"fixture": {"path": LONG}})],
+    "test_malformed_config_file_is_config_error": [
+        row("invalid_json", f"config.json: {INVALID}", config="{"),
+        *(row(id, Line("config.json: invalid JSON: ", cut=False), config=text)
+          for id, text in zip(UNREADABLE_IDS, UNREADABLE_JSON))],
+    # 8192 layers of hidden size 2: 26 elements each, charged 4096 each
+    "test_deep_tiny_model_refused": [
+        row(None, "model weights: 33554440 elements exceed the bound of 33554432",
+            config={"model": {"num_layers": 8192, "hidden_size": 2, "num_heads": 1, "head_dim": 2,
+                              "ffn_intermediate": 1, "vocab_size": 2}})],
+    # 2**26 vocabulary rows: the embedding and head would hold 64 GiB
+    "test_huge_vocabulary_refused_before_any_weight_is_built": [
+        row(None, "model weights: 8590330880 elements exceed the bound of 33554432",
+            config={"model": {**TOY_MODEL, "vocab_size": 1 << 26}},
+            patch=[(harness, "build_marker_model", None)])],
+    # noise x a normal, the amplitude's sum, or inf - inf: no numpy warning
+    "test_fixture_whose_values_overflow_is_one_line": [
+        row(id, FINITE, config={"fixture": {"image_tokens": 16, **fixture}}) for id, fixture in [
+            ("noise", {"noise": 1e308}), ("amplitude", {"noise": 1e307, "amplitude": 1.7e308}),
+            ("inf_minus_inf", {"noise": float("inf"), "amplitude": float("-inf")})]],
+    # the marker model is built, and checked, before the fixture is read
+    "test_model_checked_before_fixture_file_is_read": [
+        row(None, "margin onset layer 9 outside [1, 8]",
+            config={"margin_onset_layer": 9, "fixture": {"path": "missing.json"}})],
+}
+
+FIXTURE_FILES = {
+    "test_run_non_2d_image_fixture_is_input_error": [
+        row(None, "image embeddings must be 2-D rows, got shape (2, 64, 2)",
+            fixture=json.dumps({"image": [[[0.0] * 2] * 64] * 2, "instruction": [1, 2]}))],
+    "test_malformed_fixture_file_is_input_error": [
+        row("invalid_json", f"fixture.json: {INVALID}", fixture="{"),
+        row("not_object", "sequence fixture must be a JSON object, got list", fixture="[1, 2]"),
+        row("string_ids", IDS, fixture='{"image": [], "instruction": "ab"}'),
+        row("nested_ids", IDS, fixture='{"image": [], "instruction": [[1]]}'),
+        row("huge_id", IDS, fixture='{"image": [], "instruction": [1e30]}'),
+        *(row(id, Line("fixture.json: invalid JSON: ", cut=False), fixture=text)
+          for id, text in zip(UNREADABLE_IDS, UNREADABLE_JSON))],
+    # squares past the float64 range: the first RMS norm would zero the row
+    "test_image_row_whose_squares_overflow_is_input_error": [
+        row("generated", "image embedding row 12: its sum of squares overflows float64",
+            config={"fixture": {"image_tokens": 16, "amplitude": 1e160}}),
+        row("file", "image embedding row 3: its sum of squares overflows float64",
+            fixture=json.dumps({"image": [[0.0] * 64] * 3 + [[1e160] * 64], "instruction": [1, 2]}))],
+    # 100,000 ids pass the file and id checks; their forward would not fit
+    "test_long_fixture_text_refused_before_the_forward_allocates": [
+        row(None, "a forward of 100000 tokens: 44800128 elements exceed the bound of 33554432",
+            fixture=json.dumps({"image": [], "instruction": [1] * 100_000}),
+            patch=[(toymodel, "_embed", None)], ran=(1, 0))],
+}
+
+_weights = init_model(TOY_CONFIG, 0)
+WEIGHTS = sum(a.size for lw in _weights.layers for a in vars(lw).values()) + _weights.embedding.size * 2
+IMAGE_4 = json.dumps({"image": [[0.0] * 64] * 4, "instruction": [1, 2]})
+FIXTURE_LIMIT = layout.FIXTURE_BYTES_PER_ELEMENT * 4 * TOY_MODEL["hidden_size"]
+LONG_PATH = {"fixture": {"path": "./" * 1990 + "fixture.json"}}
+TOP = float(np.sqrt(np.finfo(float).max / 64) * (1 - 1e-12))
+BOUNDS = {
+    # a count past the bound is refused before a list of that length is built
+    "test_stage_count_bound": [
+        row(f"{SIDES[past]}-{command.split()[0]}", f"{STAGES}{n}, J={n}",
+            f"{command} --layers {n} --stages {n}", 2 * past)
+        for past, n in ((0, pruner.MAX_STAGES), (1, pruner.MAX_STAGES + 1))
+        for command in ["schedule --lambda 0.5 --tokens 1", "cost --lambda 0.5 --n 1 --d 64 --m 172"]],
+    # the bound admits an integer of its own magnitude, of either sign
+    "test_config_integer_at_the_bound_runs": [
+        row(None, code=0, config={"seed": seed}) for seed in (harness.MAX_COUNT, -harness.MAX_COUNT)],
+    # 64 equal entries whose squares rmsnorm_rows sums 2e-12 under the overflow
+    "test_image_row_just_under_the_overflow_runs": [
+        row(None, code=0, fixture=json.dumps({"image": [[0.0] * 64] * 3 + [[TOP] * 64],
+                                              "instruction": [1, 2]}))],
+    # shrunk to 16 toy-width image tokens, so nothing large is allocated
+    "test_image_size_bound": [
+        row(f"{SIDES[past]}-{argv.split()[0]}",
+            "17 image tokens x hidden size 64 exceeds the bound of 1024 elements", argv, 2 * past,
+            config={"fixture": {"image_tokens": 16 + past}}, patch=[(layout, "MAX_IMAGE_ELEMENTS", 1024)])
+        for past in (0, 1)
+        for argv in ["run", "compare --strategies vanilla,pdrop", "sweep --layers 2 --ratios 0.5"]],
+    # shrunk to the toy weights, or to the forward of a text long enough to
+    # pass them: refused before the weights, ids or forward buffers are built
+    "test_element_bound": [
+        row(f"{case}-{SIDES[past]}", f"{what}: {bound} elements exceed the bound of {bound - 1}",
+            code=2 * past, patch=[(layout, "MAX_ELEMENTS", bound - past)], ran=(calls, 0), **inputs)
+        for case, bound, what, calls, inputs in [
+            ("weights", WEIGHTS, "model weights", 0, {}),
+            ("generated_text", forward_elements(TOY_CONFIG, 1017), "a forward of 1017 tokens", 0,
+             {"config": {"fixture": {"image_tokens": 16, "instruction_length": 1000}}}),
+            ("fixture_text", forward_elements(TOY_CONFIG, 1004), "a forward of 1004 tokens", 1,
+             {"fixture": json.dumps({"image": [[0.0] * 64] * 4, "instruction": [1] * 1000})})]
+        for past in (0, 1)],
+    # a fixture file's image is counted once parsed, before it is an array
+    "test_fixture_file_past_image_size_bound": [
+        row(None, "4 image tokens x hidden size 64 exceeds the bound of 255 elements", fixture=IMAGE_4,
+            patch=[(layout, "MAX_IMAGE_ELEMENTS", 255)])],
+    # a file one byte past its bound is refused unparsed, padding or not
+    "test_fixture_file_byte_size_bound": [
+        row(SIDES[past], f"fixture file fixture.json holds {FIXTURE_LIMIT + 1} bytes, past the bound of "
+            f"{FIXTURE_LIMIT}", code=2 * past, fixture=IMAGE_4.ljust(FIXTURE_LIMIT + past),
+            patch=[(layout, "MAX_IMAGE_ELEMENTS", 4 * TOY_MODEL["hidden_size"])]) for past in (0, 1)],
+    # a device shows size 0, so it is read in chunks until past the bound
+    "test_endless_config_stream_is_refused_at_the_bound": [
+        row(None, f"config file /dev/zero holds more than the bound of {harness.MAX_CONFIG_BYTES} bytes",
+            "run --config /dev/zero",
+            marks=[pytest.mark.skipif(not os.path.exists("/dev/zero"), reason="no /dev/zero")])],
+    # a 4,000-character path: its start shows, then the reader's reason
+    "test_long_fixture_path_is_shown_cut": [
+        row("invalid_json", Line("././", INVALID), config=LONG_PATH, fixture="{"),
+        row("past_byte_bound",
+            Line("fixture file ././", "/fixture.json holds 1 bytes, past the bound of 0"),
+            config=LONG_PATH, fixture="{", patch=[(layout, "FIXTURE_BYTES_PER_ELEMENT", 0)])],
+}
+
+
+def table_test(rows):
+    """The test of one table entry: a case per row, or, where the rows have
+    no id, one case that runs them in turn."""
+    if rows[0].id is not None:
+        @pytest.mark.parametrize("row", rows)
+        def test(check, row):
+            check(row)
+        return test
+
+    def test(check):
+        for param in rows:
+            check(*param.values)
+
+    return functools.reduce(lambda test, mark: mark(test), rows[0].marks, test)
+
+
+for table in (COMMAND_LINES, CONFIGS, FIXTURE_FILES, BOUNDS):
+    globals().update((name, table_test(rows)) for name, rows in table.items())
+
+
+@pytest.mark.parametrize("extra, code", [(0, 0), (1, 2)], ids=["at_bound", "past_bound"])
+def test_config_file_byte_size_bound(capsys, monkeypatch, tmp_path, extra, code):
+    # the bound shrunk to the size of a small config: one byte more is
+    # refused before json.loads runs, however little its padding holds; a
+    # row could not count json.loads's calls at the bound
+    text = json.dumps(BASE)
+    limit = len(text) + 10
+    monkeypatch.setattr(harness, "MAX_CONFIG_BYTES", limit)
     path = tmp_path / "config.json"
-    path.write_text(json.dumps({"model": TOY_MODEL, "margin_onset_layer": 9,
-                                "fixture": {"path": str(tmp_path / "missing.json")}}))
-    assert main(["run", "--config", str(path)]) == 2
-    assert capsys.readouterr().err == "error: margin onset layer 9 outside [1, 8]\n"
+    path.write_text(text.ljust(limit + extra))
+    loaded, loads = [], json.loads
+    monkeypatch.setattr(json, "loads", lambda text: loaded.append(text) or loads(text))
+    assert main(["run", "--config", str(path)]) == code
+    assert len(loaded) == 1 - extra
+    if code:
+        assert capsys.readouterr().err == (
+            f"error: config file {path} holds {limit + 1} bytes, past the bound of {limit}\n")
 
 
-def test_compare_same_seed_reproducible(capsys, config_file):
-    code, out1 = run_cli(capsys, "compare", "--config", config_file)
-    code2, out2 = run_cli(capsys, "compare", "--config", config_file)
-    assert code == code2 == 0
-    assert out1 == out2
+def test_unreadable_config_is_a_config_error(tmp_path):
+    # the config's reader refuses it with its own error, not the fixture's
+    for text in ["{", *UNREADABLE_JSON]:
+        (tmp_path / "config.json").write_bytes(encode(text))
+        with pytest.raises(ConfigError):
+            harness.load_spec(tmp_path / "config.json")
+
+
+def test_deepest_accepted_nesting_is_one_short_line(capsys, tmp_path):
+    # a seed nested as deep as read_json accepts, a depth found by trying:
+    # the error that shows it is still one cut line, not a RecursionError
+    path = tmp_path / "config.json"
+    text = json.dumps({"model": TOY_MODEL})[:-1] + ', "seed": '
+
+    def refusal(depth):
+        path.write_text(text + "[" * depth + "]" * depth + "}")
+        assert main(["run", "--config", str(path)]) == 2
+        return capsys.readouterr().err
+
+    accepted, refused = 1, 1 << 16
+    assert "invalid JSON" in refusal(refused) and "invalid JSON" not in refusal(accepted)
+    while refused - accepted > 1:
+        depth = (accepted + refused) // 2
+        if "invalid JSON" in refusal(depth):
+            refused = depth
+        else:
+            accepted = depth
+    assert_one_line(refusal(accepted), 2, Line("seed: expected int, got [[["))
 
 
 # --- entry points -------------------------------------------------------------

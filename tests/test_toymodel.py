@@ -19,6 +19,7 @@ from pdrop.pruner import (
     PyramidDrop,
     RandomDrop,
     SingleEarlyDrop,
+    StageSchedule,
     Vanilla,
     build_schedule,
     identity_ranker,
@@ -460,12 +461,15 @@ class TestForwardPruned:
         widths = [h.shape[0] for h in layer_states(toy_weights, seq, schedule, range(1, 9))]
         assert widths == [e + text for e in [16, 16, 8, 8, 4, 4, 2, 2]]
 
-    def test_schedule_mismatch_rejected(self, toy_weights):
+    def test_schedule_mismatch_rejected(self, toy_weights, layer_forwards):
         seq = random_sequence(TOY_CONFIG, 16, seed=7)
-        with pytest.raises(ConfigError):
-            forward_pruned(toy_weights, seq, build_schedule(8, 4, 0.5, 8))
-        with pytest.raises(ConfigError):
-            forward_pruned(toy_weights, seq, build_schedule(6, 3, 0.5, 16))
+        # a float count, whole or not, is refused before any layer runs
+        for schedule in (build_schedule(8, 4, 0.5, 8), build_schedule(6, 3, 0.5, 16),
+                         StageSchedule((4, 4), (16, 8.0)), StageSchedule((4, 4), (16.0, 8)),
+                         StageSchedule((4.0, 4), (16, 8))):
+            with pytest.raises(ConfigError):
+                forward_pruned(toy_weights, seq, schedule)
+        assert layer_forwards == []
 
     @settings(max_examples=60, deadline=None)
     @given(v0=st.integers(0, 24), stages=st.integers(1, 8), keep_ratio=st.floats(0.05, 1.0),
