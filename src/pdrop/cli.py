@@ -1,7 +1,7 @@
 """Command-line interface.
 
 Subcommands: cost, schedule, run, sweep, compare. JSON goes to stdout
-unless --out is given. Exit codes: 0 success, 2 config error, 3 I/O error.
+unless --out is given. Exit codes: 0 success, 2 on a ConfigError, 3 I/O error.
 The config's reader (``harness.typed``) reads every number a flag gives,
 and its error names the flag as typed. Every error, a bad command line
 too, is one ``error:`` or ``i/o error:`` line, cut by ``errors.one_line``."""
@@ -13,7 +13,7 @@ import sys
 from dataclasses import fields
 
 from .costmodel import strategy_cost
-from .errors import ConfigError, PdropError, one_line
+from .errors import ConfigError, one_line
 from .harness import (
     STRATEGIES,
     load_spec,
@@ -139,7 +139,7 @@ def main(argv=None) -> int:
             if args.strategies is not None:
                 spec.strategies = [strategy_from_json(s) for s in args.strategies.split(",")]
             write_json([r.to_json() for r in run_compare(spec)], args.out)
-    except PdropError as exc:
+    except ConfigError as exc:
         print(f"error: {one_line(exc)}", file=sys.stderr)
         return EXIT_CONFIG
     except OSError as exc:

@@ -1,6 +1,6 @@
-"""Exception types shared across the package, and the one line the CLI
-prints for an error: a library error names each bad value in full, and
-only the CLI cuts it, at the print."""
+"""The package's one exception class, and the one line the CLI prints for
+an error: a library error names each bad value in full, and only the CLI
+cuts it, at the print."""
 
 # the most characters of an error message the CLI prints: with the longer
 # prefix ("i/o error: ") and its newline, a line is at most 198
@@ -18,13 +18,6 @@ def one_line(message) -> str:
     return text[:head] + "..." + text[len(text) - (LINE_CHARS - 3 - head):]
 
 
-class PdropError(Exception):
-    """Base class for all library errors."""
-
-
-class ConfigError(PdropError, ValueError):
-    """Invalid configuration, schedule, or strategy parameters, or a count out of range."""
-
-
-class InputError(PdropError, ValueError):
-    """Malformed sequence, fixture, or serialized data, or operands whose shapes disagree."""
+class ConfigError(ValueError):
+    """Every library error: a bad config, schedule, strategy, count,
+    sequence or fixture, or operands whose shapes disagree."""

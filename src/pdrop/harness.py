@@ -227,7 +227,7 @@ MAX_CONFIG_BYTES = 1 << 20
 
 def load_spec(path) -> ExperimentSpec:
     """The spec of the config file at ``path``, refused unparsed past MAX_CONFIG_BYTES."""
-    return spec_from_json(read_json(path, "config", MAX_CONFIG_BYTES, ConfigError))
+    return spec_from_json(read_json(path, "config", MAX_CONFIG_BYTES))
 
 
 # --- fixtures --------------------------------------------------------------

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, InputError
+from .errors import ConfigError
 
 # the largest magnitude of an integer read from a config or a flag, and of a
 # seed a caller gives: one fits an int64, and a product or sum of a few
@@ -122,7 +122,7 @@ def rmsnorm_rows(
     a = np.asarray(a, dtype=np.float64)
     gain = np.asarray(gain, dtype=np.float64)
     if a.ndim != 2 or a.shape[1] != gain.shape[0]:
-        raise InputError(f"rmsnorm_rows mismatch: {a.shape} vs gain {gain.shape}")
+        raise ConfigError(f"rmsnorm_rows mismatch: {a.shape} vs gain {gain.shape}")
     # np.mean's own steps, a sum then a division by the row width, without
     # its wrapper
     rms = np.add.reduce(np.multiply(a, a, out=out), axis=-1, keepdims=True)

@@ -12,10 +12,11 @@ import functools
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import index
 
 import numpy as np
 
-from .errors import ConfigError, InputError
+from .errors import ConfigError
 from .numkernel import RngState, arg_topk, derive_seed
 
 # stages past which no schedule is built, as each of its lists is that
@@ -93,16 +94,19 @@ def decide(scores: np.ndarray, schedule: StageSchedule, stage: int,
     ``stage``: the schedule's next count of highest ``ranker(copy, stage)``,
     ties to the lower index. The ranker gets a float64 copy of ``scores``,
     so it may keep or write into its argument."""
-    num_stages = len(schedule.stage_token_counts)
-    if not 0 <= stage < num_stages - 1:
-        raise ConfigError(f"stage {stage} has no drop boundary (S={num_stages})")
+    counts = schedule.stage_token_counts
+    if not 0 <= stage < len(counts) - 1:
+        raise ConfigError(f"stage {stage} has no drop boundary (S={len(counts)})")
+    try:  # a float count would slice the scores or pass the shape check
+        expected, kept = index(counts[stage]), index(counts[stage + 1])
+    except TypeError as exc:
+        raise ConfigError(f"schedule counts must be integers: {exc}") from exc
     scores = np.asarray(ranker(np.array(scores, dtype=np.float64), stage), dtype=np.float64)
-    expected = schedule.stage_token_counts[stage]
     if scores.shape != (expected,):
         raise ConfigError(f"{scores.shape} scores at stage {stage}, schedule expects {expected}")
     if not np.isfinite(scores).all():
-        raise InputError(f"non-finite ranking scores at stage {stage}")
-    return arg_topk(scores, schedule.stage_token_counts[stage + 1])
+        raise ConfigError(f"non-finite ranking scores at stage {stage}")
+    return arg_topk(scores, kept)
 
 
 # --- strategies ------------------------------------------------------------

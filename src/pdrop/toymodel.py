@@ -16,7 +16,7 @@ from operator import index
 import numpy as np
 
 from . import layout
-from .errors import ConfigError, InputError
+from .errors import ConfigError
 from .layout import MIN_LAYER_ELEMENTS, MultimodalSequence, check_elements, check_image_size
 from .numkernel import (MAX_COUNT, RngState, gaussian_init, rmsnorm_rows, rope_rotate_rows, rope_table,
                         softmax_rows)
@@ -67,7 +67,7 @@ class ModelConfig:
         # buffer of max(d^2, dm, d x vocab) at any depth
         d, m = self.hidden_size, self.ffn_intermediate
         layer = max(4 * d * d + 3 * d * m + 2 * d, MIN_LAYER_ELEMENTS)
-        check_elements("model weights", self.num_layers * layer + 2 * self.vocab_size * d, ConfigError)
+        check_elements("model weights", self.num_layers * layer + 2 * self.vocab_size * d)
 
 
 # toy default: small enough for second-scale test runs
@@ -138,10 +138,10 @@ def _embed(w: DecoderWeights, seq: MultimodalSequence) -> np.ndarray:
     # an empty image segment may have any width
     image = seq.image_embeddings if seq.num_image_tokens else np.empty((0, d))
     if image.shape[1] != d:
-        raise InputError(f"image embeddings have dim {image.shape[1]}, model expects {d}")
+        raise ConfigError(f"image embeddings have dim {image.shape[1]}, model expects {d}")
     text_ids = seq.text_ids
     if text_ids.min() < 0 or text_ids.max() >= w.config.vocab_size:
-        raise InputError("text token id outside the vocabulary")
+        raise ConfigError("text token id outside the vocabulary")
     return np.concatenate([image, w.embedding[text_ids]])
 
 

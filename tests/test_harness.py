@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from pdrop import harness, layout
 from pdrop.costmodel import strategy_cost
-from pdrop.errors import ConfigError, PdropError
+from pdrop.errors import ConfigError
 from pdrop.harness import (
     STRATEGIES,
     ExperimentSpec,
@@ -62,9 +62,9 @@ class TestFixture:
         assert len(make_marker_sequence(TOY_CONFIG, fixture, 0)[0]) == 23
         monkeypatch.setattr(layout, "MAX_ELEMENTS", elements - 1)
         monkeypatch.setattr(harness, "RngState", None)  # reached only past the check
-        with pytest.raises(PdropError, match=f"a forward of 23 tokens: {elements} elements"):
+        with pytest.raises(ConfigError, match=f"a forward of 23 tokens: {elements} elements"):
             make_marker_sequence(TOY_CONFIG, fixture, 0)
-        with pytest.raises(PdropError, match="a forward of"):
+        with pytest.raises(ConfigError, match="a forward of"):
             make_marker_sequence(TOY_CONFIG, FixtureSpec(16, 3, instruction_length=10**18), 0)
 
 
@@ -379,11 +379,11 @@ class TestSpecParsing:
     @settings(max_examples=150, deadline=None)
     @given(st.data())
     def test_spec_from_json_total(self, data):
-        # any JSON object parses to a typed spec or fails with a PdropError
+        # any JSON object parses to a typed spec or fails with a ConfigError
         obj = data.draw(config_objects())
         try:
             spec = spec_from_json(obj)
-        except PdropError:
+        except ConfigError:
             return
         assert isinstance(spec, ExperimentSpec)
         for section in (spec.model, spec.fixture, spec.strategy, *spec.strategies):

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from pdrop import layout, toymodel
-from pdrop.errors import InputError
+from pdrop.errors import ConfigError
 from pdrop.layout import MultimodalSequence, build_sequence, sequence_from_json
 from pdrop.numkernel import rmsnorm_rows
 from pdrop.pruner import build_schedule
@@ -24,10 +24,25 @@ def test_no_image_tokens_is_valid():
     assert len(seq) == 2
 
 
+@pytest.mark.parametrize("instruction, answer, dtype", [
+    ([1.5], [True], "float64"), ([1], [True], "bool"), (["1"], [], "<U1"), ([2**63], [], "uint64"),
+], ids=["float", "bool", "str", "uint64"])
+def test_ids_must_be_integers(instruction, answer, dtype):
+    # the int64 cast would truncate 1.5 to 1, read True or "1" as 1 and wrap 2**63
+    with pytest.raises(ConfigError, match=f"^instruction and answer ids must be integers, got dtype {dtype}$"):
+        build_sequence(np.zeros((2, 64)), instruction, answer)
+
+
+def test_unsigned_and_empty_ids_are_valid():
+    seq = build_sequence(np.zeros((2, 64)), np.array([1], dtype=np.uint8), [])
+    assert seq.instruction_ids.dtype == seq.answer_ids.dtype == np.int64
+    assert list(seq.text_ids) == [1]
+
+
 def test_empty_instruction_rejected():
-    with pytest.raises(InputError):
+    with pytest.raises(ConfigError):
         build_sequence(np.zeros((2, 8)), [], [1])
-    with pytest.raises(InputError):
+    with pytest.raises(ConfigError):
         MultimodalSequence(np.zeros((2, 8)), np.empty(0, dtype=np.int64), np.array([1]))
 
 
@@ -35,7 +50,7 @@ def test_empty_instruction_rejected():
 def test_non_finite_image_embedding_rejected(bad):
     emb = np.zeros((3, 4))
     emb[1, 2] = bad
-    with pytest.raises(InputError, match="finite"):
+    with pytest.raises(ConfigError, match="finite"):
         build_sequence(emb, [1])
 
 
@@ -49,19 +64,19 @@ def test_image_rows_sum_of_squares_checked_as_rmsnorm_rows_sums_them():
     build_sequence(np.concatenate([np.zeros((2, 64)), under]), [1])
     with np.errstate(over="ignore"):
         assert np.all(rmsnorm_rows(over, np.ones(64), 1e-6) == 0.0)
-    with pytest.raises(InputError, match="^image embedding row 2: its sum of squares overflows"):
+    with pytest.raises(ConfigError, match="^image embedding row 2: its sum of squares overflows"):
         build_sequence(np.concatenate([np.zeros((2, 64)), over]), [1])
 
 
 @pytest.mark.parametrize("shape", [(2, 4, 2), (4,), (0, 4, 2)])
 def test_non_2d_image_embeddings_rejected(shape):
-    with pytest.raises(InputError, match="2-D"):
+    with pytest.raises(ConfigError, match="2-D"):
         MultimodalSequence(np.zeros(shape), np.array([1]), np.empty(0, dtype=np.int64))
 
 
 def test_build_sequence_rejects_3d_image():
     # 1-D input is read as one row; 3-D rows are not flattened
-    with pytest.raises(InputError, match="2-D"):
+    with pytest.raises(ConfigError, match="2-D"):
         build_sequence(np.zeros((2, 64, 2)), [1])
 
 
@@ -107,13 +122,13 @@ def test_fixture_roundtrip():
 
 
 def test_fixture_missing_instruction():
-    with pytest.raises(InputError):
+    with pytest.raises(ConfigError):
         sequence_from_json({"image": [[0.0]]})
 
 
 @pytest.mark.parametrize("obj", [[1, 2], "x", None])
 def test_fixture_not_an_object(obj):
-    with pytest.raises(InputError, match="JSON object"):
+    with pytest.raises(ConfigError, match="JSON object"):
         sequence_from_json(obj)
 
 
@@ -122,7 +137,7 @@ def test_fixture_not_an_object(obj):
     ([1.5, 2.7, True], []), ([1.0], []), ([1], [True]), ([2**64], []),
 ])
 def test_fixture_ids_must_be_flat_integers(instruction, answer):
-    with pytest.raises(InputError):
+    with pytest.raises(ConfigError):
         sequence_from_json({"image": [[0.0] * 4], "instruction": instruction, "answer": answer})
 
 
@@ -131,5 +146,5 @@ def test_fixture_text_bound(monkeypatch):
     monkeypatch.setattr(layout, "MAX_ELEMENTS", 3)
     assert list(sequence_from_json(obj).text_ids) == [1, 2, 3]
     monkeypatch.setattr(layout, "MAX_ELEMENTS", 2)
-    with pytest.raises(InputError, match="text ids: 3 elements exceed the bound of 2"):
+    with pytest.raises(ConfigError, match="text ids: 3 elements exceed the bound of 2"):
         sequence_from_json(obj)

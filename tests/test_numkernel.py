@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pdrop.errors import ConfigError, InputError
+from pdrop.errors import ConfigError
 from pdrop.numkernel import (
     EXP_SAFE,
     RngState,
@@ -93,9 +93,9 @@ class TestRmsnorm:
         assert np.array_equal(out, rmsnorm_rows(a, gain, 1e-6))
 
     def test_length_mismatch(self):
-        with pytest.raises(InputError):
+        with pytest.raises(ConfigError):
             rmsnorm_rows(np.zeros((1, 4)), np.ones(3), 1e-6)
-        with pytest.raises(InputError):
+        with pytest.raises(ConfigError):
             rmsnorm_rows(np.zeros(4), np.ones(4), 1e-6)
 
 

@@ -9,7 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pdrop.cli import main
-from pdrop.errors import ConfigError, InputError
+from pdrop.errors import ConfigError
 from pdrop.numkernel import RngState
 from pdrop.toymodel import ATTENTION_BLOCK_ROWS, _causal_attention
 from pdrop.pruner import (
@@ -190,8 +190,15 @@ class TestDecide:
 
     @pytest.mark.parametrize("scores", [[np.inf, 1.0, np.nan, 3.0], [np.nan] * 4, [0.0, -np.inf, 1.0, 2.0]])
     def test_non_finite_scores_rejected(self, scores):
-        with pytest.raises(InputError, match="non-finite"):
+        with pytest.raises(ConfigError, match="non-finite"):
             decide(np.array(scores), build_schedule(4, 2, 0.5, 4), 0)
+
+    @pytest.mark.parametrize("counts", [(16, 8.0), (16.0, 8)])
+    def test_float_counts_rejected(self, counts):
+        # a float kept count would slice the scores, and a float scored
+        # count would pass the shape check, as 16 == 16.0
+        with pytest.raises(ConfigError, match="^schedule counts must be integers: 'float' object"):
+            decide(np.arange(16.0), StageSchedule((4, 4), counts), 0)
 
 
 def layer_counts(strategy, num_layers=32, num_image_tokens=576):

@@ -1,6 +1,7 @@
 """The README's library quick start, CLI examples and experiment config
-must run as written, the package must need no dependency but numpy, and
-``pdrop`` must export what the README, the demos and the benchmark import."""
+must run as written, the package must need no dependency but numpy,
+``pdrop`` must export what the README, the demos and the benchmark import,
+and the library must raise one error class."""
 
 import ast
 import json
@@ -78,3 +79,25 @@ def test_all_names_what_readme_demos_and_benchmark_import():
                 used.add(node.attr)
     assert used - {"cli", "harness", "layout", "toymodel"} == set(pdrop.__all__)
     assert all(hasattr(pdrop, name) for name in pdrop.__all__)
+
+
+def test_library_raises_only_config_error():
+    # the package defines one exception class, and every raise of a named
+    # class raises it, but for the config's number readers, whose errors
+    # harness.typed turns into one
+    raised = set()
+    for path in sorted((ROOT / "src" / "pdrop").glob("*.py")):
+        tree = ast.parse(path.read_text())
+        classes = [node.name for node in ast.walk(tree) if isinstance(node, ast.ClassDef)]
+        assert path.stem != "errors" or classes == ["ConfigError"]
+        owner = {}  # each node's innermost function: ast.walk visits outer ones first
+        for func in ast.walk(tree):
+            if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                owner.update((node, func.name) for node in ast.walk(func))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Raise) and node.exc is not None:
+                exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+                raised.add((path.stem, owner.get(node), ast.unparse(exc)))
+    assert {r for r in raised if r[2] != "ConfigError"} == {
+        ("harness", "_int", "ValueError"), ("harness", "_float", "ValueError"),
+        ("harness", "_ints", "TypeError")}

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from layerstates import inject_at_boundary, layer_states
 from maskoracle import masked_pruned_forward
 from pdrop import layout, numkernel, toymodel
-from pdrop.errors import ConfigError, InputError
+from pdrop.errors import ConfigError
 from pdrop.harness import FixtureSpec, make_marker_sequence
 from pdrop.layout import MultimodalSequence, build_sequence
 from pdrop.numkernel import EXP_SAFE, RngState, derive_seed, rmsnorm_rows, rope_rotate_rows, rope_table
@@ -203,7 +203,7 @@ class TestForwardFull:
 
     def test_empty_sequence_rejected(self):
         # every sequence holds an instruction token, so none reaches the forward empty
-        with pytest.raises(InputError):
+        with pytest.raises(ConfigError):
             MultimodalSequence(np.zeros((0, 0)), np.empty(0, dtype=np.int64),
                                np.empty(0, dtype=np.int64))
 
@@ -368,7 +368,7 @@ class TestForwardFull:
         assert len(keep_all_forward(toy_weights, seq).hidden) == 1
         monkeypatch.setattr(layout, "MAX_IMAGE_ELEMENTS", 6 * TOY_CONFIG.hidden_size - 1)
         monkeypatch.setattr(toymodel, "_workspace", None)  # reached only past the check
-        with pytest.raises(InputError, match="6 image tokens x hidden size 64 exceeds"):
+        with pytest.raises(ConfigError, match="6 image tokens x hidden size 64 exceeds"):
             keep_all_forward(toy_weights, seq)
 
 
@@ -387,7 +387,7 @@ class TestForwardFull:
         # reached only past the check
         monkeypatch.setattr(toymodel, "_embed", None)
         monkeypatch.setattr(toymodel, "_workspace", None)
-        with pytest.raises(InputError, match=f"a forward of {n} tokens: {elements} elements"):
+        with pytest.raises(ConfigError, match=f"a forward of {n} tokens: {elements} elements"):
             keep_all_forward(toy_weights, seq)
 
     def test_forward_size_counts_the_logits(self):
@@ -398,7 +398,7 @@ class TestForwardFull:
         # the one width check of a fixture's image embeddings
         seq = build_sequence(np.zeros((3, 8)), [1])
         monkeypatch.setattr(toymodel, "_workspace", None)  # reached only past the check
-        with pytest.raises(InputError, match="have dim 8, model expects 64"):
+        with pytest.raises(ConfigError, match="have dim 8, model expects 64"):
             keep_all_forward(toy_weights, seq)
 
 
@@ -900,7 +900,7 @@ class TestForwardPlans:
         # no room for one plan: refused as one plan's forward, before any layer
         monkeypatch.setattr(layout, "MAX_ELEMENTS", one - 1)
         layer_forwards.clear()
-        with pytest.raises(InputError, match=f"^a forward of {n} tokens: {one} elements"):
+        with pytest.raises(ConfigError, match=f"^a forward of {n} tokens: {one} elements"):
             list(forward_plans(toy_weights, seq, [plan] * 3))
         assert layer_forwards == []
 
